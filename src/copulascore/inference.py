@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
-from .dist_math import BvnSpec, bvn_rect_prob, norm_quantile
+from .dist_math import BvnSpec, bvn_rect_prob, norm_pdf, norm_quantile
 from .scoring import BivariateScore
 
 __all__ = [
@@ -27,6 +28,7 @@ __all__ = [
     "LongRunCov",
     "TwoStepResult",
     "DegenerateSeriesError",
+    "CalibrationError",
     "score_diffs",
     "hac_cov",
     "critical_values",
@@ -43,7 +45,7 @@ _DEGENERACY_REL_TOL = 1e-12
 _CORR_SINGULAR = 1.0 - 1e-10
 _CORR_SHRUNK = 1.0 - 1e-8
 
-_SOLVER_PROB_TOL = 1e-9
+_SOLVER_PROB_TOL = 1e-12
 _SOLVER_MAX_ITER = 200
 
 
@@ -62,6 +64,10 @@ class Outcome(str, enum.Enum):
 
 class DegenerateSeriesError(ValueError):
     """Both score-difference components carry no sampling variation."""
+
+
+class CalibrationError(ValueError):
+    """The second-step critical value could not be solved to tolerance."""
 
 
 @dataclass(frozen=True)
@@ -198,42 +204,65 @@ def _split(alpha: float, alpha1: float | None) -> tuple[float, float]:
 def _solve_c2(
     omega: LongRunCov, c1: float, target: float, hypothesis: Hypothesis
 ) -> float:
-    """Monotone bisection for the second-step critical value.
+    """Safeguarded Newton iteration for the second-step critical value.
 
-    Equal case: P(|Z1| <= c1, |Z2| > c2) = target, solved on [0, hi].
-    Lex case:   P(|Z1| <= c1, Z2 > c2)  = target, solved on [-hi, hi].
-    Both probabilities are strictly decreasing in c2 on the bracket.
+    Equal case: P(|Z1| <= c1, |Z2| > c2) = target, solved for c2 >= 0.
+    Lex case:   P(|Z1| <= c1, Z2 > c2)  = target.
+    Both probabilities are strictly decreasing in c2.  The iteration runs in
+    the standardized value k = c2/sqrt(s_cc), starts from the closed form
+    under independence and uses the analytic derivative
+    -phi(k) * P(|Z1| <= c1 | Z2 = k) (plus the mirrored term at -k in the
+    equal case).  Every evaluation narrows a bracket around the root, and a
+    Newton step that leaves the bracket is replaced by bisection.  Raises
+    ``CalibrationError`` when the probability is not within
+    ``_SOLVER_PROB_TOL`` of the target after ``_SOLVER_MAX_ITER``
+    evaluations, or once the bracket has collapsed.
     """
     spec = BvnSpec(sigma11=omega.s_mm, sigma22=omega.s_cc, sigma12=omega.s_mc)
     sd_c = math.sqrt(omega.s_cc)
+    h = c1 / math.sqrt(omega.s_mm)
+    rho = omega.correlation()
+    r = math.sqrt(omega.det / (omega.s_mm * omega.s_cc))
     p_band = bvn_rect_prob(spec, -c1, c1, -math.inf, math.inf)
+    equal = hypothesis is Hypothesis.EQUAL
 
-    if hypothesis is Hypothesis.EQUAL:
+    def band_density(k: float) -> float:
+        # phi(k) * P(|Z1| <= c1 | Z2 = k * sd_c), in standardized units.
+        return norm_pdf(k) * float(ndtr((h - rho * k) / r) - ndtr((-h - rho * k) / r))
 
-        def prob(c2: float) -> float:
-            return p_band - bvn_rect_prob(spec, -c1, c1, -c2, c2)
-
-        lo, hi = 0.0, 10.0 * sd_c
+    if equal:
+        lo, hi = 0.0, 10.0
+        k = float(ndtri(1.0 - target / (2.0 * p_band)))
     else:
+        lo, hi = -10.0, 10.0
+        k = float(ndtri(1.0 - target / p_band))
+    k = min(max(k, lo), hi)
 
-        def prob(c2: float) -> float:
-            return bvn_rect_prob(spec, -c1, c1, c2, math.inf)
-
-        lo, hi = -10.0 * sd_c, 10.0 * sd_c
-
-    mid = 0.5 * (lo + hi)
     for _ in range(_SOLVER_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        p = prob(mid)
-        if abs(p - target) <= _SOLVER_PROB_TOL:
-            return mid
-        if p > target:
-            lo = mid
+        c2 = sd_c * k
+        if equal:
+            p = p_band - bvn_rect_prob(spec, -c1, c1, -c2, c2)
         else:
-            hi = mid
-        if hi - lo < 1e-14 * max(1.0, sd_c):
-            break
-    return mid
+            p = bvn_rect_prob(spec, -c1, c1, c2, math.inf)
+        if abs(p - target) <= _SOLVER_PROB_TOL:
+            return c2
+        if p > target:
+            lo = k
+        else:
+            hi = k
+        # Collapsed: the bracket is only a few ulps wide.
+        if hi - lo <= 1e-15 * max(1.0, abs(lo), abs(hi)):
+            raise CalibrationError(
+                f"second-step solver bracket collapsed at c2={c2!r} with "
+                f"probability {p!r}, target {target!r}"
+            )
+        slope = band_density(k) + (band_density(-k) if equal else 0.0)
+        step = k + (p - target) / slope if slope > 0.0 else math.nan
+        k = step if lo < step < hi else 0.5 * (lo + hi)
+    raise CalibrationError(
+        f"second-step solver did not reach {_SOLVER_PROB_TOL:g} in probability "
+        f"within {_SOLVER_MAX_ITER} iterations"
+    )
 
 
 def critical_values(
@@ -245,9 +274,11 @@ def critical_values(
     """Jointly calibrated critical values (c1, c2) for the two-step test.
 
     c1 satisfies P(|Z1| > c1) = alpha1 in closed form; c2 makes the
-    second-step rejection probability equal alpha2, solved by bisection on
-    the bivariate normal rectangle kernel.  Defaults to an even split
-    alpha1 = alpha2 = alpha/2.
+    second-step rejection probability equal alpha2 to within 1e-12, solved
+    by a safeguarded Newton iteration on the closed-form (Owen's T)
+    bivariate normal rectangle kernel.  Defaults to an even split
+    alpha1 = alpha2 = alpha/2.  Raises ``CalibrationError`` when the
+    solver does not converge.
     """
     if not omega.is_pd:
         raise ValueError("long-run covariance must be positive definite")

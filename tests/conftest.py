@@ -1,10 +1,14 @@
 """Shared fixtures: one lazily filled cache of 2000-replication experiment
 runs, so the acceptance criteria and the harness property tests never repeat
-a simulation."""
+a simulation; and an adaptive-quadrature oracle for bivariate normal
+rectangle probabilities."""
 
+import math
 import time
 
 import pytest
+from scipy.integrate import quad
+from scipy.special import ndtr
 
 from copulascore.sim_harness import SETTINGS, DgpSpec, run_experiment
 
@@ -34,3 +38,34 @@ _get.seconds = _seconds
 @pytest.fixture(scope="session")
 def freq():
     return _get
+
+
+def quad_bvn_rect(rho: float, a1: float, b1: float, a2: float, b2: float) -> float:
+    """Independent oracle: P(a1 <= Z1 <= b1, a2 <= Z2 <= b2) for standard
+    normals with correlation ``rho``, by adaptive quadrature over Z1 of the
+    conditional normal cdf of Z2.
+
+    As |rho| -> 1 the conditional cdf becomes a step of width
+    sqrt(1 - rho**2) at z = a2/rho and z = b2/rho.  Each step and a band of
+    ten widths on either side are breakpoints, so the quadrature resolves it
+    instead of stepping over it.
+    """
+    r = math.sqrt((1.0 - rho) * (1.0 + rho))
+    lo, hi = max(a1, -40.0), min(b1, 40.0)
+
+    def integrand(z):
+        upper = ndtr((b2 - rho * z) / r) if b2 != math.inf else 1.0
+        lower = ndtr((a2 - rho * z) / r) if a2 != -math.inf else 0.0
+        return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) * (upper - lower)
+
+    points = []
+    if rho != 0.0:
+        width = 10.0 * r / abs(rho)
+        for limit in (a2, b2):
+            if math.isfinite(limit):
+                step = limit / rho
+                points += [p for p in (step - width, step, step + width) if lo < p < hi]
+    value, _ = quad(
+        integrand, lo, hi, points=sorted(points) or None, epsabs=1e-15, epsrel=1e-13, limit=500
+    )
+    return value

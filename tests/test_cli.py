@@ -16,6 +16,7 @@ from copulascore.cli import (
     parse_single_model_scores,
     write_scores,
 )
+from copulascore import inference
 from copulascore.inference import HacConfig, Hypothesis, two_step_test
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -218,6 +219,12 @@ class TestCompareCommand:
         rc = main(["compare", "--scores", str(tmp_path / "nope.csv")])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    def test_calibration_failure_exit_nonzero(self, monkeypatch, capsys):
+        monkeypatch.setattr(inference, "_SOLVER_MAX_ITER", 1)
+        rc = main(["compare", "--scores", str(FIXTURES / "synthetic_scores.csv")])
+        assert rc == 1
+        assert "second-step solver" in capsys.readouterr().err
 
     def test_cumdiff_output(self, tmp_path, capsys):
         path = self._simulated_file(tmp_path)

@@ -2,14 +2,16 @@
 
 Derived expectations are frozen from independent oracles implemented here:
 a Taylor-series normal cdf, bisection on the cdf for quantiles, dense linear
-algebra for the equicorrelation forms, and Monte Carlo for one rectangle
-probability.
+algebra for the equicorrelation forms, Monte Carlo for one rectangle
+probability, and adaptive quadrature (``conftest.quad_bvn_rect``) for the
+bivariate normal kernel.
 """
 
 import math
 
 import numpy as np
 import pytest
+from conftest import quad_bvn_rect
 
 from copulascore.dist_math import (
     BvnSpec,
@@ -173,6 +175,55 @@ class TestBvnRectProb:
             BvnSpec(1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             BvnSpec(-1.0, 1.0, 0.0)
+
+
+NEAR_SINGULAR = 1.0 - 1e-8
+RHO_GRID = [
+    -NEAR_SINGULAR, -0.9999, -0.95, -0.6, -0.2, 0.0, 0.3, 0.7, 0.99, 0.9999, NEAR_SINGULAR
+]
+
+
+class TestBvnRectProbClosedForm:
+    @pytest.mark.parametrize("rho", [NEAR_SINGULAR, -NEAR_SINGULAR])
+    def test_near_singular_correlation(self, rho):
+        spec = BvnSpec(1.0, 1.0, rho)
+        got = bvn_rect_prob(spec, -math.inf, 0.3, -math.inf, -0.2)
+        assert abs(got - quad_bvn_rect(rho, -math.inf, 0.3, -math.inf, -0.2)) <= 1e-10
+        got = bvn_rect_prob(spec, -0.7, 1.1, -0.2, 2.0)
+        assert abs(got - quad_bvn_rect(rho, -0.7, 1.1, -0.2, 2.0)) <= 1e-10
+
+    @pytest.mark.parametrize("rho", RHO_GRID)
+    def test_orthant_identity(self, rho):
+        # Sheppard: P(Z1 <= 0, Z2 <= 0) = 1/4 + asin(rho) / (2 pi).
+        got = bvn_rect_prob(BvnSpec(1.0, 1.0, rho), -math.inf, 0.0, -math.inf, 0.0)
+        assert abs(got - (0.25 + math.asin(rho) / (2.0 * math.pi))) <= 1e-12
+
+    @pytest.mark.parametrize("rho", RHO_GRID)
+    def test_zero_and_infinite_corners(self, rho):
+        # Every corner branch: a zero limit in either coordinate, infinite
+        # limits on both sides, and limits of equal and opposite sign.
+        limits = [-math.inf, -1.3, 0.0, 0.4, math.inf]
+        spec = BvnSpec(1.0, 1.0, rho)
+        for i, a1 in enumerate(limits):
+            for b1 in limits[i + 1:]:
+                for j, a2 in enumerate(limits):
+                    for b2 in limits[j + 1:]:
+                        got = bvn_rect_prob(spec, a1, b1, a2, b2)
+                        assert abs(got - quad_bvn_rect(rho, a1, b1, a2, b2)) <= 1e-10
+
+    def test_standardizes_scales(self):
+        rng = np.random.default_rng(41)
+        for _ in range(30):
+            s11, s22 = 10.0 ** rng.uniform(-3, 3, 2)
+            rho = rng.uniform(-0.99, 0.99)
+            spec = BvnSpec(s11, s22, rho * math.sqrt(s11 * s22))
+            a1, b1 = np.sort(rng.uniform(-3, 3, 2))
+            a2, b2 = np.sort(rng.uniform(-3, 3, 2))
+            got = bvn_rect_prob(
+                spec, a1 * math.sqrt(s11), b1 * math.sqrt(s11), a2 * math.sqrt(s22),
+                b2 * math.sqrt(s22),
+            )
+            assert abs(got - quad_bvn_rect(rho, a1, b1, a2, b2)) <= 1e-10
 
 
 class TestEquiCorr:

@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from conftest import quad_bvn_rect
 
+from copulascore import inference
 from copulascore.dist_math import BvnSpec, bvn_rect_prob, norm_quantile
 from copulascore.inference import (
+    CalibrationError,
     DegenerateSeriesError,
     HacConfig,
     Hypothesis,
@@ -191,6 +194,83 @@ class TestCriticalValues:
     def test_rejects_non_pd(self):
         with pytest.raises(ValueError):
             critical_values(LongRunCov(1.0, 1.0, 1.0), 0.05, Hypothesis.EQUAL)
+
+
+def near_singular_pd_cov(rng) -> LongRunCov:
+    """Random PD matrix on scales 1e-3..1e3 whose |correlation| runs up to
+    1 - 1e-8, half of them within 1e-2 of the singular limit."""
+    s_mm, s_cc = 10.0 ** rng.uniform(-3, 3, 2)
+    if rng.random() < 0.5:
+        corr = rng.uniform(-1.0, 1.0) * (1.0 - 1e-8)
+    else:
+        corr = math.copysign(1.0 - 10.0 ** rng.uniform(-8, -2), rng.uniform(-1.0, 1.0))
+    return LongRunCov(s_mm, corr * math.sqrt(s_mm * s_cc), s_cc)
+
+
+def oracle_second_step_prob(om: LongRunCov, c1: float, c2: float, hypothesis) -> float:
+    """P(|Z1| <= c1, |Z2| > c2) (equal) or P(|Z1| <= c1, Z2 > c2) (lex),
+    with each tail integrated by quadrature."""
+    rho = om.correlation()
+    h = c1 / math.sqrt(om.s_mm)
+    k = c2 / math.sqrt(om.s_cc)
+    prob = quad_bvn_rect(rho, -h, h, k, math.inf)
+    if hypothesis is Hypothesis.EQUAL:
+        prob += quad_bvn_rect(rho, -h, h, -math.inf, -k)
+    return prob
+
+
+class TestSecondStepSolver:
+    @pytest.mark.parametrize("hypothesis", list(Hypothesis))
+    def test_scale_invariance(self, hypothesis):
+        rng = np.random.default_rng(71)
+        for om in [random_pd_cov(rng) for _ in range(5)] + [near_singular_pd_cov(rng)]:
+            base = None
+            for scale in (1e-6, 1.0, 1e6):
+                scaled = LongRunCov(om.s_mm * scale, om.s_mc * scale, om.s_cc * scale)
+                c1, c2 = critical_values(scaled, 0.05, hypothesis)
+                std = (c1 / math.sqrt(scaled.s_mm), c2 / math.sqrt(scaled.s_cc))
+                if base is None:
+                    base = std
+                assert std == pytest.approx(base, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("hypothesis", list(Hypothesis))
+    def test_residual_against_quadrature(self, hypothesis):
+        rng = np.random.default_rng(72)
+        for _ in range(200):
+            om = near_singular_pd_cov(rng)
+            c1, c2 = critical_values(om, 0.05, hypothesis)
+            assert abs(oracle_second_step_prob(om, c1, c2, hypothesis) - 0.025) <= 1e-11
+
+    def test_kernel_calls_per_calibration(self, monkeypatch):
+        calls = []
+        kernel = inference.bvn_rect_prob
+
+        def counting(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(inference, "bvn_rect_prob", counting)
+        rng = np.random.default_rng(73)
+        for i in range(200):
+            om = near_singular_pd_cov(rng) if i % 2 else random_pd_cov(rng)
+            for hyp in Hypothesis:
+                calls.clear()
+                critical_values(om, 0.05, hyp)
+                assert 1 <= len(calls) <= 8
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(inference, "_SOLVER_MAX_ITER", 1)
+        om = LongRunCov(1.0, 0.6, 2.0)
+        for hyp in Hypothesis:
+            with pytest.raises(CalibrationError, match="iterations"):
+                critical_values(om, 0.05, hyp)
+
+    def test_collapsed_bracket_raises(self, monkeypatch):
+        # A kernel whose probability never falls to the target drives every
+        # step towards the upper end of the bracket until it collapses.
+        monkeypatch.setattr(inference, "bvn_rect_prob", lambda *args: 0.5)
+        with pytest.raises(CalibrationError, match="bracket collapsed"):
+            critical_values(LongRunCov(1.0, 0.3, 1.0), 0.05, Hypothesis.LEX_SUPERIORITY)
 
 
 class TestTwoStepTest:
