@@ -9,45 +9,34 @@ byte-for-byte.
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 
 import numpy as np
 
-from copulascore.cli import SCORES_HEADER, SINGLE_MODEL_HEADER
-from copulascore.copulas import GaussianEquiCorr
-from copulascore.dist_math import EquiCorr
-from copulascore.scoring import MarginalForecast, s_cop, s_marg
-from copulascore.sim_harness import DgpSpec, simulate_path
+from copulascore.cli import SINGLE_MODEL_HEADER, ScoresFile, _csv_text, write_scores
+from copulascore.scoring import score_arrays
+from copulascore.sim_harness import ContaminationSpec, DgpSpec, _draw_contamination, simulate_path
 
 SEED = 223223
 N = 223
 
 # (marginal noise half-width, correlation noise half-width) per model
 MODELS = {
-    "model_a": (0.0, 0.0),
-    "model_b": (0.1, 0.1),
-    "model_c": (0.1, 0.5),
-    "model_d": (0.5, 0.1),
-    "model_e": (0.5, 0.5),
-    "model_f": (0.2, 0.3),
-    "model_g": (0.3, 0.2),
+    "model_a": ContaminationSpec(0.0, 0.0),
+    "model_b": ContaminationSpec(0.1, 0.1),
+    "model_c": ContaminationSpec(0.1, 0.5),
+    "model_d": ContaminationSpec(0.5, 0.1),
+    "model_e": ContaminationSpec(0.5, 0.5),
+    "model_f": ContaminationSpec(0.2, 0.3),
+    "model_g": ContaminationSpec(0.3, 0.2),
 }
 
 
-def fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
-def model_scores(spec, y, sigma, widths, rng):
-    dm = rng.uniform(1.0 - widths[0], 1.0 + widths[0], size=N)
-    dc = rng.uniform(1.0 - widths[1], 1.0 + widths[1], size=N)
-    rows = []
-    for t in range(N):
-        f = MarginalForecast(math.sqrt(dm[t]) * sigma[t])
-        c = GaussianEquiCorr(EquiCorr(spec.dim, spec.rho * dc[t]))
-        rows.append((s_marg(f, y[t]), s_cop(c, f, y[t])))
-    return rows
+def model_scores(spec, y, sigma, cspec, rng):
+    """(marginal, copula) scores per period of one contaminated forecaster."""
+    cspec.check_against(spec)
+    dm, dc = _draw_contamination(cspec, N, rng)
+    return score_arrays(y, np.sqrt(dm)[:, None] * sigma, spec.rho * dc)
 
 
 def main() -> None:
@@ -56,25 +45,20 @@ def main() -> None:
     y, sigma = simulate_path(spec, seed=SEED)
 
     per_model = {}
-    for k, (name, widths) in enumerate(sorted(MODELS.items())):
+    for k, (name, cspec) in enumerate(sorted(MODELS.items())):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=SEED, spawn_key=(k + 1,)))
-        per_model[name] = model_scores(spec, y, sigma, widths, rng)
+        per_model[name] = model_scores(spec, y, sigma, cspec, rng)
 
     model_dir = out_dir / "synthetic_model_scores"
     model_dir.mkdir(exist_ok=True)
-    for name, rows in per_model.items():
-        lines = [",".join(SINGLE_MODEL_HEADER)]
-        for t, (sm, sc) in enumerate(rows, start=1):
-            lines.append(f"{t},{fmt(sm)},{fmt(sc)}")
-        (model_dir / f"{name}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    t = range(1, N + 1)
+    for name, (sm, sc) in per_model.items():
+        text = _csv_text(SINGLE_MODEL_HEADER, zip(t, sm, sc))
+        (model_dir / f"{name}.csv").write_text(text, encoding="utf-8")
 
     # pairwise file: model_c versus model_b (differently noisy correlations)
-    lines = [",".join(SCORES_HEADER)]
-    for t in range(N):
-        sm1, sc1 = per_model["model_c"][t]
-        sm2, sc2 = per_model["model_b"][t]
-        lines.append(f"{t + 1},{fmt(sm1)},{fmt(sc1)},{fmt(sm2)},{fmt(sc2)}")
-    (out_dir / "synthetic_scores.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    pair = ScoresFile(np.arange(1.0, N + 1), *per_model["model_c"], *per_model["model_b"])
+    write_scores(out_dir / "synthetic_scores.csv", pair)
 
 
 if __name__ == "__main__":

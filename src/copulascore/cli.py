@@ -21,7 +21,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +44,7 @@ from .inference import (
     TwoStepResult,
     two_step_test,
 )
-from .sim_harness import SETTINGS, DgpSpec, FreqTable, run_experiment
+from .sim_harness import SETTINGS, DgpSpec, FreqRow, FreqTable, run_experiment
 
 __all__ = [
     "ScoresFile",
@@ -89,6 +89,20 @@ def _round12(x: float) -> float:
     if isinstance(x, float) and math.isinf(x):
         return x
     return float(_fmt(x))
+
+
+def _csv_text(header: list[str], rows) -> str:
+    """CSV text with LF line endings: floats with 12 significant digits,
+    ``None`` as an empty cell, anything else (labels, integer counts and
+    seeds) through ``str``."""
+
+    def cell(v) -> str:
+        if v is None:
+            return ""
+        return _fmt(v) if isinstance(v, float) else str(v)
+
+    lines = [",".join(header)] + [",".join(map(cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _read_rows(path) -> tuple[list[str], list[list[str]]]:
@@ -210,21 +224,8 @@ def parse_density_scores(path) -> ScoresFile:
 
 def write_scores(path, scores: ScoresFile) -> None:
     """Write the two-model scores format (12 significant digits)."""
-    lines = [",".join(SCORES_HEADER)]
-    for k in range(scores.t.size):
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    scores.t[k],
-                    scores.s_marg_1[k],
-                    scores.s_cop_1[k],
-                    scores.s_marg_2[k],
-                    scores.s_cop_2[k],
-                )
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    columns = (scores.t, scores.s_marg_1, scores.s_cop_1, scores.s_marg_2, scores.s_cop_2)
+    Path(path).write_text(_csv_text(SCORES_HEADER, zip(*columns)), encoding="utf-8")
 
 
 @dataclass(frozen=True)
@@ -337,10 +338,8 @@ def _matrix_compare(args) -> int:
     }
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     if args.out:
-        lines = ["model," + ",".join(models)]
-        for i, name in enumerate(models):
-            lines.append(name + "," + ",".join(v if v else "" for v in labels[i]))
-        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows = ([name, *labels[i]] for i, name in enumerate(models))
+        Path(args.out).write_text(_csv_text(["model", *models], rows), encoding="utf-8")
     return 0
 
 
@@ -364,38 +363,20 @@ def cmd_compare(args) -> int:
     report = build_report(scores, result, config)
     sys.stdout.write(json.dumps(report.to_dict(), indent=2) + "\n")
     if args.cumdiff:
-        lines = ["t,cum_avg_d_m,cum_avg_d_c"]
-        for k in range(scores.t.size):
-            lines.append(
-                f"{_fmt(scores.t[k])},{_fmt(report.cum_d_m[k])},{_fmt(report.cum_d_c[k])}"
-            )
-        Path(args.cumdiff).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows = zip(scores.t, report.cum_d_m, report.cum_d_c)
+        text = _csv_text(["t", "cum_avg_d_m", "cum_avg_d_c"], rows)
+        Path(args.cumdiff).write_text(text, encoding="utf-8")
     return 0
 
 
 def _freq_table_csv(table: FreqTable) -> str:
-    lines = ["hypothesis,setting,n,marginal_pct,copula_pct,joint_pct,reps,seed"]
-    for row in table.rows:
-        lines.append(
-            f"{row.hypothesis},{row.setting},{row.n},"
-            f"{_fmt(row.marginal_pct)},{_fmt(row.copula_pct)},{_fmt(row.joint_pct)},"
-            f"{row.reps},{row.seed}"
-        )
-    return "\n".join(lines) + "\n"
+    header = [f.name for f in fields(FreqRow)]
+    return _csv_text(header, map(astuple, table.rows))
 
 
 def _freq_table_json(table: FreqTable) -> str:
     rows = [
-        {
-            "hypothesis": row.hypothesis,
-            "setting": row.setting,
-            "n": row.n,
-            "marginal_pct": _round12(row.marginal_pct),
-            "copula_pct": _round12(row.copula_pct),
-            "joint_pct": _round12(row.joint_pct),
-            "reps": row.reps,
-            "seed": row.seed,
-        }
+        {k: _round12(v) if isinstance(v, float) else v for k, v in asdict(row).items()}
         for row in table.rows
     ]
     return json.dumps({"rows": rows}, indent=2) + "\n"
@@ -451,10 +432,8 @@ def cmd_cxls_demo(args) -> int:
     direction = UPPER_RIGHT if args.direction == "ur" else LOWER_RIGHT
     mixture = Mixture2D(base, direction)
     u, component = mixture.sample_labeled(args.samples, args.seed)
-    lines = ["u1,u2,component"]
-    for k in range(args.samples):
-        lines.append(f"{_fmt(u[k, 0])},{_fmt(u[k, 1])},{int(component[k])}")
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    text = _csv_text(["u1", "u2", "component"], zip(u[:, 0], u[:, 1], component))
+    Path(args.out).write_text(text, encoding="utf-8")
     return 0
 
 

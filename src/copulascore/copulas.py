@@ -1,5 +1,7 @@
-"""Copula objects: closed-form cdf evaluation, sampling, and the Gaussian
-equicorrelation copula density.
+"""Copula objects: closed-form cdf evaluation (``Copula.cdf``), sampling
+(``Copula.sample``), and the Gaussian equicorrelation copula density, whose
+closed form :func:`gaussian_logdensity_from_scores` is the one used by the
+scoring core.
 
 Also provides the two-block mixture construction that rescales a base
 2-copula into diagonal or anti-diagonal blocks of the unit square; the
@@ -23,12 +25,9 @@ __all__ = [
     "Countermonotone",
     "GaussianEquiCorr",
     "Mixture2D",
-    "ExtendedCopula",
     "UPPER_RIGHT",
     "LOWER_RIGHT",
-    "copula_cdf",
     "mixture_cdf",
-    "copula_sample",
     "gaussian_copula_logdensity",
     "gaussian_logdensity_from_scores",
 ]
@@ -47,6 +46,10 @@ class Copula(abc.ABC):
     """A d-dimensional copula: cdf on [0,1]^d with uniform marginals."""
 
     dim: int
+
+    def __post_init__(self):
+        if self.dim < 2:
+            raise ValueError("dim must be >= 2")
 
     def cdf(self, u) -> float:
         u = np.asarray(u, dtype=float)
@@ -73,10 +76,6 @@ class Copula(abc.ABC):
 class Independence(Copula):
     dim: int = 2
 
-    def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError("dim must be >= 2")
-
     def _cdf(self, u):
         return float(np.prod(u))
 
@@ -87,10 +86,6 @@ class Independence(Copula):
 @dataclass(frozen=True)
 class Comonotone(Copula):
     dim: int = 2
-
-    def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError("dim must be >= 2")
 
     def _cdf(self, u):
         return float(np.min(u))
@@ -134,32 +129,14 @@ class GaussianEquiCorr(Copula):
 
     def _cdf(self, u):
         raise NotImplementedError(
-            "the Gaussian copula cdf is not supported; use logdensity or sample"
+            "the Gaussian copula cdf is not supported; use gaussian_copula_logdensity "
+            "or sample"
         )
 
     def _sample(self, n, rng):
         chol = np.linalg.cholesky(self.corr.matrix())
         z = rng.standard_normal((n, self.dim)) @ chol.T
         return norm_cdf(z)
-
-    def logdensity(self, u) -> float:
-        return gaussian_copula_logdensity(self.corr, u)
-
-
-@dataclass(frozen=True)
-class ExtendedCopula:
-    """A 2-copula extended from [0,1]^2 to the whole plane by clamping."""
-
-    inner: Copula
-
-    def __post_init__(self):
-        if self.inner.dim != 2:
-            raise ValueError("only 2-copulas can be extended")
-
-    def cdf(self, x1: float, x2: float) -> float:
-        u1 = min(max(x1, 0.0), 1.0)
-        u2 = min(max(x2, 0.0), 1.0)
-        return self.inner.cdf((u1, u2))
 
 
 def mixture_cdf(base: Copula, direction: str, u1: float, u2: float) -> float:
@@ -171,32 +148,33 @@ def mixture_cdf(base: Copula, direction: str, u1: float, u2: float) -> float:
     """
     if direction not in _DIRECTIONS:
         raise ValueError(f"direction must be one of {_DIRECTIONS}")
-    ext = ExtendedCopula(base)
+
+    def ext(x1: float, x2: float) -> float:
+        # the base copula extended from [0,1]^2 to the plane by clamping
+        return base.cdf((min(max(x1, 0.0), 1.0), min(max(x2, 0.0), 1.0)))
+
     if direction == UPPER_RIGHT:
-        return 0.5 * (ext.cdf(2 * u1, 2 * u2) + ext.cdf(2 * (u1 - 0.5), 2 * (u2 - 0.5)))
-    return 0.5 * (ext.cdf(2 * u1, 2 * (u2 - 0.5)) + ext.cdf(2 * (u1 - 0.5), 2 * u2))
+        return 0.5 * (ext(2 * u1, 2 * u2) + ext(2 * (u1 - 0.5), 2 * (u2 - 0.5)))
+    return 0.5 * (ext(2 * u1, 2 * (u2 - 0.5)) + ext(2 * (u1 - 0.5), 2 * u2))
 
 
 @dataclass(frozen=True)
 class Mixture2D(Copula):
     """Two-block mixture copula built from a base 2-copula.
 
-    ``lam`` records the mixing weight of the underlying distribution-level
-    convex combination; the resulting copula does not depend on it and uses
-    the fixed 1/2-weight block formula of :func:`mixture_cdf`.
+    The copula of a mixture does not depend on the mixing weight of the
+    distribution-level convex combination; it is the fixed 1/2-weight block
+    formula of :func:`mixture_cdf`.
     """
 
     base: Copula
     direction: str
-    lam: float = 0.5
 
     def __post_init__(self):
         if self.base.dim != 2:
             raise ValueError("mixture base must be a 2-copula")
         if self.direction not in _DIRECTIONS:
             raise ValueError(f"direction must be one of {_DIRECTIONS}")
-        if not 0.0 < self.lam < 1.0:
-            raise ValueError("lam must lie in (0, 1)")
 
     @property
     def dim(self) -> int:
@@ -228,16 +206,6 @@ class Mixture2D(Copula):
         if n < 0:
             raise ValueError("n must be nonnegative")
         return self._sample_labeled(n, np.random.default_rng(seed))
-
-
-def copula_cdf(c: Copula, u) -> float:
-    """Evaluate the copula cdf at a point of the unit cube."""
-    return c.cdf(u)
-
-
-def copula_sample(c: Copula, n: int, seed: int) -> np.ndarray:
-    """Draw ``n`` i.i.d. samples from ``c``, deterministic given ``seed``."""
-    return c.sample(n, seed)
 
 
 def gaussian_logdensity_from_scores(dim: int, rho, z):

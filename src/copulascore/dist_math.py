@@ -1,9 +1,10 @@
 """Deterministic probability kernels.
 
-Univariate normal pdf/cdf/quantile, centered bivariate normal rectangle
-probabilities in closed form via Owen's T function, and closed-form
-determinant/inverse algebra for equicorrelation matrices.  Everything here
-is a pure function, safe for concurrent use.
+Univariate normal pdf/cdf/quantile, the equicorrelation matrix type, and
+centered bivariate normal rectangle probabilities in closed form via Owen's
+T function.  The equicorrelation copula density lives in
+:mod:`copulascore.copulas`.  Everything here is a pure function, safe for
+concurrent use.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ __all__ = [
     "norm_cdf",
     "norm_quantile",
     "bvn_rect_prob",
-    "equicorr_logdet",
-    "equicorr_quadform",
 ]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -151,21 +150,3 @@ def bvn_rect_prob(spec: BvnSpec, a1, b1, a2, b2) -> float:
         + _bvn_cdf(lo1, lo2, rho, r)
     )
     return min(max(prob, 0.0), 1.0)
-
-
-def equicorr_logdet(ec: EquiCorr) -> float:
-    """log det of the equicorrelation matrix: (d-1)log(1-rho) + log(1+(d-1)rho)."""
-    return (ec.dim - 1) * math.log1p(-ec.rho) + math.log1p((ec.dim - 1) * ec.rho)
-
-
-def equicorr_quadform(ec: EquiCorr, z) -> float:
-    """z' R^{-1} z using the rank-one inverse of the equicorrelation matrix.
-
-    R^{-1} = (I - rho/(1+(d-1)rho) * ones*ones') / (1-rho).
-    """
-    z = np.asarray(z, dtype=float)
-    if z.shape != (ec.dim,):
-        raise ValueError(f"z must have shape ({ec.dim},), got {z.shape}")
-    ssq = float(z @ z)
-    total_sq = float(z.sum()) ** 2
-    return (ssq - ec.rho * total_sq / (1.0 + (ec.dim - 1) * ec.rho)) / (1.0 - ec.rho)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -29,6 +29,7 @@ __all__ = [
     "TwoStepResult",
     "DegenerateSeriesError",
     "CalibrationError",
+    "LongRunCovError",
     "score_diffs",
     "hac_cov",
     "critical_values",
@@ -44,6 +45,9 @@ _DEGENERACY_REL_TOL = 1e-12
 # shrunk to the value below before rectangle probabilities are evaluated.
 _CORR_SINGULAR = 1.0 - 1e-10
 _CORR_SHRUNK = 1.0 - 1e-8
+# |correlation| beyond 1 by more than the singular band above is an
+# indefinite estimate, not rounding.
+_CORR_INDEFINITE = 1.0 + 1e-10
 
 _SOLVER_PROB_TOL = 1e-12
 _SOLVER_MAX_ITER = 200
@@ -68,6 +72,11 @@ class DegenerateSeriesError(ValueError):
 
 class CalibrationError(ValueError):
     """The second-step critical value could not be solved to tolerance."""
+
+
+class LongRunCovError(ValueError):
+    """The long-run covariance estimate is not positive semi-definite beyond
+    rounding (possible with truncated lag weights)."""
 
 
 @dataclass(frozen=True)
@@ -283,14 +292,27 @@ def critical_values(
     if not omega.is_pd:
         raise ValueError("long-run covariance must be positive definite")
     a1, a2 = _split(alpha, alpha1)
-    c1 = math.sqrt(omega.s_mm) * norm_quantile(1.0 - a1 / 2.0)
+    c1 = _one_step_critical(omega.s_mm, a1, two_sided=True)
     c2 = _solve_c2(omega, c1, a2, hypothesis)
     return c1, c2
 
 
-def _degenerate(variance: float, series: np.ndarray) -> bool:
-    scale = float(np.mean(np.abs(series)))
-    return variance <= _DEGENERACY_REL_TOL * scale**2
+def _degenerate(variance: float, series: np.ndarray, cfg: HacConfig) -> bool:
+    """True when a long-run variance is zero up to rounding, measured against
+    the squared scale of the differences (scale-free detection of identical
+    forecasts).  A variance below that band is an indefinite estimate."""
+    band = _DEGENERACY_REL_TOL * float(np.mean(np.abs(series))) ** 2
+    if variance < -band:
+        raise _indefinite(cfg, f"variance {variance!r}")
+    return variance <= band
+
+
+def _indefinite(cfg: HacConfig, what: str) -> LongRunCovError:
+    return LongRunCovError(
+        f"long-run covariance is not positive semi-definite ({what}) with "
+        f"lags={cfg.lags}, weights='{cfg.weights}'; bartlett weights always "
+        "give a positive semi-definite estimate"
+    )
 
 
 def _shrink_if_singular(omega: LongRunCov) -> tuple[LongRunCov, bool]:
@@ -306,6 +328,59 @@ def _one_step_critical(variance: float, alpha: float, two_sided: bool) -> float:
     return math.sqrt(variance) * norm_quantile(p)
 
 
+def _stepwise_test(
+    d: ScoreDiffSeries,
+    cfg: HacConfig,
+    alpha: float,
+    hypothesis: Hypothesis,
+    calibrate: Callable[[LongRunCov, Hypothesis], tuple[float, float, bool]],
+) -> TwoStepResult:
+    """What both tests share: the statistics, the long-run covariance and its
+    checks, the one-step fallbacks and the marginal-then-copula decision.
+    ``calibrate(omega, hypothesis)`` gives (c1, c2, correlation_shrunk) when
+    both components are nondegenerate."""
+    hypothesis = Hypothesis(hypothesis)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    sqrt_n = math.sqrt(d.n)
+    stat_m = sqrt_n * float(d.d_m.mean())
+    stat_c = sqrt_n * float(d.d_c.mean())
+    omega = hac_cov(d, cfg)
+
+    degen_m = _degenerate(omega.s_mm, d.d_m, cfg)
+    degen_c = _degenerate(omega.s_cc, d.d_c, cfg)
+    if degen_m and degen_c:
+        raise DegenerateSeriesError(
+            "both score-difference components are degenerate; "
+            "the forecasts carry no ranking information"
+        )
+    equal = hypothesis is Hypothesis.EQUAL
+    shrunk = False
+    if degen_m:
+        # Identical marginal forecasts: one-step test on the copula
+        # component at full level alpha.
+        c1, c2 = math.inf, _one_step_critical(omega.s_cc, alpha, two_sided=equal)
+    elif degen_c:
+        # Mirror case: identical copula forecasts, one-step test on the
+        # marginal component (always two-sided).
+        c1, c2 = _one_step_critical(omega.s_mm, alpha, two_sided=True), math.inf
+    else:
+        if abs(omega.correlation()) > _CORR_INDEFINITE:
+            raise _indefinite(cfg, f"correlation {omega.correlation()!r}")
+        c1, c2, shrunk = calibrate(omega, hypothesis)
+
+    if abs(stat_m) > c1:
+        outcome = Outcome.REJECTED_AT_MARGINAL_STEP
+    elif (abs(stat_c) if equal else stat_c) > c2:
+        outcome = Outcome.REJECTED_AT_COPULA_STEP
+    else:
+        outcome = Outcome.NO_REJECTION
+    return TwoStepResult(
+        hypothesis, stat_m, stat_c, c1, c2, outcome, alpha, omega,
+        degenerate_fallback=degen_m or degen_c, correlation_shrunk=shrunk,
+    )
+
+
 def two_step_test(
     d: ScoreDiffSeries,
     cfg: HacConfig,
@@ -318,63 +393,16 @@ def two_step_test(
     When one component is degenerate (identical forecasts on that
     component), the test falls back to a one-step comparison of the other
     component at the full level alpha; when both are degenerate the series
-    carries no ranking information and an error is raised.
+    carries no ranking information and an error is raised.  A long-run
+    covariance that is not positive semi-definite beyond rounding (possible
+    with truncated weights) raises ``LongRunCovError``.
     """
-    hypothesis = Hypothesis(hypothesis)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    n = d.n
-    sqrt_n = math.sqrt(n)
-    stat_m = sqrt_n * float(d.d_m.mean())
-    stat_c = sqrt_n * float(d.d_c.mean())
-    omega = hac_cov(d, cfg)
 
-    degen_m = _degenerate(omega.s_mm, d.d_m)
-    degen_c = _degenerate(omega.s_cc, d.d_c)
-    if degen_m and degen_c:
-        raise DegenerateSeriesError(
-            "both score-difference components are degenerate; "
-            "the forecasts carry no ranking information"
-        )
+    def calibrate(omega: LongRunCov, hypothesis: Hypothesis) -> tuple[float, float, bool]:
+        calib, shrunk = _shrink_if_singular(omega)
+        return (*critical_values(calib, alpha, hypothesis, alpha1), shrunk)
 
-    if degen_m:
-        # Identical marginal forecasts: one-step test on the copula
-        # component at full level alpha.
-        two_sided = hypothesis is Hypothesis.EQUAL
-        c2 = _one_step_critical(omega.s_cc, alpha, two_sided)
-        fired = abs(stat_c) > c2 if two_sided else stat_c > c2
-        outcome = Outcome.REJECTED_AT_COPULA_STEP if fired else Outcome.NO_REJECTION
-        return TwoStepResult(
-            hypothesis, stat_m, stat_c, math.inf, c2, outcome, alpha, omega,
-            degenerate_fallback=True,
-        )
-    if degen_c:
-        # Mirror case: identical copula forecasts, one-step test on the
-        # marginal component (always two-sided).
-        c1 = _one_step_critical(omega.s_mm, alpha, two_sided=True)
-        fired = abs(stat_m) > c1
-        outcome = Outcome.REJECTED_AT_MARGINAL_STEP if fired else Outcome.NO_REJECTION
-        return TwoStepResult(
-            hypothesis, stat_m, stat_c, c1, math.inf, outcome, alpha, omega,
-            degenerate_fallback=True,
-        )
-
-    calib, shrunk = _shrink_if_singular(omega)
-    c1, c2 = critical_values(calib, alpha, hypothesis, alpha1)
-
-    if abs(stat_m) > c1:
-        outcome = Outcome.REJECTED_AT_MARGINAL_STEP
-    else:
-        if hypothesis is Hypothesis.EQUAL:
-            fired = abs(stat_c) > c2
-        else:
-            fired = stat_c > c2
-        outcome = Outcome.REJECTED_AT_COPULA_STEP if fired else Outcome.NO_REJECTION
-
-    return TwoStepResult(
-        hypothesis, stat_m, stat_c, c1, c2, outcome, alpha, omega,
-        correlation_shrunk=shrunk,
-    )
+    return _stepwise_test(d, cfg, alpha, hypothesis, calibrate)
 
 
 def bonferroni_test(
@@ -388,39 +416,13 @@ def bonferroni_test(
 
     Each component gets its own marginal critical value at level alpha/2;
     rejection in the marginal component takes precedence in the attribution.
+    Degenerate and indefinite series are handled as in :func:`two_step_test`.
     """
-    hypothesis = Hypothesis(hypothesis)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    n = d.n
-    sqrt_n = math.sqrt(n)
-    stat_m = sqrt_n * float(d.d_m.mean())
-    stat_c = sqrt_n * float(d.d_c.mean())
-    omega = hac_cov(d, cfg)
 
-    degen_m = _degenerate(omega.s_mm, d.d_m)
-    degen_c = _degenerate(omega.s_cc, d.d_c)
-    if degen_m and degen_c:
-        raise DegenerateSeriesError(
-            "both score-difference components are degenerate; "
-            "the forecasts carry no ranking information"
-        )
-    if degen_m or degen_c:
-        # Fall back exactly as the two-step test does.
-        return two_step_test(d, cfg, alpha, hypothesis)
+    def calibrate(omega: LongRunCov, hypothesis: Hypothesis) -> tuple[float, float, bool]:
+        equal = hypothesis is Hypothesis.EQUAL
+        c1 = _one_step_critical(omega.s_mm, alpha / 2.0, two_sided=True)
+        c2 = _one_step_critical(omega.s_cc, alpha / 2.0, two_sided=equal)
+        return c1, c2, False
 
-    c1 = math.sqrt(omega.s_mm) * norm_quantile(1.0 - alpha / 4.0)
-    if hypothesis is Hypothesis.EQUAL:
-        c2 = math.sqrt(omega.s_cc) * norm_quantile(1.0 - alpha / 4.0)
-        cop_fired = abs(stat_c) > c2
-    else:
-        c2 = math.sqrt(omega.s_cc) * norm_quantile(1.0 - alpha / 2.0)
-        cop_fired = stat_c > c2
-
-    if abs(stat_m) > c1:
-        outcome = Outcome.REJECTED_AT_MARGINAL_STEP
-    elif cop_fired:
-        outcome = Outcome.REJECTED_AT_COPULA_STEP
-    else:
-        outcome = Outcome.NO_REJECTION
-    return TwoStepResult(hypothesis, stat_m, stat_c, c1, c2, outcome, alpha, omega)
+    return _stepwise_test(d, cfg, alpha, hypothesis, calibrate)

@@ -13,15 +13,18 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from .copulas import (
     Copula,
     GaussianEquiCorr,
     Independence,
     UNIT_CLAMP,
-    gaussian_copula_logdensity,
+    gaussian_logdensity_from_scores,
 )
-from .dist_math import norm_cdf
+
+# Not called here; perfbench/child.py wraps this module attribute by name.
+from .copulas import gaussian_copula_logdensity  # noqa: F401
 
 __all__ = [
     "MarginalForecast",
@@ -31,6 +34,7 @@ __all__ = [
     "s_cop",
     "s_joint",
     "bivariate_score",
+    "score_arrays",
     "lex_less",
 ]
 
@@ -72,40 +76,62 @@ def _check_obs(f: MarginalForecast, y) -> np.ndarray:
     return y
 
 
+def _pit(z):
+    return np.clip(ndtr(z), UNIT_CLAMP, 1.0 - UNIT_CLAMP)
+
+
+def score_arrays(y, sigma, rho) -> tuple[np.ndarray, np.ndarray]:
+    """(marginal, copula) scores of zero-mean Gaussian marginals joined by a
+    Gaussian equicorrelation copula, vectorized over leading axes.
+
+    ``y`` and ``sigma`` have shape (..., dim); ``rho`` is a scalar or
+    broadcasts against the leading axes, and ``rho = 0`` is the independence
+    copula.  Inputs are not validated: pass finite ``y``, positive ``sigma``
+    and ``rho`` inside the equicorrelation range.
+    """
+    y = np.asarray(y, dtype=float)
+    z = y / sigma
+    s_m = np.sum(0.5 * _LOG_2PI + np.log(sigma) + 0.5 * z**2, axis=-1)
+    s_c = -gaussian_logdensity_from_scores(y.shape[-1], rho, ndtri(_pit(z)))
+    return s_m, s_c
+
+
+def bivariate_score(c: Copula, f: MarginalForecast, y) -> BivariateScore:
+    y = _check_obs(f, y)
+    if isinstance(c, Independence):
+        rho = 0.0
+    elif isinstance(c, GaussianEquiCorr):
+        if c.dim != f.dim:
+            raise ValueError("copula and marginal forecast dimensions differ")
+        rho = c.rho
+    else:
+        raise TypeError(
+            "copula forecasts must be GaussianEquiCorr or Independence, "
+            f"got {type(c).__name__}"
+        )
+    s_m, s_c = score_arrays(y, f.sigma, rho)
+    return BivariateScore(float(s_m), float(s_c))
+
+
 def s_marg(f: MarginalForecast, y) -> float:
     """Sum of per-dimension negative log predictive densities."""
-    y = _check_obs(f, y)
-    return float(np.sum(0.5 * _LOG_2PI + np.log(f.sigma) + 0.5 * (y / f.sigma) ** 2))
+    return float(score_arrays(_check_obs(f, y), f.sigma, 0.0)[0])
 
 
 def pit(f: MarginalForecast, y) -> np.ndarray:
     """Probability transforms F_i(y_i), clamped away from the cube boundary."""
-    y = _check_obs(f, y)
-    return np.clip(norm_cdf(y / f.sigma), UNIT_CLAMP, 1.0 - UNIT_CLAMP)
+    return _pit(_check_obs(f, y) / f.sigma)
 
 
 def s_cop(c: Copula, f: MarginalForecast, y) -> float:
     """Negative log copula density at the probability transforms of ``y``."""
-    if isinstance(c, Independence):
-        _check_obs(f, y)
-        return 0.0
-    if isinstance(c, GaussianEquiCorr):
-        if c.dim != f.dim:
-            raise ValueError("copula and marginal forecast dimensions differ")
-        return -gaussian_copula_logdensity(c.corr, pit(f, y))
-    raise TypeError(
-        "copula forecasts must be GaussianEquiCorr or Independence, "
-        f"got {type(c).__name__}"
-    )
+    return bivariate_score(c, f, y).s_cop
 
 
 def s_joint(c: Copula, f: MarginalForecast, y) -> float:
     """Log-score of the full predictive law: marginal plus copula component."""
-    return s_marg(f, y) + s_cop(c, f, y)
-
-
-def bivariate_score(c: Copula, f: MarginalForecast, y) -> BivariateScore:
-    return BivariateScore(s_marg(f, y), s_cop(c, f, y))
+    s_m, s_c = bivariate_score(c, f, y)
+    return s_m + s_c
 
 
 def lex_less(a, b) -> bool:

@@ -2,22 +2,25 @@
 equicorrelation, noise-contaminated forecasters, and rejection-frequency
 tables for the two-step tests.
 
+Paths come from one innovation draw (:func:`_draw_noise`) and one GARCH
+recursion, forecaster disturbances from one draw (:func:`_draw_contamination`),
+and both forecasters are scored by :func:`copulascore.scoring.score_arrays`.
 Replication streams are split from the master seed by spawn key, so results
 are bit-identical regardless of batching or execution order.
 """
 
 from __future__ import annotations
 
-import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
-from .copulas import GaussianEquiCorr, UNIT_CLAMP, gaussian_logdensity_from_scores
+# Not called here; perfbench/child.py wraps this module attribute by name.
+from .copulas import gaussian_logdensity_from_scores  # noqa: F401
 from .dist_math import EquiCorr
-from .inference import HacConfig, Hypothesis, Outcome, ScoreDiffSeries, two_step_test
-from .scoring import MarginalForecast
+from .inference import HacConfig, Hypothesis, ScoreDiffSeries, two_step_test
+from .scoring import score_arrays
 
 __all__ = [
     "DgpSpec",
@@ -27,12 +30,8 @@ __all__ = [
     "FreqRow",
     "FreqTable",
     "simulate_path",
-    "contaminated_forecast",
     "run_experiment",
 ]
-
-_LOG_2PI = math.log(2.0 * math.pi)
-
 
 @dataclass(frozen=True)
 class DgpSpec:
@@ -127,11 +126,30 @@ def _rep_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
 
 
-def _draw_noise(spec: DgpSpec, rng: np.random.Generator) -> np.ndarray:
-    """Correlated Gaussian innovations for burn-in plus evaluation window."""
-    chol = np.linalg.cholesky(EquiCorr(spec.dim, spec.rho).matrix())
-    steps = spec.burn_in + spec.n
-    return rng.standard_normal((steps, spec.dim)) @ chol.T
+def _innovation_chol(spec: DgpSpec) -> np.ndarray:
+    return np.linalg.cholesky(EquiCorr(spec.dim, spec.rho).matrix())
+
+
+def _draw_noise(spec: DgpSpec, chol: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Correlated Gaussian innovations for burn-in plus evaluation window;
+    ``chol`` is :func:`_innovation_chol` of ``spec``."""
+    return rng.standard_normal((spec.burn_in + spec.n, spec.dim)) @ chol.T
+
+
+def _draw_contamination(
+    cspec: ContaminationSpec, n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """One forecaster's per-period multiplicative disturbances (dm, dc) of
+    the volatility and correlation parameters, uniform on 1 +/- the
+    half-widths, drawn in that order.
+
+    Scaling all volatility parameters by a common factor scales the one-step
+    conditional variance by that factor, so forecast standard deviations are
+    sqrt(dm) times the true ones; the forecast equicorrelation is rho * dc.
+    """
+    dm = rng.uniform(1.0 - cspec.delta_marg, 1.0 + cspec.delta_marg, size=n)
+    dc = rng.uniform(1.0 - cspec.delta_cop, 1.0 + cspec.delta_cop, size=n)
+    return dm, dc
 
 
 def _garch_paths(spec: DgpSpec, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -155,32 +173,9 @@ def simulate_path(spec: DgpSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Simulate one path; returns (Y, sigma) of shape (n, dim) after burn-in,
     where sigma holds the true conditional volatilities."""
     rng = np.random.default_rng(seed)
-    eps = _draw_noise(spec, rng)
+    eps = _draw_noise(spec, _innovation_chol(spec), rng)
     y, sigma2 = _garch_paths(spec, eps)
     return y[spec.burn_in :], np.sqrt(sigma2[spec.burn_in :])
-
-
-def contaminated_forecast(
-    spec: DgpSpec,
-    sigma_t: np.ndarray,
-    cspec: ContaminationSpec,
-    rng: np.random.Generator,
-) -> tuple[MarginalForecast, GaussianEquiCorr]:
-    """One forecaster's one-period-ahead forecast given the true volatility
-    state ``sigma_t``.
-
-    Draws one volatility disturbance and one correlation disturbance (in
-    that order); scaling all volatility parameters by a common factor scales
-    the one-step conditional variance by that factor, so the forecast
-    standard deviations are sqrt(delta) times the true ones.
-    """
-    cspec.check_against(spec)
-    dm = rng.uniform(1.0 - cspec.delta_marg, 1.0 + cspec.delta_marg)
-    dc = rng.uniform(1.0 - cspec.delta_cop, 1.0 + cspec.delta_cop)
-    sigma_t = np.asarray(sigma_t, dtype=float)
-    marg = MarginalForecast(math.sqrt(dm) * sigma_t)
-    cop = GaussianEquiCorr(EquiCorr(spec.dim, spec.rho * dc))
-    return marg, cop
 
 
 def _forecast_variances(
@@ -211,21 +206,6 @@ def _forecast_variances(
     return out
 
 
-def _bivariate_scores(
-    spec: DgpSpec,
-    y: np.ndarray,
-    sigma2_tilde: np.ndarray,
-    delta_cop: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(marginal, copula) scores per period for one forecaster, vectorized
-    over any leading axes."""
-    s_marg = 0.5 * np.sum(_LOG_2PI + np.log(sigma2_tilde) + y**2 / sigma2_tilde, axis=-1)
-    u = np.clip(ndtr(y / np.sqrt(sigma2_tilde)), UNIT_CLAMP, 1.0 - UNIT_CLAMP)
-    z = ndtri(u)
-    s_cop = -gaussian_logdensity_from_scores(spec.dim, spec.rho * delta_cop, z)
-    return s_marg, s_cop
-
-
 def _experiment_diffs(
     spec: DgpSpec,
     setting: Setting,
@@ -237,31 +217,25 @@ def _experiment_diffs(
 
     Row r depends only on (seed, r); see :func:`_rep_rng`.
     """
-    n, dim = spec.n, spec.dim
-    eps = np.empty((reps, spec.burn_in + n, dim))
-    deltas = {name: np.empty((reps, n)) for name in ("dm1", "dc1", "dm2", "dc2")}
-    widths = {
-        "dm1": setting.spec1.delta_marg,
-        "dc1": setting.spec1.delta_cop,
-        "dm2": setting.spec2.delta_marg,
-        "dc2": setting.spec2.delta_cop,
-    }
-    chol = np.linalg.cholesky(EquiCorr(dim, spec.rho).matrix())
+    chol = _innovation_chol(spec)
+    eps = np.empty((reps, spec.burn_in + spec.n, spec.dim))
+    # draws[k] holds forecaster k's (dm, dc), each of shape (reps, n)
+    draws = np.empty((2, 2, reps, spec.n))
     for r in range(reps):
         rng = _rep_rng(seed, r)
-        eps[r] = rng.standard_normal((spec.burn_in + n, dim)) @ chol.T
-        for name in ("dm1", "dc1", "dm2", "dc2"):
-            w = widths[name]
-            deltas[name][r] = rng.uniform(1.0 - w, 1.0 + w, size=n)
+        eps[r] = _draw_noise(spec, chol, rng)
+        for k, cspec in enumerate((setting.spec1, setting.spec2)):
+            draws[k, :, r] = _draw_contamination(cspec, spec.n, rng)
 
     y_all, sigma2_all = _garch_paths(spec, eps)
     y = y_all[:, spec.burn_in :, :]
     sigma2 = sigma2_all[:, spec.burn_in :, :]
 
-    sig2_1 = _forecast_variances(spec, deltas["dm1"], sigma2, y, variance_mode)
-    sig2_2 = _forecast_variances(spec, deltas["dm2"], sigma2, y, variance_mode)
-    sm1, sc1 = _bivariate_scores(spec, y, sig2_1, deltas["dc1"])
-    sm2, sc2 = _bivariate_scores(spec, y, sig2_2, deltas["dc2"])
+    scores = []
+    for dm, dc in draws:
+        sigma = np.sqrt(_forecast_variances(spec, dm, sigma2, y, variance_mode))
+        scores.append(score_arrays(y, sigma, spec.rho * dc))
+    (sm1, sc1), (sm2, sc2) = scores
     return sm1 - sm2, sc1 - sc2
 
 
@@ -290,15 +264,11 @@ def run_experiment(
 
     d_m, d_c = _experiment_diffs(spec, setting, reps, seed, variance_mode)
 
-    counts = {h: {"M": 0, "C": 0} for h in Hypothesis}
+    counts = {h: Counter() for h in Hypothesis}
     for r in range(reps):
         series = ScoreDiffSeries(d_m[r], d_c[r])
         for h in Hypothesis:
-            result = two_step_test(series, hac, alpha, h)
-            if result.outcome is Outcome.REJECTED_AT_MARGINAL_STEP:
-                counts[h]["M"] += 1
-            elif result.outcome is Outcome.REJECTED_AT_COPULA_STEP:
-                counts[h]["C"] += 1
+            counts[h][two_step_test(series, hac, alpha, h).attribution] += 1
 
     rows = []
     for h in Hypothesis:

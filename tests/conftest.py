@@ -1,7 +1,8 @@
 """Shared fixtures: one lazily filled cache of 2000-replication experiment
 runs, so the acceptance criteria and the harness property tests never repeat
-a simulation; and an adaptive-quadrature oracle for bivariate normal
-rectangle probabilities."""
+a simulation; an adaptive-quadrature oracle for bivariate normal rectangle
+probabilities; and a dense-matrix oracle for the Gaussian equicorrelation
+copula density."""
 
 import math
 import time
@@ -9,6 +10,7 @@ import time
 import pytest
 from scipy.integrate import quad
 from scipy.special import ndtr
+from scipy.stats import multivariate_normal, norm
 
 from copulascore.sim_harness import SETTINGS, DgpSpec, run_experiment
 
@@ -69,3 +71,10 @@ def quad_bvn_rect(rho: float, a1: float, b1: float, a2: float, b2: float) -> flo
         integrand, lo, hi, points=sorted(points) or None, epsabs=1e-15, epsrel=1e-13, limit=500
     )
     return value
+
+
+def dense_copula_logdensity(ec, z) -> float:
+    """Independent oracle: log density of the Gaussian copula with the dense
+    correlation matrix of ``ec`` at normal scores ``z``, as the joint normal
+    log density minus the sum of the marginal ones."""
+    return float(multivariate_normal.logpdf(z, cov=ec.matrix()) - norm.logpdf(z).sum())

@@ -226,6 +226,18 @@ class TestCompareCommand:
         assert rc == 1
         assert "second-step solver" in capsys.readouterr().err
 
+    def test_indefinite_long_run_cov_exit_nonzero(self, tmp_path, capsys):
+        # truncated weights give a negative long-run variance on this series
+        rng = np.random.default_rng(0)
+        d_m, d_c = rng.standard_normal(40), rng.standard_normal(40)
+        zeros = np.zeros(40)
+        make_scores_file(tmp_path / "f.csv", range(1, 41), d_m, d_c, zeros, zeros)
+        argv = ["compare", "--scores", str(tmp_path / "f.csv"), "--hac-lags", "15",
+                "--hac-weights", "truncated"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "positive semi-definite" in err and "lags=15" in err
+
     def test_cumdiff_output(self, tmp_path, capsys):
         path = self._simulated_file(tmp_path)
         out = tmp_path / "cum.csv"
@@ -501,5 +513,7 @@ class TestFixtures:
         subprocess.run(
             [sys.executable, str(work / "make_fixtures.py")], check=True
         )
-        for rel in ["synthetic_scores.csv", "synthetic_model_scores/model_d.csv"]:
-            assert (work / rel).read_bytes() == (FIXTURES / rel).read_bytes()
+        committed = sorted(p.relative_to(FIXTURES) for p in FIXTURES.rglob("*.csv"))
+        assert len(committed) == 8
+        for rel in committed:
+            assert (work / rel).read_bytes() == (FIXTURES / rel).read_bytes(), rel

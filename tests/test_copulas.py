@@ -14,8 +14,6 @@ from copulascore.copulas import (
     LOWER_RIGHT,
     Mixture2D,
     UPPER_RIGHT,
-    copula_cdf,
-    copula_sample,
     gaussian_copula_logdensity,
     mixture_cdf,
 )
@@ -39,28 +37,28 @@ def closed_form_variants():
 
 class TestCdfExamples:
     def test_independence(self):
-        assert copula_cdf(Independence(2), (0.5, 0.5)) == 0.25
+        assert Independence(2).cdf((0.5, 0.5)) == 0.25
 
     def test_comonotone(self):
-        assert copula_cdf(Comonotone(2), (0.3, 0.8)) == pytest.approx(0.3)
+        assert Comonotone(2).cdf((0.3, 0.8)) == pytest.approx(0.3)
 
     def test_countermonotone(self):
-        assert copula_cdf(Countermonotone(), (0.3, 0.8)) == pytest.approx(0.1)
-        assert copula_cdf(Countermonotone(), (0.2, 0.5)) == 0.0
+        assert Countermonotone().cdf((0.3, 0.8)) == pytest.approx(0.1)
+        assert Countermonotone().cdf((0.2, 0.5)) == 0.0
 
     def test_mixture_center(self):
         # 0.5*[C(1,1) + C(0,0)] at the center of the square
-        c = Mixture2D(Independence(2), UPPER_RIGHT, lam=0.5)
-        assert copula_cdf(c, (0.5, 0.5)) == pytest.approx(0.5)
+        c = Mixture2D(Independence(2), UPPER_RIGHT)
+        assert c.cdf((0.5, 0.5)) == pytest.approx(0.5)
 
     def test_gaussian_cdf_unsupported(self):
         g = GaussianEquiCorr(EquiCorr(2, 0.5))
         with pytest.raises(NotImplementedError):
-            copula_cdf(g, (0.5, 0.5))
+            g.cdf((0.5, 0.5))
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
-            copula_cdf(Independence(2), (1.5, 0.5))
+            Independence(2).cdf((1.5, 0.5))
 
 
 class TestMixtureCdf:
@@ -136,13 +134,13 @@ class TestMixtureWitness:
 
 class TestSampling:
     def test_independence_quadrant_mass(self):
-        u = copula_sample(Independence(2), 10**5, seed=1)
+        u = Independence(2).sample(10**5, seed=1)
         mass = np.mean((u[:, 0] <= 0.5) & (u[:, 1] > 0.5))
         assert mass == pytest.approx(0.25, abs=0.005)
 
     def test_mixture_forbidden_quadrants(self):
         c = Mixture2D(Independence(2), UPPER_RIGHT)
-        u = copula_sample(c, 10**5, seed=2)
+        u = c.sample(10**5, seed=2)
         upper_left = np.mean((u[:, 0] <= 0.5) & (u[:, 1] > 0.5))
         lower_right = np.mean((u[:, 0] > 0.5) & (u[:, 1] <= 0.5))
         assert upper_left <= 0.001
@@ -152,15 +150,15 @@ class TestSampling:
         from scipy.stats import spearmanr
 
         rho = 0.5
-        u = copula_sample(GaussianEquiCorr(EquiCorr(2, rho)), 10**5, seed=3)
+        u = GaussianEquiCorr(EquiCorr(2, rho)).sample(10**5, seed=3)
         expected = 6.0 / math.pi * math.asin(rho / 2.0)  # 0.4825837395309974
         assert spearmanr(u[:, 0], u[:, 1]).statistic == pytest.approx(expected, abs=0.01)
 
     def test_comonotone_and_countermonotone_structure(self):
-        u = copula_sample(Comonotone(3), 100, seed=4)
+        u = Comonotone(3).sample(100, seed=4)
         np.testing.assert_array_equal(u[:, 0], u[:, 1])
         np.testing.assert_array_equal(u[:, 0], u[:, 2])
-        v = copula_sample(Countermonotone(), 100, seed=5)
+        v = Countermonotone().sample(100, seed=5)
         np.testing.assert_allclose(v[:, 0] + v[:, 1], 1.0, atol=1e-15)
 
     def test_deterministic_given_seed(self):
@@ -243,10 +241,6 @@ class TestConstruction:
     def test_mixture_requires_two_dim_base(self):
         with pytest.raises(ValueError):
             Mixture2D(Independence(3), UPPER_RIGHT)
-
-    def test_mixture_lam_range(self):
-        with pytest.raises(ValueError):
-            Mixture2D(Independence(2), UPPER_RIGHT, lam=1.0)
 
     def test_negative_sample_count(self):
         with pytest.raises(ValueError):

@@ -1,24 +1,26 @@
-"""Tests for the normal/bivariate-normal kernels and equicorrelation algebra.
+"""Tests for the normal/bivariate-normal kernels and the equicorrelation
+matrix, whose closed-form copula density is checked here against dense
+linear algebra.
 
 Derived expectations are frozen from independent oracles implemented here:
-a Taylor-series normal cdf, bisection on the cdf for quantiles, dense linear
-algebra for the equicorrelation forms, Monte Carlo for one rectangle
-probability, and adaptive quadrature (``conftest.quad_bvn_rect``) for the
-bivariate normal kernel.
+a Taylor-series normal cdf, bisection on the cdf for quantiles, the dense
+multivariate normal density (``conftest.dense_copula_logdensity``) for the
+equicorrelation copula density, Monte Carlo for one rectangle probability,
+and adaptive quadrature (``conftest.quad_bvn_rect``) for the bivariate
+normal kernel.
 """
 
 import math
 
 import numpy as np
 import pytest
-from conftest import quad_bvn_rect
+from conftest import dense_copula_logdensity, quad_bvn_rect
 
+from copulascore.copulas import gaussian_logdensity_from_scores
 from copulascore.dist_math import (
     BvnSpec,
     EquiCorr,
     bvn_rect_prob,
-    equicorr_logdet,
-    equicorr_quadform,
     norm_cdf,
     norm_pdf,
     norm_quantile,
@@ -236,45 +238,53 @@ class TestEquiCorr:
         with pytest.raises(ValueError):
             EquiCorr(1, 0.0)
 
+    # The copula log density is -0.5*logdet(R) - 0.5*(z'R^{-1}z - z'z): at
+    # z = 0 it isolates the determinant, at rho = 0 it vanishes.
+
     def test_logdet_identity(self):
-        assert equicorr_logdet(EquiCorr(5, 0.0)) == pytest.approx(0.0, abs=1e-12)
+        assert gaussian_logdensity_from_scores(5, 0.0, np.zeros(5)) == pytest.approx(
+            0.0, abs=1e-12
+        )
 
     def test_logdet_dim5_half(self):
         # oracle: dense determinant of the 5x5 matrix
         ec = EquiCorr(5, 0.5)
         _, logdet = np.linalg.slogdet(ec.matrix())
-        assert equicorr_logdet(ec) == pytest.approx(logdet, abs=1e-12)
-        assert equicorr_logdet(ec) == pytest.approx(math.log(0.1875), abs=1e-12)
+        got = gaussian_logdensity_from_scores(5, 0.5, np.zeros(5))
+        assert got == pytest.approx(-0.5 * logdet, abs=1e-12)
+        assert got == pytest.approx(-0.5 * math.log(0.1875), abs=1e-12)
 
     def test_logdet_singular_limit(self):
         rhos = [0.9, 0.99, 0.999, 0.9999]
-        vals = [equicorr_logdet(EquiCorr(2, r)) for r in rhos]
-        assert all(b < a for a, b in zip(vals, vals[1:]))
+        vals = [gaussian_logdensity_from_scores(2, r, np.zeros(2)) for r in rhos]
+        assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_quadform_identity(self):
         rng = np.random.default_rng(3)
         z = rng.standard_normal(4)
-        assert equicorr_quadform(EquiCorr(4, 0.0), z) == pytest.approx(z @ z, rel=1e-12)
+        assert gaussian_logdensity_from_scores(4, 0.0, z) == pytest.approx(0.0, abs=1e-12)
 
     def test_quadform_ones(self):
-        # oracle: dense inverse; all-ones vector gives dim/(1+(dim-1)rho)
+        # oracle: dense density; the all-ones vector gives
+        # z'R^{-1}z = dim/(1+(dim-1)rho) = 5/3
         ec = EquiCorr(5, 0.5)
         z = np.ones(5)
-        expected = z @ np.linalg.inv(ec.matrix()) @ z
-        assert equicorr_quadform(ec, z) == pytest.approx(expected, rel=1e-10)
-        assert equicorr_quadform(ec, z) == pytest.approx(5.0 / 3.0, rel=1e-10)
+        got = gaussian_logdensity_from_scores(5, 0.5, z)
+        assert got == pytest.approx(dense_copula_logdensity(ec, z), rel=1e-10)
+        expected = -0.5 * math.log(0.1875) - 0.5 * (5.0 / 3.0 - 5.0)
+        assert got == pytest.approx(expected, rel=1e-10)
 
     def test_quadform_zero(self):
-        assert equicorr_quadform(EquiCorr(3, 0.2), np.zeros(3)) == 0.0
+        ec = EquiCorr(3, 0.2)
+        _, logdet = np.linalg.slogdet(ec.matrix())
+        got = gaussian_logdensity_from_scores(3, 0.2, np.zeros(3))
+        assert got == pytest.approx(-0.5 * logdet, abs=1e-12)
 
     def test_against_dense_brute_force(self):
         rng = np.random.default_rng(11)
         for dim in range(2, 9):
             for rho in (-0.1, 0.0, 0.25, 0.5, 0.9):
-                ec = EquiCorr(dim, rho)
-                mat = ec.matrix()
-                _, logdet = np.linalg.slogdet(mat)
-                assert equicorr_logdet(ec) == pytest.approx(logdet, rel=1e-10, abs=1e-10)
                 z = rng.standard_normal(dim)
-                expected = z @ np.linalg.solve(mat, z)
-                assert equicorr_quadform(ec, z) == pytest.approx(expected, rel=1e-10)
+                expected = dense_copula_logdensity(EquiCorr(dim, rho), z)
+                got = gaussian_logdensity_from_scores(dim, rho, z)
+                assert got == pytest.approx(expected, rel=1e-10, abs=1e-10)

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 from conftest import quad_bvn_rect
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from copulascore import inference
 from copulascore.dist_math import BvnSpec, bvn_rect_prob, norm_quantile
@@ -15,6 +17,7 @@ from copulascore.inference import (
     HacConfig,
     Hypothesis,
     LongRunCov,
+    LongRunCovError,
     Outcome,
     ScoreDiffSeries,
     bonferroni_test,
@@ -403,3 +406,76 @@ class TestBonferroni:
         )
         res = bonferroni_test(d, HacConfig(), 0.05, Hypothesis.EQUAL)
         assert res.outcome is Outcome.REJECTED_AT_MARGINAL_STEP
+
+
+TRUNCATED_15 = HacConfig(lags=15, weights="truncated")
+
+
+def _normal_pair(seed: int, n: int = 40) -> ScoreDiffSeries:
+    rng = np.random.default_rng(seed)
+    return ScoreDiffSeries(rng.standard_normal(n), rng.standard_normal(n))
+
+
+class TestIndefiniteLongRunCov:
+    """Truncated lag weights need not give a positive semi-definite
+    long-run covariance; an indefinite estimate is an error, never an
+    outcome, while rounding-level violations keep their old handling."""
+
+    @pytest.mark.parametrize("test", [two_step_test, bonferroni_test])
+    def test_negative_variance_raises(self, test):
+        d = _normal_pair(0)
+        assert hac_cov(d, TRUNCATED_15).s_mm < -0.05
+        with pytest.raises(LongRunCovError, match=r"lags=15, weights='truncated'"):
+            test(d, TRUNCATED_15, 0.05, Hypothesis.EQUAL)
+
+    @pytest.mark.parametrize("test", [two_step_test, bonferroni_test])
+    def test_correlation_beyond_one_raises(self, test):
+        d = _normal_pair(3)
+        omega = hac_cov(d, TRUNCATED_15)
+        assert omega.s_mm > 0.0 and omega.s_cc > 0.0 and abs(omega.correlation()) > 1.0
+        with pytest.raises(LongRunCovError, match=r"lags=15, weights='truncated'"):
+            test(d, TRUNCATED_15, 0.05, Hypothesis.LEX_SUPERIORITY)
+
+    @pytest.mark.parametrize("weights", ["zero", "bartlett", "truncated"])
+    @pytest.mark.parametrize("factor", [2.0, 3.0, -2.0])
+    def test_collinear_pair_still_shrunk(self, weights, factor):
+        x = np.random.default_rng(5).standard_normal(40)
+        d = ScoreDiffSeries(x, factor * x)
+        res = two_step_test(d, HacConfig(lags=2, weights=weights), 0.05, Hypothesis.EQUAL)
+        assert res.correlation_shrunk
+
+    def test_rounding_level_negative_variance_falls_back(self):
+        # a constant difference leaves rounding noise of order 1e-31 in s_mm
+        d = ScoreDiffSeries(np.full(40, 0.1), _normal_pair(5).d_c)
+        res = two_step_test(d, TRUNCATED_15, 0.05, Hypothesis.EQUAL)
+        assert res.degenerate_fallback
+        zero = ScoreDiffSeries(np.zeros(40), d.d_c)
+        assert two_step_test(zero, TRUNCATED_15, 0.05, Hypothesis.EQUAL).degenerate_fallback
+
+
+# Differences on a 1e-3 grid: includes constant, zero, collinear and spiky
+# series without floating-point underflow.
+_grid_series = st.lists(
+    st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)),
+    min_size=2,
+    max_size=60,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=_grid_series,
+    lags=st.integers(0, 12),
+    weights=st.sampled_from(["zero", "bartlett"]),
+    hypothesis=st.sampled_from(list(Hypothesis)),
+)
+def test_psd_weights_never_indefinite(rows, lags, weights, hypothesis):
+    """Zero and Bartlett weights give a positive semi-definite estimate, so
+    the indefiniteness check never fires on them."""
+    assume(len(rows) > lags)
+    data = np.array(rows, dtype=float) / 1000.0
+    d = ScoreDiffSeries(data[:, 0], data[:, 1])
+    try:
+        two_step_test(d, HacConfig(lags=lags, weights=weights), 0.05, hypothesis)
+    except DegenerateSeriesError:
+        pass

@@ -18,6 +18,7 @@ from copulascore.scoring import (
     s_cop,
     s_joint,
     s_marg,
+    score_arrays,
 )
 
 HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)  # 0.9189385332046727
@@ -133,6 +134,25 @@ class TestJointScore:
         pair = bivariate_score(c, f, y)
         assert pair.s_marg == s_marg(f, y)
         assert pair.s_cop == s_cop(c, f, y)
+
+
+class TestScoreArrays:
+    def test_batch_equals_scalar_api(self):
+        """(reps, n, dim) inputs with one correlation per (rep, period), and
+        an independence row, give exactly the per-observation pairs."""
+        rng = np.random.default_rng(30)
+        reps, n, dim = 3, 6, 4
+        y = rng.standard_normal((reps, n, dim))
+        sigma = rng.uniform(0.3, 2.0, (reps, n, dim))
+        rho = rng.uniform(-0.3, 0.9, (reps, n))
+        rho[0] = 0.0
+        s_m, s_c = score_arrays(y, sigma, rho)
+        assert s_m.shape == s_c.shape == (reps, n)
+        for r in range(reps):
+            for t in range(n):
+                f = MarginalForecast(sigma[r, t])
+                c = Independence(dim) if r == 0 else GaussianEquiCorr(EquiCorr(dim, rho[r, t]))
+                assert (s_m[r, t], s_c[r, t]) == bivariate_score(c, f, y[r, t])
 
 
 class TestFrechetReduction:

@@ -15,10 +15,10 @@ from copulascore.sim_harness import (
     ContaminationSpec,
     DgpSpec,
     Setting,
+    _draw_contamination,
     _experiment_diffs,
     _garch_paths,
     _rep_rng,
-    contaminated_forecast,
     run_experiment,
     simulate_path,
 )
@@ -108,26 +108,18 @@ class TestLongRunMoments:
 
 class TestContamination:
     def test_zero_widths_recover_truth(self):
-        spec = DgpSpec(n=10)
-        sigma_t = np.array([0.03, 0.05, 0.02, 0.04, 0.06])
-        marg, cop = contaminated_forecast(
-            spec, sigma_t, ContaminationSpec(0.0, 0.0), np.random.default_rng(0)
-        )
-        np.testing.assert_array_equal(marg.sigma, sigma_t)
-        assert isinstance(cop, GaussianEquiCorr)
-        assert cop.rho == spec.rho
+        dm, dc = _draw_contamination(ContaminationSpec(0.0, 0.0), 10, np.random.default_rng(0))
+        np.testing.assert_array_equal(dm, np.ones(10))
+        np.testing.assert_array_equal(dc, np.ones(10))
 
     def test_variance_scales_by_draw(self):
-        spec = DgpSpec(n=10)
-        sigma_t = np.full(5, 0.05)
         cspec = ContaminationSpec(0.5, 0.2)
-        marg, cop = contaminated_forecast(spec, sigma_t, cspec, np.random.default_rng(42))
+        dm, dc = _draw_contamination(cspec, 50, np.random.default_rng(42))
         # replay the documented draw order to recover the disturbances
         rng = np.random.default_rng(42)
-        dm = rng.uniform(0.5, 1.5)
-        dc = rng.uniform(0.8, 1.2)
-        np.testing.assert_allclose(marg.sigma**2, dm * sigma_t**2, rtol=1e-12)
-        assert cop.rho == pytest.approx(spec.rho * dc, rel=1e-12)
+        np.testing.assert_array_equal(dm, rng.uniform(0.5, 1.5, size=50))
+        np.testing.assert_array_equal(dc, rng.uniform(0.8, 1.2, size=50))
+        assert np.all(np.abs(dm - 1.0) <= 0.5) and np.all(np.abs(dc - 1.0) <= 0.2)
 
     def test_half_width_interval_stays_valid(self):
         spec = DgpSpec(n=10, dim=5, rho=0.5)
