@@ -132,34 +132,44 @@ def _check_header(actual: list[str], expected: list[str], path) -> None:
     )
 
 
-def _parse_cell(raw: str, row: int, col: str, path) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ScoresFileError(
-            f"{path}: row {row}, column '{col}': non-numeric value '{raw}'"
-        ) from None
-    if not math.isfinite(value):
-        raise ScoresFileError(
-            f"{path}: row {row}, column '{col}': non-finite value '{raw}'"
-        )
-    return value
-
-
-def _parse_table(path, header: list[str]) -> np.ndarray:
-    """Parse a CSV with the given exact header into an (n, k) float array."""
-    actual, raw_rows = _read_rows(path)
-    _check_header(actual, header, path)
-    if len(raw_rows) < 2:
-        raise ScoresFileError(f"{path}: need at least 2 data rows, found {len(raw_rows)}")
+def _parse_cells(path, header: list[str], raw_rows: list[list[str]]) -> np.ndarray:
+    """Cell-by-cell conversion that reports the first malformed row or cell."""
     data = np.empty((len(raw_rows), len(header)))
     for i, row in enumerate(raw_rows, start=1):
         if len(row) != len(header):
             raise ScoresFileError(
                 f"{path}: row {i}: expected {len(header)} fields, found {len(row)}"
             )
-        for j, col in enumerate(header):
-            data[i - 1, j] = _parse_cell(row[j], i, col, path)
+        for j, (col, raw) in enumerate(zip(header, row)):
+            try:
+                data[i - 1, j] = value = float(raw)
+            except ValueError:
+                raise ScoresFileError(
+                    f"{path}: row {i}, column '{col}': non-numeric value '{raw}'"
+                ) from None
+            if not math.isfinite(value):
+                raise ScoresFileError(
+                    f"{path}: row {i}, column '{col}': non-finite value '{raw}'"
+                )
+    return data
+
+
+def _parse_table(path, header: list[str], rows=None) -> np.ndarray:
+    """Parse a CSV with the given exact header into an (n, k) float array.
+    ``rows`` is the file as ``_read_rows`` gives it, when already read.
+
+    All cells are converted by one array cast (numpy parses strings as
+    ``float`` does); the cell-by-cell scan runs only to locate an error."""
+    actual, raw_rows = rows or _read_rows(path)
+    _check_header(actual, header, path)
+    if len(raw_rows) < 2:
+        raise ScoresFileError(f"{path}: need at least 2 data rows, found {len(raw_rows)}")
+    try:
+        data = np.array(raw_rows, dtype=float)
+    except ValueError:
+        data = None
+    if data is None or data.shape[1] != len(header) or not np.isfinite(data).all():
+        data = _parse_cells(path, header, raw_rows)
     t = data[:, 0]
     if np.any(np.diff(t) <= 0.0):
         bad = int(np.argmax(np.diff(t) <= 0.0)) + 2
@@ -197,7 +207,8 @@ def parse_density_scores(path) -> ScoresFile:
     probability transforms ``pit_<m>_<j>`` for each dimension j, then the
     log copula density ``logc_<m>``.  Scores are the negated sums/values.
     """
-    actual, _ = _read_rows(path)
+    rows = _read_rows(path)
+    actual = rows[0]
     if (len(actual) - 3) % 4 != 0 or len(actual) < 7:
         raise ScoresFileError(
             f"{path}: header has {len(actual)} columns; the density format needs "
@@ -205,7 +216,7 @@ def parse_density_scores(path) -> ScoresFile:
         )
     dim = (len(actual) - 3) // 4
     header = _density_header(dim)
-    data = _parse_table(path, header)
+    data = _parse_table(path, header, rows)
     pit_cols = [header.index(f"pit_{m}_{j}") for m in (1, 2) for j in range(1, dim + 1)]
     pits = data[:, pit_cols]
     if np.any(pits < 0.0) or np.any(pits > 1.0):

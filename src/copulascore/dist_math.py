@@ -1,8 +1,9 @@
 """Deterministic probability kernels.
 
 Univariate normal pdf/cdf/quantile, the equicorrelation matrix type, and
-centered bivariate normal rectangle probabilities in closed form via Owen's
-T function.  The equicorrelation copula density lives in
+rectangle probabilities of standard bivariate normals with correlation rho
+in closed form via Owen's T function.  Callers standardize their limits
+first.  The equicorrelation copula density lives in
 :mod:`copulascore.copulas`.  Everything here is a pure function, safe for
 concurrent use.
 """
@@ -17,7 +18,6 @@ from scipy.special import ndtr, ndtri, owens_t
 
 __all__ = [
     "EquiCorr",
-    "BvnSpec",
     "norm_pdf",
     "norm_cdf",
     "norm_quantile",
@@ -52,40 +52,31 @@ class EquiCorr:
         return np.full((self.dim, self.dim), self.rho) + (1.0 - self.rho) * np.eye(self.dim)
 
 
-@dataclass(frozen=True)
-class BvnSpec:
-    """Covariance of a centered bivariate normal vector."""
-
-    sigma11: float
-    sigma22: float
-    sigma12: float
-
-    def __post_init__(self) -> None:
-        if not (self.sigma11 > 0.0 and self.sigma22 > 0.0):
-            raise ValueError("variances must be strictly positive")
-        if self.sigma11 * self.sigma22 - self.sigma12**2 <= 0.0:
-            raise ValueError("covariance matrix is not positive definite")
+def _as_float(x):
+    # The helpers below sit in the critical-value solver's loop, so a float
+    # skips the array conversion; the arithmetic is the same either way.
+    return x if isinstance(x, float) else np.asarray(x, dtype=float)
 
 
 def norm_pdf(x):
     """Standard normal density; accepts scalars or arrays."""
-    x = np.asarray(x, dtype=float)
+    x = _as_float(x)
     out = np.exp(-0.5 * x * x - _LOG_SQRT_2PI)
     return float(out) if out.ndim == 0 else out
 
 
 def norm_cdf(x):
     """Standard normal cdf; +/-inf map to 1/0. Accepts scalars or arrays."""
-    out = ndtr(np.asarray(x, dtype=float))
-    return float(out) if np.ndim(out) == 0 else out
+    out = ndtr(_as_float(x))
+    return float(out) if out.ndim == 0 else out
 
 
 def norm_quantile(p):
     """Standard normal quantile on the open interval (0, 1)."""
-    p_arr = np.asarray(p, dtype=float)
-    if np.any(p_arr <= 0.0) or np.any(p_arr >= 1.0):
+    out = ndtri(_as_float(p))
+    # ndtri gives -inf/inf at 0/1 and nan outside [0, 1]
+    if not np.isfinite(out).all():
         raise ValueError("norm_quantile requires 0 < p < 1")
-    out = ndtri(p_arr)
     return float(out) if out.ndim == 0 else out
 
 
@@ -121,32 +112,29 @@ def _bvn_cdf(h: float, k: float, rho: float, r: float) -> float:
     return prob
 
 
-def bvn_rect_prob(spec: BvnSpec, a1, b1, a2, b2) -> float:
-    """P(a1 <= Z1 <= b1, a2 <= Z2 <= b2) for (Z1, Z2) ~ N(0, spec).
+def bvn_rect_prob(rho: float, a1, b1, a2, b2) -> float:
+    """P(a1 <= Z1 <= b1, a2 <= Z2 <= b2) for standard normals (Z1, Z2) with
+    correlation ``rho``, -1 < rho < 1.
 
-    Closed form: the limits are standardized by sqrt(sigma11),
-    sqrt(sigma22) and the correlation, and the rectangle is the
-    inclusion-exclusion sum of four Owen's T corners (see ``_bvn_cdf``).
-    Its tests check it against adaptive quadrature to 1e-10 for
-    |correlation| up to 1 - 1e-8, and the orthant probability against
-    Sheppard's formula to 1e-12.  Infinite limits are admissible in either
-    coordinate.
+    Closed form: the inclusion-exclusion sum of four Owen's T corners (see
+    ``_bvn_cdf``), with sqrt(1 - rho**2) computed once as
+    sqrt((1 - rho)(1 + rho)).  Its tests check it against adaptive
+    quadrature to 1e-10 for |rho| up to 1 - 1e-8, and the orthant
+    probability against Sheppard's formula to 1e-12.  Infinite limits are
+    admissible in either coordinate.
     """
+    if not abs(rho) < 1.0:
+        raise ValueError(f"correlation must lie in (-1, 1), got {rho!r}")
     if a1 > b1 or a2 > b2:
         raise ValueError("interval limits must satisfy a <= b")
     if a1 == b1 or a2 == b2:
         return 0.0
 
-    s1 = math.sqrt(spec.sigma11)
-    s2 = math.sqrt(spec.sigma22)
-    rho = spec.sigma12 / (s1 * s2)
-    # 1 - rho**2 from the determinant, which stays positive for a PD spec.
-    r = math.sqrt((spec.sigma11 * spec.sigma22 - spec.sigma12**2) / (spec.sigma11 * spec.sigma22))
-    lo1, hi1, lo2, hi2 = a1 / s1, b1 / s1, a2 / s2, b2 / s2
+    r = math.sqrt((1.0 - rho) * (1.0 + rho))
     prob = (
-        _bvn_cdf(hi1, hi2, rho, r)
-        - _bvn_cdf(lo1, hi2, rho, r)
-        - _bvn_cdf(hi1, lo2, rho, r)
-        + _bvn_cdf(lo1, lo2, rho, r)
+        _bvn_cdf(b1, b2, rho, r)
+        - _bvn_cdf(a1, b2, rho, r)
+        - _bvn_cdf(b1, a2, rho, r)
+        + _bvn_cdf(a1, a2, rho, r)
     )
     return min(max(prob, 0.0), 1.0)

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
-from .dist_math import BvnSpec, bvn_rect_prob, norm_pdf, norm_quantile
+from .dist_math import bvn_rect_prob, norm_cdf, norm_pdf, norm_quantile
 from .scoring import BivariateScore
 
 __all__ = [
@@ -37,10 +36,9 @@ __all__ = [
     "bonferroni_test",
 ]
 
-# A component counts as degenerate when its long-run variance is negligible
-# against the squared scale of the differences (scale-free detection of
-# identical forecasts).
-_DEGENERACY_REL_TOL = 1e-12
+# A component counts as constant when its long-run variance is negligible
+# against the squared scale of the differences (scale-free detection).
+_CONSTANT_REL_TOL = 1e-12
 # |correlation| at or above this is treated as numerically singular and
 # shrunk to the value below before rectangle probabilities are evaluated.
 _CORR_SINGULAR = 1.0 - 1e-10
@@ -137,12 +135,8 @@ class LongRunCov:
     s_cc: float
 
     @property
-    def det(self) -> float:
-        return self.s_mm * self.s_cc - self.s_mc**2
-
-    @property
     def is_pd(self) -> bool:
-        return self.s_mm > 0.0 and self.s_cc > 0.0 and self.det > 0.0
+        return self.s_mm > 0.0 and self.s_cc > 0.0 and self.s_mm * self.s_cc > self.s_mc**2
 
     def correlation(self) -> float:
         return self.s_mc / math.sqrt(self.s_mm * self.s_cc)
@@ -210,63 +204,56 @@ def _split(alpha: float, alpha1: float | None) -> tuple[float, float]:
     return alpha1, alpha - alpha1
 
 
-def _solve_c2(
-    omega: LongRunCov, c1: float, target: float, hypothesis: Hypothesis
-) -> float:
-    """Safeguarded Newton iteration for the second-step critical value.
+def _solve_c2(rho: float, h: float, alpha2: float, hypothesis: Hypothesis) -> float:
+    """Safeguarded Newton iteration for the standardized second-step
+    critical value k = c2/sqrt(s_cc), given the correlation ``rho`` and the
+    standardized first-step value h = c1/sqrt(s_mm).
 
-    Equal case: P(|Z1| <= c1, |Z2| > c2) = target, solved for c2 >= 0.
-    Lex case:   P(|Z1| <= c1, Z2 > c2)  = target.
-    Both probabilities are strictly decreasing in c2.  The iteration runs in
-    the standardized value k = c2/sqrt(s_cc), starts from the closed form
-    under independence and uses the analytic derivative
-    -phi(k) * P(|Z1| <= c1 | Z2 = k) (plus the mirrored term at -k in the
-    equal case).  Every evaluation narrows a bracket around the root, and a
-    Newton step that leaves the bracket is replaced by bisection.  Raises
-    ``CalibrationError`` when the probability is not within
-    ``_SOLVER_PROB_TOL`` of the target after ``_SOLVER_MAX_ITER``
-    evaluations, or once the bracket has collapsed.
+    Equal case: P(|Z1| <= h, |Z2| > k) = alpha2, solved for k >= 0.
+    Lex case:   P(|Z1| <= h, Z2 > k)  = alpha2.
+    Both probabilities are strictly decreasing in k.  The iteration starts
+    from the closed form under independence and uses the analytic
+    derivative -phi(k) * P(|Z1| <= h | Z2 = k) (plus the mirrored term at -k
+    in the equal case).  Every evaluation narrows a bracket around the root,
+    and a Newton step that leaves the bracket is replaced by bisection.
+    Raises ``CalibrationError`` when the probability is not within
+    ``_SOLVER_PROB_TOL`` of alpha2 after ``_SOLVER_MAX_ITER`` evaluations,
+    or once the bracket has collapsed.
     """
-    spec = BvnSpec(sigma11=omega.s_mm, sigma22=omega.s_cc, sigma12=omega.s_mc)
-    sd_c = math.sqrt(omega.s_cc)
-    h = c1 / math.sqrt(omega.s_mm)
-    rho = omega.correlation()
-    r = math.sqrt(omega.det / (omega.s_mm * omega.s_cc))
-    p_band = bvn_rect_prob(spec, -c1, c1, -math.inf, math.inf)
+    r = math.sqrt((1.0 - rho) * (1.0 + rho))
+    p_band = bvn_rect_prob(rho, -h, h, -math.inf, math.inf)
     equal = hypothesis is Hypothesis.EQUAL
 
     def band_density(k: float) -> float:
-        # phi(k) * P(|Z1| <= c1 | Z2 = k * sd_c), in standardized units.
-        return norm_pdf(k) * float(ndtr((h - rho * k) / r) - ndtr((-h - rho * k) / r))
+        return norm_pdf(k) * (norm_cdf((h - rho * k) / r) - norm_cdf((-h - rho * k) / r))
 
     if equal:
         lo, hi = 0.0, 10.0
-        k = float(ndtri(1.0 - target / (2.0 * p_band)))
+        k = norm_quantile(1.0 - alpha2 / (2.0 * p_band))
     else:
         lo, hi = -10.0, 10.0
-        k = float(ndtri(1.0 - target / p_band))
+        k = norm_quantile(1.0 - alpha2 / p_band)
     k = min(max(k, lo), hi)
 
     for _ in range(_SOLVER_MAX_ITER):
-        c2 = sd_c * k
         if equal:
-            p = p_band - bvn_rect_prob(spec, -c1, c1, -c2, c2)
+            p = p_band - bvn_rect_prob(rho, -h, h, -k, k)
         else:
-            p = bvn_rect_prob(spec, -c1, c1, c2, math.inf)
-        if abs(p - target) <= _SOLVER_PROB_TOL:
-            return c2
-        if p > target:
+            p = bvn_rect_prob(rho, -h, h, k, math.inf)
+        if abs(p - alpha2) <= _SOLVER_PROB_TOL:
+            return k
+        if p > alpha2:
             lo = k
         else:
             hi = k
         # Collapsed: the bracket is only a few ulps wide.
         if hi - lo <= 1e-15 * max(1.0, abs(lo), abs(hi)):
             raise CalibrationError(
-                f"second-step solver bracket collapsed at c2={c2!r} with "
-                f"probability {p!r}, target {target!r}"
+                f"second-step solver bracket collapsed at k={k!r} with "
+                f"probability {p!r}, target {alpha2!r}"
             )
         slope = band_density(k) + (band_density(-k) if equal else 0.0)
-        step = k + (p - target) / slope if slope > 0.0 else math.nan
+        step = k + (p - alpha2) / slope if slope > 0.0 else math.nan
         k = step if lo < step < hi else 0.5 * (lo + hi)
     raise CalibrationError(
         f"second-step solver did not reach {_SOLVER_PROB_TOL:g} in probability "
@@ -282,26 +269,27 @@ def critical_values(
 ) -> tuple[float, float]:
     """Jointly calibrated critical values (c1, c2) for the two-step test.
 
-    c1 satisfies P(|Z1| > c1) = alpha1 in closed form; c2 makes the
+    The problem is solved standardized: h = c1/sqrt(s_mm) satisfies
+    P(|Z1| > h) = alpha1 in closed form, and k = c2/sqrt(s_cc) makes the
     second-step rejection probability equal alpha2 to within 1e-12, solved
     by a safeguarded Newton iteration on the closed-form (Owen's T)
-    bivariate normal rectangle kernel.  Defaults to an even split
-    alpha1 = alpha2 = alpha/2.  Raises ``CalibrationError`` when the
-    solver does not converge.
+    bivariate normal rectangle kernel.  Both depend on omega only through
+    its correlation.  Defaults to an even split alpha1 = alpha2 = alpha/2.
+    Raises ``CalibrationError`` when the solver does not converge.
     """
     if not omega.is_pd:
         raise ValueError("long-run covariance must be positive definite")
     a1, a2 = _split(alpha, alpha1)
-    c1 = _one_step_critical(omega.s_mm, a1, two_sided=True)
-    c2 = _solve_c2(omega, c1, a2, hypothesis)
-    return c1, c2
+    h = norm_quantile(1.0 - a1 / 2.0)
+    k = _solve_c2(omega.correlation(), h, a2, Hypothesis(hypothesis))
+    return math.sqrt(omega.s_mm) * h, math.sqrt(omega.s_cc) * k
 
 
-def _degenerate(variance: float, series: np.ndarray, cfg: HacConfig) -> bool:
+def _constant(variance: float, series: np.ndarray, cfg: HacConfig) -> bool:
     """True when a long-run variance is zero up to rounding, measured against
-    the squared scale of the differences (scale-free detection of identical
-    forecasts).  A variance below that band is an indefinite estimate."""
-    band = _DEGENERACY_REL_TOL * float(np.mean(np.abs(series))) ** 2
+    the squared scale of the differences (scale-free detection of a constant
+    component).  A variance below that band is an indefinite estimate."""
+    band = _CONSTANT_REL_TOL * float(np.mean(np.abs(series))) ** 2
     if variance < -band:
         raise _indefinite(cfg, f"variance {variance!r}")
     return variance <= band
@@ -332,38 +320,44 @@ def _stepwise_test(
     d: ScoreDiffSeries,
     cfg: HacConfig,
     alpha: float,
+    alpha1: float | None,
     hypothesis: Hypothesis,
     calibrate: Callable[[LongRunCov, Hypothesis], tuple[float, float, bool]],
 ) -> TwoStepResult:
     """What both tests share: the statistics, the long-run covariance and its
-    checks, the one-step fallbacks and the marginal-then-copula decision.
-    ``calibrate(omega, hypothesis)`` gives (c1, c2, correlation_shrunk) when
-    both components are nondegenerate."""
+    checks, the constant-component rules and the marginal-then-copula
+    decision.  ``calibrate(omega, hypothesis)`` gives (c1, c2,
+    correlation_shrunk) when neither component is constant."""
     hypothesis = Hypothesis(hypothesis)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    _split(alpha, alpha1)  # rejects bad levels on every path
     sqrt_n = math.sqrt(d.n)
     stat_m = sqrt_n * float(d.d_m.mean())
     stat_c = sqrt_n * float(d.d_c.mean())
     omega = hac_cov(d, cfg)
 
-    degen_m = _degenerate(omega.s_mm, d.d_m, cfg)
-    degen_c = _degenerate(omega.s_cc, d.d_c, cfg)
-    if degen_m and degen_c:
+    flat_m = _constant(omega.s_mm, d.d_m, cfg)
+    flat_c = _constant(omega.s_cc, d.d_c, cfg)
+    zero_m = flat_m and not d.d_m.any()
+    zero_c = flat_c and not d.d_c.any()
+    if zero_m and zero_c:
         raise DegenerateSeriesError(
             "both score-difference components are degenerate; "
             "the forecasts carry no ranking information"
         )
     equal = hypothesis is Hypothesis.EQUAL
     shrunk = False
-    if degen_m:
-        # Identical marginal forecasts: one-step test on the copula
-        # component at full level alpha.
-        c1, c2 = math.inf, _one_step_critical(omega.s_cc, alpha, two_sided=equal)
-    elif degen_c:
-        # Mirror case: identical copula forecasts, one-step test on the
-        # marginal component (always two-sided).
-        c1, c2 = _one_step_critical(omega.s_mm, alpha, two_sided=True), math.inf
+    if flat_m or flat_c:
+        # A constant component has no sampling variation.  When identically
+        # zero (identical forecasts) its step is skipped (critical value
+        # inf); otherwise it decides by sign (critical value 0, the limit of
+        # a vanishing variance).  The other component gets a one-step test
+        # at the full level alpha.
+        c1 = math.inf if zero_m else 0.0
+        c2 = math.inf if zero_c else 0.0
+        if not flat_m:
+            c1 = _one_step_critical(omega.s_mm, alpha, two_sided=True)
+        if not flat_c:
+            c2 = _one_step_critical(omega.s_cc, alpha, two_sided=equal)
     else:
         if abs(omega.correlation()) > _CORR_INDEFINITE:
             raise _indefinite(cfg, f"correlation {omega.correlation()!r}")
@@ -377,7 +371,7 @@ def _stepwise_test(
         outcome = Outcome.NO_REJECTION
     return TwoStepResult(
         hypothesis, stat_m, stat_c, c1, c2, outcome, alpha, omega,
-        degenerate_fallback=degen_m or degen_c, correlation_shrunk=shrunk,
+        degenerate_fallback=zero_m or zero_c, correlation_shrunk=shrunk,
     )
 
 
@@ -390,19 +384,21 @@ def two_step_test(
 ) -> TwoStepResult:
     """Stepwise test: marginal component first, copula component second.
 
-    When one component is degenerate (identical forecasts on that
+    When one component is identically zero (identical forecasts on that
     component), the test falls back to a one-step comparison of the other
-    component at the full level alpha; when both are degenerate the series
-    carries no ranking information and an error is raised.  A long-run
-    covariance that is not positive semi-definite beyond rounding (possible
-    with truncated weights) raises ``LongRunCovError``.
+    component at the full level alpha; when both are zero the series
+    carries no ranking information and an error is raised.  A component
+    that is constant but not zero decides its step by sign (critical value
+    0), and the other component is tested at the full level alpha.  A
+    long-run covariance that is not positive semi-definite beyond rounding
+    (possible with truncated weights) raises ``LongRunCovError``.
     """
 
     def calibrate(omega: LongRunCov, hypothesis: Hypothesis) -> tuple[float, float, bool]:
         calib, shrunk = _shrink_if_singular(omega)
         return (*critical_values(calib, alpha, hypothesis, alpha1), shrunk)
 
-    return _stepwise_test(d, cfg, alpha, hypothesis, calibrate)
+    return _stepwise_test(d, cfg, alpha, alpha1, hypothesis, calibrate)
 
 
 def bonferroni_test(
@@ -416,7 +412,7 @@ def bonferroni_test(
 
     Each component gets its own marginal critical value at level alpha/2;
     rejection in the marginal component takes precedence in the attribution.
-    Degenerate and indefinite series are handled as in :func:`two_step_test`.
+    Constant and indefinite series are handled as in :func:`two_step_test`.
     """
 
     def calibrate(omega: LongRunCov, hypothesis: Hypothesis) -> tuple[float, float, bool]:
@@ -425,4 +421,4 @@ def bonferroni_test(
         c2 = _one_step_critical(omega.s_cc, alpha / 2.0, two_sided=equal)
         return c1, c2, False
 
-    return _stepwise_test(d, cfg, alpha, hypothesis, calibrate)
+    return _stepwise_test(d, cfg, alpha, None, hypothesis, calibrate)

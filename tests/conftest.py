@@ -1,8 +1,9 @@
 """Shared fixtures: one lazily filled cache of 2000-replication experiment
 runs, so the acceptance criteria and the harness property tests never repeat
 a simulation; an adaptive-quadrature oracle for bivariate normal rectangle
-probabilities; and a dense-matrix oracle for the Gaussian equicorrelation
-copula density."""
+probabilities; the step rejection probabilities of a pair of critical
+values; and a dense-matrix oracle for the Gaussian equicorrelation copula
+density."""
 
 import math
 import time
@@ -12,6 +13,8 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 from scipy.stats import multivariate_normal, norm
 
+from copulascore.dist_math import bvn_rect_prob
+from copulascore.inference import Hypothesis
 from copulascore.sim_harness import SETTINGS, DgpSpec, run_experiment
 
 MASTER_SEED = 20260809
@@ -71,6 +74,20 @@ def quad_bvn_rect(rho: float, a1: float, b1: float, a2: float, b2: float) -> flo
         integrand, lo, hi, points=sorted(points) or None, epsabs=1e-15, epsrel=1e-13, limit=500
     )
     return value
+
+
+def step_probs(om, c1: float, c2: float, hypothesis) -> tuple[float, float]:
+    """Rejection probabilities (first step, second step) of the critical
+    values (c1, c2) on the bivariate normal limit N(0, om), from the kernel
+    on the standardized limits."""
+    rho = om.correlation()
+    h, k = c1 / math.sqrt(om.s_mm), c2 / math.sqrt(om.s_cc)
+    band = bvn_rect_prob(rho, -h, h, -math.inf, math.inf)
+    if hypothesis is Hypothesis.EQUAL:
+        p2 = band - bvn_rect_prob(rho, -h, h, -k, k)
+    else:
+        p2 = bvn_rect_prob(rho, -h, h, k, math.inf)
+    return 1.0 - band, p2
 
 
 def dense_copula_logdensity(ec, z) -> float:

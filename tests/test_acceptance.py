@@ -11,7 +11,7 @@ import json
 import math
 
 import numpy as np
-from conftest import dense_copula_logdensity
+from conftest import dense_copula_logdensity, step_probs
 
 from copulascore.cli import main
 from copulascore.copulas import (
@@ -24,12 +24,7 @@ from copulascore.copulas import (
     gaussian_logdensity_from_scores,
     mixture_cdf,
 )
-from copulascore.dist_math import (
-    BvnSpec,
-    EquiCorr,
-    bvn_rect_prob,
-    norm_quantile,
-)
+from copulascore.dist_math import EquiCorr, norm_quantile
 from copulascore.inference import (
     HacConfig,
     Hypothesis,
@@ -149,13 +144,8 @@ def test_criterion_5_critical_value_solver():
         om = LongRunCov(s_mm, corr * math.sqrt(s_mm * s_cc), s_cc)
         hyp = Hypothesis.EQUAL if rng.random() < 0.5 else Hypothesis.LEX_SUPERIORITY
         c1, c2 = critical_values(om, ALPHA, hyp)
-        spec = BvnSpec(om.s_mm, om.s_cc, om.s_mc)
-        band = bvn_rect_prob(spec, -c1, c1, -math.inf, math.inf)
-        if hyp is Hypothesis.EQUAL:
-            p2 = band - bvn_rect_prob(spec, -c1, c1, -c2, c2)
-        else:
-            p2 = bvn_rect_prob(spec, -c1, c1, c2, math.inf)
-        worst = max(worst, abs((1 - band) + p2 - ALPHA))
+        p1, p2 = step_probs(om, c1, c2, hyp)
+        worst = max(worst, abs(p1 + p2 - ALPHA))
     checks.append(worst <= 1e-7)
     detail = (
         f"c1={c1_exact:.4f}, c2(eq)={c2_eq_exact:.4f}, c2(lex)={c2_lex_exact:.4f} "

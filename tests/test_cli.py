@@ -78,6 +78,23 @@ class TestParseScores:
         with pytest.raises(ScoresFileError, match="row 2"):
             parse_scores(p)
 
+    def test_cells_parse_as_float_does(self, tmp_path):
+        # the array cast accepts what float() accepts, with the same values
+        cells = ["1_000", " 1.5 ", "\u0661\u0662", "+2e-3", "-0", ".5", "1e-400"]
+        p = tmp_path / "s.csv"
+        make_scores_file(p, [1, 2, 3, 4, 5, 6, 7], cells, cells, cells, cells)
+        scores = parse_scores(p)
+        expected = [float(c) for c in cells]
+        np.testing.assert_array_equal(scores.s_marg_1, expected)
+        assert np.signbit(scores.s_cop_2[4])
+
+    def test_first_error_in_row_order(self, tmp_path):
+        # a bad cell in row 1 is reported before a ragged row 2
+        p = tmp_path / "s.csv"
+        p.write_text("t,s_marg_1,s_cop_1,s_marg_2,s_cop_2\n1,0,x,0,0\n2,0,0,0\n3,inf,0,0,0\n")
+        with pytest.raises(ScoresFileError, match=r"row 1, column 's_cop_1'"):
+            parse_scores(p)
+
 
 class TestRoundTrip:
     def test_write_parse_idempotent(self, tmp_path):
@@ -205,6 +222,22 @@ class TestCompareCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["result"]["degenerate_fallback"] is True
         assert payload["result"]["c1"] == "inf"
+
+    def test_constant_marginal_offset_decides_by_sign(self, tmp_path, capsys):
+        # a constant marginal score advantage is deterministic dominance,
+        # not identical forecasts: c1 = 0 and the marginal step rejects
+        rng = np.random.default_rng(4)
+        sm = rng.standard_normal(80)
+        make_scores_file(
+            tmp_path / "f.csv", range(1, 81), sm + 0.5, rng.standard_normal(80),
+            sm, rng.standard_normal(80),
+        )
+        rc = main(["compare", "--scores", str(tmp_path / "f.csv")])
+        assert rc == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["attribution"] == "M"
+        assert result["c1"] == 0.0
+        assert result["degenerate_fallback"] is False
 
     def test_identical_columns_exit_nonzero(self, tmp_path, capsys):
         rng = np.random.default_rng(2)

@@ -18,7 +18,6 @@ from conftest import dense_copula_logdensity, quad_bvn_rect
 
 from copulascore.copulas import gaussian_logdensity_from_scores
 from copulascore.dist_math import (
-    BvnSpec,
     EquiCorr,
     bvn_rect_prob,
     norm_cdf,
@@ -116,23 +115,21 @@ class TestNormQuantile:
 
 class TestBvnRectProb:
     def test_independent_quadrant(self):
-        spec = BvnSpec(1.0, 1.0, 0.0)
-        assert bvn_rect_prob(spec, -math.inf, 0.0, -math.inf, 0.0) == pytest.approx(
+        assert bvn_rect_prob(0.0, -math.inf, 0.0, -math.inf, 0.0) == pytest.approx(
             0.25, abs=1e-8
         )
 
     def test_independent_box_vs_product(self):
-        spec = BvnSpec(1.0, 1.0, 0.0)
         # oracle: product of univariate interval probabilities
         expected = (norm_cdf(1.96) - norm_cdf(-1.96)) ** 2
-        got = bvn_rect_prob(spec, -1.96, 1.96, -1.96, 1.96)
+        got = bvn_rect_prob(0.0, -1.96, 1.96, -1.96, 1.96)
         assert got == pytest.approx(expected, abs=1e-8)
         assert got == pytest.approx(0.9025079984544838, abs=1e-8)
 
     def test_correlated_box_vs_monte_carlo(self):
+        # the box |X| <= 1 for X ~ N(0, [[1.3, s12], [s12, 0.7]]), standardized
         s11, s22 = 1.3, 0.7
         s12 = 0.5 * math.sqrt(s11 * s22)
-        spec = BvnSpec(s11, s22, s12)
         rng = np.random.default_rng(20260809)
         n = 10**7
         chol = np.linalg.cholesky([[s11, s12], [s12, s22]])
@@ -140,43 +137,40 @@ class TestBvnRectProb:
         inside = np.all(np.abs(z) <= 1.0, axis=1)
         p_hat = inside.mean()
         se = math.sqrt(p_hat * (1 - p_hat) / n)
-        assert abs(bvn_rect_prob(spec, -1, 1, -1, 1) - p_hat) <= 3 * se
+        h1, h2 = 1.0 / math.sqrt(s11), 1.0 / math.sqrt(s22)
+        assert abs(bvn_rect_prob(0.5, -h1, h1, -h2, h2) - p_hat) <= 3 * se
 
     def test_total_mass(self):
-        for spec in (BvnSpec(1, 1, 0), BvnSpec(2.0, 0.5, 0.6), BvnSpec(1, 1, -0.95)):
-            mass = bvn_rect_prob(spec, -math.inf, math.inf, -math.inf, math.inf)
+        for rho in (0.0, 0.6, -0.95):
+            mass = bvn_rect_prob(rho, -math.inf, math.inf, -math.inf, math.inf)
             assert mass == pytest.approx(1.0, abs=1e-8)
 
     def test_monotone_in_limits(self):
-        spec = BvnSpec(1.0, 1.0, 0.4)
-        base = bvn_rect_prob(spec, -1, 1, -1, 1)
-        assert bvn_rect_prob(spec, -1, 1.5, -1, 1) >= base
-        assert bvn_rect_prob(spec, -1, 1, -1, 1.5) >= base
-        assert bvn_rect_prob(spec, -0.5, 1, -1, 1) <= base
-        assert bvn_rect_prob(spec, -1, 1, -0.5, 1) <= base
+        base = bvn_rect_prob(0.4, -1, 1, -1, 1)
+        assert bvn_rect_prob(0.4, -1, 1.5, -1, 1) >= base
+        assert bvn_rect_prob(0.4, -1, 1, -1, 1.5) >= base
+        assert bvn_rect_prob(0.4, -0.5, 1, -1, 1) <= base
+        assert bvn_rect_prob(0.4, -1, 1, -0.5, 1) <= base
 
     def test_independence_factorization(self):
         rng = np.random.default_rng(7)
-        spec = BvnSpec(1.7, 0.4, 0.0)
         for _ in range(20):
             a1, b1 = np.sort(rng.uniform(-3, 3, 2))
             a2, b2 = np.sort(rng.uniform(-3, 3, 2))
-            p1 = norm_cdf(b1 / math.sqrt(1.7)) - norm_cdf(a1 / math.sqrt(1.7))
-            p2 = norm_cdf(b2 / math.sqrt(0.4)) - norm_cdf(a2 / math.sqrt(0.4))
-            got = bvn_rect_prob(spec, a1, b1, a2, b2)
+            p1 = norm_cdf(b1) - norm_cdf(a1)
+            p2 = norm_cdf(b2) - norm_cdf(a2)
+            got = bvn_rect_prob(0.0, a1, b1, a2, b2)
             assert got == pytest.approx(p1 * p2, abs=1e-8)
 
     def test_empty_and_invalid_intervals(self):
-        spec = BvnSpec(1.0, 1.0, 0.0)
-        assert bvn_rect_prob(spec, 0.3, 0.3, -1, 1) == 0.0
+        assert bvn_rect_prob(0.0, 0.3, 0.3, -1, 1) == 0.0
         with pytest.raises(ValueError):
-            bvn_rect_prob(spec, 1.0, -1.0, -1, 1)
+            bvn_rect_prob(0.0, 1.0, -1.0, -1, 1)
 
-    def test_invalid_spec(self):
-        with pytest.raises(ValueError):
-            BvnSpec(1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            BvnSpec(-1.0, 1.0, 0.0)
+    def test_invalid_correlation(self):
+        for rho in (1.0, -1.0, 1.5, math.nan):
+            with pytest.raises(ValueError, match="correlation"):
+                bvn_rect_prob(rho, -1.0, 1.0, -1.0, 1.0)
 
 
 NEAR_SINGULAR = 1.0 - 1e-8
@@ -188,16 +182,15 @@ RHO_GRID = [
 class TestBvnRectProbClosedForm:
     @pytest.mark.parametrize("rho", [NEAR_SINGULAR, -NEAR_SINGULAR])
     def test_near_singular_correlation(self, rho):
-        spec = BvnSpec(1.0, 1.0, rho)
-        got = bvn_rect_prob(spec, -math.inf, 0.3, -math.inf, -0.2)
+        got = bvn_rect_prob(rho, -math.inf, 0.3, -math.inf, -0.2)
         assert abs(got - quad_bvn_rect(rho, -math.inf, 0.3, -math.inf, -0.2)) <= 1e-10
-        got = bvn_rect_prob(spec, -0.7, 1.1, -0.2, 2.0)
+        got = bvn_rect_prob(rho, -0.7, 1.1, -0.2, 2.0)
         assert abs(got - quad_bvn_rect(rho, -0.7, 1.1, -0.2, 2.0)) <= 1e-10
 
     @pytest.mark.parametrize("rho", RHO_GRID)
     def test_orthant_identity(self, rho):
         # Sheppard: P(Z1 <= 0, Z2 <= 0) = 1/4 + asin(rho) / (2 pi).
-        got = bvn_rect_prob(BvnSpec(1.0, 1.0, rho), -math.inf, 0.0, -math.inf, 0.0)
+        got = bvn_rect_prob(rho, -math.inf, 0.0, -math.inf, 0.0)
         assert abs(got - (0.25 + math.asin(rho) / (2.0 * math.pi))) <= 1e-12
 
     @pytest.mark.parametrize("rho", RHO_GRID)
@@ -205,26 +198,20 @@ class TestBvnRectProbClosedForm:
         # Every corner branch: a zero limit in either coordinate, infinite
         # limits on both sides, and limits of equal and opposite sign.
         limits = [-math.inf, -1.3, 0.0, 0.4, math.inf]
-        spec = BvnSpec(1.0, 1.0, rho)
         for i, a1 in enumerate(limits):
             for b1 in limits[i + 1:]:
                 for j, a2 in enumerate(limits):
                     for b2 in limits[j + 1:]:
-                        got = bvn_rect_prob(spec, a1, b1, a2, b2)
+                        got = bvn_rect_prob(rho, a1, b1, a2, b2)
                         assert abs(got - quad_bvn_rect(rho, a1, b1, a2, b2)) <= 1e-10
 
-    def test_standardizes_scales(self):
+    def test_random_correlations_and_limits(self):
         rng = np.random.default_rng(41)
         for _ in range(30):
-            s11, s22 = 10.0 ** rng.uniform(-3, 3, 2)
             rho = rng.uniform(-0.99, 0.99)
-            spec = BvnSpec(s11, s22, rho * math.sqrt(s11 * s22))
             a1, b1 = np.sort(rng.uniform(-3, 3, 2))
             a2, b2 = np.sort(rng.uniform(-3, 3, 2))
-            got = bvn_rect_prob(
-                spec, a1 * math.sqrt(s11), b1 * math.sqrt(s11), a2 * math.sqrt(s22),
-                b2 * math.sqrt(s22),
-            )
+            got = bvn_rect_prob(rho, a1, b1, a2, b2)
             assert abs(got - quad_bvn_rect(rho, a1, b1, a2, b2)) <= 1e-10
 
 

@@ -5,12 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from conftest import quad_bvn_rect
+from conftest import quad_bvn_rect, step_probs
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from copulascore import inference
-from copulascore.dist_math import BvnSpec, bvn_rect_prob, norm_quantile
+from copulascore.dist_math import norm_quantile
 from copulascore.inference import (
     CalibrationError,
     DegenerateSeriesError,
@@ -169,22 +169,14 @@ class TestCriticalValues:
             om = random_pd_cov(rng)
             alpha = rng.uniform(0.01, 0.2)
             c1, c2 = critical_values(om, alpha, hypothesis)
-            spec = BvnSpec(om.s_mm, om.s_cc, om.s_mc)
-            band = bvn_rect_prob(spec, -c1, c1, -math.inf, math.inf)
-            p1 = 1.0 - band
-            if hypothesis is Hypothesis.EQUAL:
-                p2 = band - bvn_rect_prob(spec, -c1, c1, -c2, c2)
-            else:
-                p2 = bvn_rect_prob(spec, -c1, c1, c2, math.inf)
+            p1, p2 = step_probs(om, c1, c2, hypothesis)
             assert abs(p1 + p2 - alpha) <= 1e-7
 
     def test_uneven_split(self):
         om = LongRunCov(1.0, 0.0, 1.0)
         c1, c2 = critical_values(om, 0.05, Hypothesis.EQUAL, alpha1=0.01)
         assert c1 == pytest.approx(norm_quantile(1 - 0.01 / 2), abs=1e-6)
-        spec = BvnSpec(1.0, 1.0, 0.0)
-        band = bvn_rect_prob(spec, -c1, c1, -math.inf, math.inf)
-        p2 = band - bvn_rect_prob(spec, -c1, c1, -c2, c2)
+        _, p2 = step_probs(om, c1, c2, Hypothesis.EQUAL)
         assert p2 == pytest.approx(0.04, abs=1e-7)
 
     def test_c2_nonincreasing_in_alpha(self):
@@ -193,6 +185,11 @@ class TestCriticalValues:
         for hyp in Hypothesis:
             c2s = [critical_values(om, a, hyp)[1] for a in (0.01, 0.05, 0.1, 0.2)]
             assert all(b < a for a, b in zip(c2s, c2s[1:]))
+
+    def test_hypothesis_accepts_strings(self):
+        om = LongRunCov(1.0, 0.4, 2.0)
+        for hyp in Hypothesis:
+            assert critical_values(om, 0.05, hyp.value) == critical_values(om, 0.05, hyp)
 
     def test_rejects_non_pd(self):
         with pytest.raises(ValueError):
@@ -366,6 +363,52 @@ class TestTwoStepTest:
         assert res.hypothesis is Hypothesis.LEX_SUPERIORITY
 
 
+class TestConstantComponents:
+    """A constant nonzero difference is deterministic dominance, not
+    identical forecasts: its step decides by sign (critical value 0).  Only
+    an identically zero component falls back or raises."""
+
+    @pytest.mark.parametrize("test", [two_step_test, bonferroni_test])
+    @pytest.mark.parametrize("hypothesis", list(Hypothesis))
+    def test_constant_marginal_rejects_at_marginal_step(self, test, hypothesis):
+        d_c = np.random.default_rng(500).standard_normal(200)
+        res = test(ScoreDiffSeries(np.full(200, 0.3), d_c), HacConfig(), 0.05, hypothesis)
+        assert res.stat_m == pytest.approx(math.sqrt(200) * 0.3, rel=1e-12)
+        assert res.outcome is Outcome.REJECTED_AT_MARGINAL_STEP
+        assert res.c1 == 0.0
+        assert not res.degenerate_fallback
+
+    @pytest.mark.parametrize("hypothesis", list(Hypothesis))
+    def test_both_constant(self, hypothesis):
+        d = ScoreDiffSeries(np.full(50, 0.3), np.full(50, 0.1))
+        res = two_step_test(d, HacConfig(), 0.05, hypothesis)
+        assert res.outcome is Outcome.REJECTED_AT_MARGINAL_STEP
+        assert (res.c1, res.c2) == (0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "value, attribution", [(0.1, "C"), (-0.1, "0")]
+    )
+    def test_zero_marginal_constant_copula_lex(self, value, attribution):
+        d = ScoreDiffSeries(np.zeros(50), np.full(50, value))
+        res = two_step_test(d, HacConfig(), 0.05, Hypothesis.LEX_SUPERIORITY)
+        assert res.attribution == attribution
+        assert (res.c1, res.c2) == (math.inf, 0.0)
+        assert res.degenerate_fallback
+
+    def test_constant_copula_other_step_at_full_level(self):
+        d_m = np.random.default_rng(501).standard_normal(300)
+        res = two_step_test(ScoreDiffSeries(d_m, np.full(300, -0.2)), HacConfig(), 0.05, "lex")
+        assert res.c1 == pytest.approx(math.sqrt(res.omega.s_mm) * norm_quantile(0.975))
+        assert res.c2 == 0.0
+
+    def test_scale_free(self):
+        # constancy is judged relative to the scale of the differences
+        for scale in (1e-150, 1.0, 1e150):
+            d = ScoreDiffSeries(np.full(30, 0.3 * scale), np.full(30, -0.1 * scale))
+            res = two_step_test(d, HacConfig(lags=3, weights="bartlett"), 0.05, "equal")
+            assert res.outcome is Outcome.REJECTED_AT_MARGINAL_STEP
+
+
 class TestBonferroni:
     def test_identity_closed_form(self):
         rng = np.random.default_rng(90)
@@ -445,10 +488,12 @@ class TestIndefiniteLongRunCov:
         assert res.correlation_shrunk
 
     def test_rounding_level_negative_variance_falls_back(self):
-        # a constant difference leaves rounding noise of order 1e-31 in s_mm
+        # a constant difference leaves rounding noise of order 1e-31 in s_mm,
+        # which is no indefiniteness: the constant decides the marginal step
         d = ScoreDiffSeries(np.full(40, 0.1), _normal_pair(5).d_c)
         res = two_step_test(d, TRUNCATED_15, 0.05, Hypothesis.EQUAL)
-        assert res.degenerate_fallback
+        assert res.outcome is Outcome.REJECTED_AT_MARGINAL_STEP
+        assert res.c1 == 0.0
         zero = ScoreDiffSeries(np.zeros(40), d.d_c)
         assert two_step_test(zero, TRUNCATED_15, 0.05, Hypothesis.EQUAL).degenerate_fallback
 
