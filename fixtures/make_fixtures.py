@@ -15,7 +15,13 @@ import numpy as np
 
 from copulascore.cli import SINGLE_MODEL_HEADER, ScoresFile, _csv_text, write_scores
 from copulascore.scoring import score_arrays
-from copulascore.sim_harness import ContaminationSpec, DgpSpec, _draw_contamination, simulate_path
+from copulascore.sim_harness import (
+    ContaminationSpec,
+    DgpSpec,
+    _draw_contamination,
+    _rep_rng,
+    simulate_path,
+)
 
 SEED = 223223
 N = 223
@@ -46,8 +52,7 @@ def main() -> None:
 
     per_model = {}
     for k, (name, cspec) in enumerate(sorted(MODELS.items())):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=SEED, spawn_key=(k + 1,)))
-        per_model[name] = model_scores(spec, y, sigma, cspec, rng)
+        per_model[name] = model_scores(spec, y, sigma, cspec, _rep_rng(SEED, k + 1))
 
     model_dir = out_dir / "synthetic_model_scores"
     model_dir.mkdir(exist_ok=True)

@@ -1,110 +1,19 @@
 """Comparing joint copula/marginal forecasts with multi-objective scores
 and two-step predictive-ability tests."""
 
-from .copulas import (
-    Comonotone,
-    Copula,
-    Countermonotone,
-    GaussianEquiCorr,
-    Independence,
-    LOWER_RIGHT,
-    Mixture2D,
-    UPPER_RIGHT,
-    gaussian_copula_logdensity,
-    mixture_cdf,
-)
-from .dist_math import (
-    EquiCorr,
-    bvn_rect_prob,
-    norm_cdf,
-    norm_pdf,
-    norm_quantile,
-)
-from .inference import (
-    CalibrationError,
-    DegenerateSeriesError,
-    HacConfig,
-    Hypothesis,
-    LongRunCov,
-    LongRunCovError,
-    Outcome,
-    ScoreDiffSeries,
-    TwoStepResult,
-    bonferroni_test,
-    critical_values,
-    hac_cov,
-    score_diffs,
-    two_step_test,
-)
-from .scoring import (
-    BivariateScore,
-    MarginalForecast,
-    bivariate_score,
-    lex_less,
-    pit,
-    s_cop,
-    s_joint,
-    s_marg,
-    score_arrays,
-)
-from .sim_harness import (
-    SETTINGS,
-    ContaminationSpec,
-    DgpSpec,
-    FreqRow,
-    FreqTable,
-    Setting,
-    run_experiment,
-    simulate_path,
-)
+from . import copulas, dist_math, inference, scoring, sim_harness
+from .copulas import *  # noqa: F403
+from .dist_math import *  # noqa: F403
+from .inference import *  # noqa: F403
+from .scoring import *  # noqa: F403
+from .sim_harness import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BivariateScore",
-    "CalibrationError",
-    "Comonotone",
-    "ContaminationSpec",
-    "Copula",
-    "Countermonotone",
-    "DegenerateSeriesError",
-    "DgpSpec",
-    "EquiCorr",
-    "FreqRow",
-    "FreqTable",
-    "GaussianEquiCorr",
-    "HacConfig",
-    "Hypothesis",
-    "Independence",
-    "LongRunCov",
-    "LongRunCovError",
-    "LOWER_RIGHT",
-    "MarginalForecast",
-    "Mixture2D",
-    "Outcome",
-    "ScoreDiffSeries",
-    "SETTINGS",
-    "Setting",
-    "TwoStepResult",
-    "UPPER_RIGHT",
-    "bivariate_score",
-    "bonferroni_test",
-    "bvn_rect_prob",
-    "critical_values",
-    "gaussian_copula_logdensity",
-    "hac_cov",
-    "lex_less",
-    "mixture_cdf",
-    "norm_cdf",
-    "norm_pdf",
-    "norm_quantile",
-    "pit",
-    "run_experiment",
-    "s_cop",
-    "s_joint",
-    "s_marg",
-    "score_arrays",
-    "score_diffs",
-    "simulate_path",
-    "two_step_test",
+    *copulas.__all__,
+    *dist_math.__all__,
+    *inference.__all__,
+    *scoring.__all__,
+    *sim_harness.__all__,
 ]

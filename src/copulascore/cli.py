@@ -38,18 +38,18 @@ from .copulas import (
 )
 from .dist_math import EquiCorr
 from .inference import (
+    HAC_WEIGHTS,
     HacConfig,
     Hypothesis,
     ScoreDiffSeries,
     TwoStepResult,
     two_step_test,
 )
-from .sim_harness import SETTINGS, DgpSpec, FreqRow, FreqTable, run_experiment
+from .sim_harness import SETTINGS, VARIANCE_MODES, DgpSpec, FreqRow, run_experiment
 
 __all__ = [
     "ScoresFile",
     "ScoresFileError",
-    "TestReport",
     "parse_scores",
     "parse_density_scores",
     "parse_single_model_scores",
@@ -86,8 +86,6 @@ def _fmt(x: float) -> str:
 
 
 def _round12(x: float) -> float:
-    if isinstance(x, float) and math.isinf(x):
-        return x
     return float(_fmt(x))
 
 
@@ -239,77 +237,27 @@ def write_scores(path, scores: ScoresFile) -> None:
     Path(path).write_text(_csv_text(SCORES_HEADER, zip(*columns)), encoding="utf-8")
 
 
-@dataclass(frozen=True)
-class TestReport:
-    """Everything ``compare`` knows: the test result, per-model average
-    scores, the cumulative average difference series, and the configuration.
-    """
-
-    result: TwoStepResult
-    avg_scores: dict
-    cum_t: np.ndarray
-    cum_d_m: np.ndarray
-    cum_d_c: np.ndarray
-    config: dict
-
-    def to_dict(self) -> dict:
-        r = self.result
-        return {
-            "config": self.config,
-            "result": {
-                "hypothesis": r.hypothesis.value,
-                "outcome": r.outcome.value,
-                "attribution": r.attribution,
-                "stat_m": _round12(r.stat_m),
-                "stat_c": _round12(r.stat_c),
-                "c1": "inf" if math.isinf(r.c1) else _round12(r.c1),
-                "c2": "inf" if math.isinf(r.c2) else _round12(r.c2),
-                "alpha": _round12(r.alpha),
-                "degenerate_fallback": r.degenerate_fallback,
-                "correlation_shrunk": r.correlation_shrunk,
-                "omega": {
-                    "s_mm": _round12(r.omega.s_mm),
-                    "s_mc": _round12(r.omega.s_mc),
-                    "s_cc": _round12(r.omega.s_cc),
-                },
-            },
-            "average_scores": self.avg_scores,
-            "cumulative_avg_diffs": {
-                "t": [_round12(v) for v in self.cum_t],
-                "d_m": [_round12(v) for v in self.cum_d_m],
-                "d_c": [_round12(v) for v in self.cum_d_c],
-            },
-        }
-
-
-def build_report(scores: ScoresFile, result: TwoStepResult, config: dict) -> TestReport:
-    steps = np.arange(1, scores.t.size + 1)
-    d = scores.diff_series()
-    avg = {
-        "model_1": {
-            "s_marg": _round12(float(scores.s_marg_1.mean())),
-            "s_cop": _round12(float(scores.s_cop_1.mean())),
-        },
-        "model_2": {
-            "s_marg": _round12(float(scores.s_marg_2.mean())),
-            "s_cop": _round12(float(scores.s_cop_2.mean())),
+def _result_dict(r: TwoStepResult) -> dict:
+    return {
+        "hypothesis": r.hypothesis.value,
+        "outcome": r.outcome.value,
+        "attribution": r.attribution,
+        "stat_m": _round12(r.stat_m),
+        "stat_c": _round12(r.stat_c),
+        "c1": "inf" if math.isinf(r.c1) else _round12(r.c1),
+        "c2": "inf" if math.isinf(r.c2) else _round12(r.c2),
+        "alpha": _round12(r.alpha),
+        "degenerate_fallback": r.degenerate_fallback,
+        "correlation_shrunk": r.correlation_shrunk,
+        "omega": {
+            "s_mm": _round12(r.omega.s_mm),
+            "s_mc": _round12(r.omega.s_mc),
+            "s_cc": _round12(r.omega.s_cc),
         },
     }
-    return TestReport(
-        result=result,
-        avg_scores=avg,
-        cum_t=scores.t,
-        cum_d_m=np.cumsum(d.d_m) / steps,
-        cum_d_c=np.cumsum(d.d_c) / steps,
-        config=config,
-    )
 
 
-def _hac_from_args(args) -> HacConfig:
-    return HacConfig(lags=args.hac_lags, weights=args.hac_weights)
-
-
-def _matrix_compare(args) -> int:
+def _matrix_compare(args, hypothesis: Hypothesis, hac: HacConfig) -> int:
     directory = Path(args.matrix)
     paths = sorted(directory.glob("*.csv"))
     if len(paths) < 2:
@@ -325,8 +273,6 @@ def _matrix_compare(args) -> int:
         models.append(p.stem)
         series.append((sm, sc))
 
-    hypothesis = Hypothesis(args.hypothesis)
-    hac = _hac_from_args(args)
     k = len(models)
     labels: list[list[str | None]] = [[None] * k for _ in range(k)]
     for i in range(k):
@@ -355,47 +301,54 @@ def _matrix_compare(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if args.matrix:
-        return _matrix_compare(args)
+    hypothesis = Hypothesis(args.hypothesis)
+    hac = HacConfig(lags=args.hac_lags, weights=args.hac_weights)
+    if args.matrix is not None:
+        return _matrix_compare(args, hypothesis, hac)
     parse = parse_density_scores if args.format == "densities" else parse_scores
     scores = parse(args.scores)
-    hypothesis = Hypothesis(args.hypothesis)
-    hac = _hac_from_args(args)
-    result = two_step_test(scores.diff_series(), hac, args.alpha, hypothesis)
-    config = {
-        "scores": str(args.scores),
-        "format": args.format,
-        "n": int(scores.t.size),
-        "alpha": _round12(args.alpha),
-        "hypothesis": hypothesis.value,
-        "hac_lags": hac.lags,
-        "hac_weights": hac.weights,
+    d = scores.diff_series()
+    result = two_step_test(d, hac, args.alpha, hypothesis)
+    steps = np.arange(1, scores.t.size + 1)
+    cum_d_m = np.cumsum(d.d_m) / steps
+    cum_d_c = np.cumsum(d.d_c) / steps
+    averages = {
+        f"model_{m}": {
+            "s_marg": _round12(s_marg.mean()),
+            "s_cop": _round12(s_cop.mean()),
+        }
+        for m, s_marg, s_cop in (
+            (1, scores.s_marg_1, scores.s_cop_1),
+            (2, scores.s_marg_2, scores.s_cop_2),
+        )
     }
-    report = build_report(scores, result, config)
-    sys.stdout.write(json.dumps(report.to_dict(), indent=2) + "\n")
+    payload = {
+        "config": {
+            "scores": str(args.scores),
+            "format": args.format,
+            "n": int(scores.t.size),
+            "alpha": _round12(args.alpha),
+            "hypothesis": hypothesis.value,
+            "hac_lags": hac.lags,
+            "hac_weights": hac.weights,
+        },
+        "result": _result_dict(result),
+        "average_scores": averages,
+        "cumulative_avg_diffs": {
+            "t": [_round12(v) for v in scores.t],
+            "d_m": [_round12(v) for v in cum_d_m],
+            "d_c": [_round12(v) for v in cum_d_c],
+        },
+    }
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     if args.cumdiff:
-        rows = zip(scores.t, report.cum_d_m, report.cum_d_c)
+        rows = zip(scores.t, cum_d_m, cum_d_c)
         text = _csv_text(["t", "cum_avg_d_m", "cum_avg_d_c"], rows)
         Path(args.cumdiff).write_text(text, encoding="utf-8")
     return 0
 
 
-def _freq_table_csv(table: FreqTable) -> str:
-    header = [f.name for f in fields(FreqRow)]
-    return _csv_text(header, map(astuple, table.rows))
-
-
-def _freq_table_json(table: FreqTable) -> str:
-    rows = [
-        {k: _round12(v) if isinstance(v, float) else v for k, v in asdict(row).items()}
-        for row in table.rows
-    ]
-    return json.dumps({"rows": rows}, indent=2) + "\n"
-
-
 def cmd_simulate(args) -> int:
-    if args.setting not in SETTINGS:
-        raise ValueError(f"unknown setting '{args.setting}'")
     spec = DgpSpec(
         n=args.n,
         dim=args.dim,
@@ -405,19 +358,24 @@ def cmd_simulate(args) -> int:
         rho=args.rho,
         burn_in=args.burn_in,
     )
-    table = run_experiment(
+    rows = run_experiment(
         spec,
         SETTINGS[args.setting],
         reps=args.reps,
         alpha=args.alpha,
         seed=args.seed,
-        hac=_hac_from_args(args),
+        hac=HacConfig(lags=args.hac_lags, weights=args.hac_weights),
         variance_mode=args.variance_mode,
     )
-    csv_text = _freq_table_csv(table)
-    json_text = _freq_table_json(table)
+    csv_text = _csv_text([f.name for f in fields(FreqRow)], map(astuple, rows))
+    json_rows = [
+        {k: _round12(v) if isinstance(v, float) else v for k, v in asdict(row).items()}
+        for row in rows
+    ]
     Path(str(args.out) + ".csv").write_text(csv_text, encoding="utf-8")
-    Path(str(args.out) + ".json").write_text(json_text, encoding="utf-8")
+    Path(str(args.out) + ".json").write_text(
+        json.dumps({"rows": json_rows}, indent=2) + "\n", encoding="utf-8"
+    )
     sys.stdout.write(csv_text)
     return 0
 
@@ -456,40 +414,40 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compare", help="two-step test on a per-period scores file")
-    p.add_argument("--scores", help="CSV of per-period scores for two models")
-    p.add_argument("--matrix", help="directory of single-model score CSVs")
+    test_options = argparse.ArgumentParser(add_help=False)
+    test_options.add_argument("--alpha", type=float, default=0.05)
+    test_options.add_argument("--hac-lags", type=int, default=HacConfig.lags)
+    test_options.add_argument("--hac-weights", choices=HAC_WEIGHTS, default=HacConfig.weights)
+
+    p = sub.add_parser(
+        "compare", parents=[test_options], help="two-step test on a per-period scores file"
+    )
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--scores", help="CSV of per-period scores for two models")
+    source.add_argument("--matrix", help="directory of single-model score CSVs")
     p.add_argument("--format", choices=["scores", "densities"], default="scores")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--hypothesis", choices=["equal", "lex"], default="equal")
-    p.add_argument("--hac-lags", type=int, default=0)
     p.add_argument(
-        "--hac-weights", choices=["zero", "bartlett", "truncated"], default="zero"
+        "--hypothesis", choices=[h.value for h in Hypothesis], default=Hypothesis.EQUAL.value
     )
     p.add_argument("--cumdiff", help="write cumulative average differences to CSV")
     p.add_argument("--out", help="with --matrix: write the attribution matrix CSV here")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("simulate", help="rejection-frequency table for one setting")
+    p = sub.add_parser(
+        "simulate", parents=[test_options], help="rejection-frequency table for one setting"
+    )
     p.add_argument("--setting", required=True, choices=sorted(SETTINGS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--reps", type=int, default=2000)
-    p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="output path prefix (.csv/.json)")
-    p.add_argument("--dim", type=int, default=5)
-    p.add_argument("--rho", type=float, default=0.5)
-    p.add_argument("--omega0", type=float, default=0.001)
-    p.add_argument("--alpha0", type=float, default=0.1)
-    p.add_argument("--beta0", type=float, default=0.5)
-    p.add_argument("--burn-in", type=int, default=500)
-    p.add_argument("--hac-lags", type=int, default=0)
-    p.add_argument(
-        "--hac-weights", choices=["zero", "bartlett", "truncated"], default="zero"
-    )
-    p.add_argument(
-        "--variance-mode", choices=["one-step", "recursive"], default="one-step"
-    )
+    p.add_argument("--dim", type=int, default=DgpSpec.dim)
+    p.add_argument("--rho", type=float, default=DgpSpec.rho)
+    p.add_argument("--omega0", type=float, default=DgpSpec.omega0)
+    p.add_argument("--alpha0", type=float, default=DgpSpec.alpha0)
+    p.add_argument("--beta0", type=float, default=DgpSpec.beta0)
+    p.add_argument("--burn-in", type=int, default=DgpSpec.burn_in)
+    p.add_argument("--variance-mode", choices=VARIANCE_MODES, default=VARIANCE_MODES[0])
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("cxls-demo", help="sample from a two-block mixture copula")
@@ -505,8 +463,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "compare" and bool(args.scores) == bool(args.matrix):
-        parser.error("compare needs exactly one of --scores or --matrix")
+    if args.command == "compare":
+        if not (args.scores or args.matrix):
+            parser.error("compare needs a nonempty --scores or --matrix path")
+        # flags that the chosen input would otherwise silently ignore
+        if args.scores is not None and args.out is not None:
+            parser.error("compare --out applies only to --matrix")
+        if args.matrix is not None and args.cumdiff is not None:
+            parser.error("compare --cumdiff applies only to --scores")
+        if args.matrix is not None and args.format == "densities":
+            parser.error("compare --format densities applies only to --scores")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -24,6 +24,7 @@ __all__ = [
     "Outcome",
     "ScoreDiffSeries",
     "HacConfig",
+    "HAC_WEIGHTS",
     "LongRunCov",
     "TwoStepResult",
     "DegenerateSeriesError",
@@ -46,6 +47,9 @@ _CORR_SHRUNK = 1.0 - 1e-8
 # |correlation| beyond 1 by more than the singular band above is an
 # indefinite estimate, not rounding.
 _CORR_INDEFINITE = 1.0 + 1e-10
+
+# Lag-weight rules of the long-run covariance estimator (see HacConfig).
+HAC_WEIGHTS = ("zero", "bartlett", "truncated")
 
 _SOLVER_PROB_TOL = 1e-12
 _SOLVER_MAX_ITER = 200
@@ -115,8 +119,8 @@ class HacConfig:
     def __post_init__(self):
         if self.lags < 0:
             raise ValueError("lags must be >= 0")
-        if self.weights not in ("zero", "bartlett", "truncated"):
-            raise ValueError("weights must be one of 'zero', 'bartlett', 'truncated'")
+        if self.weights not in HAC_WEIGHTS:
+            raise ValueError("weights must be one of " + ", ".join(map(repr, HAC_WEIGHTS)))
 
     def weight(self, h: int) -> float:
         if self.weights == "zero":

@@ -98,11 +98,11 @@ def score_arrays(y, sigma, rho) -> tuple[np.ndarray, np.ndarray]:
 
 def bivariate_score(c: Copula, f: MarginalForecast, y) -> BivariateScore:
     y = _check_obs(f, y)
+    if c.dim != f.dim:
+        raise ValueError("copula and marginal forecast dimensions differ")
     if isinstance(c, Independence):
         rho = 0.0
     elif isinstance(c, GaussianEquiCorr):
-        if c.dim != f.dim:
-            raise ValueError("copula and marginal forecast dimensions differ")
         rho = c.rho
     else:
         raise TypeError(

@@ -28,10 +28,14 @@ __all__ = [
     "Setting",
     "SETTINGS",
     "FreqRow",
-    "FreqTable",
+    "VARIANCE_MODES",
     "simulate_path",
     "run_experiment",
 ]
+
+# How a forecaster's conditional variances evolve; the first is the default.
+VARIANCE_MODES = ("one-step", "recursive")
+
 
 @dataclass(frozen=True)
 class DgpSpec:
@@ -115,11 +119,6 @@ class FreqRow:
     seed: int
 
 
-@dataclass(frozen=True)
-class FreqTable:
-    rows: tuple[FreqRow, ...]
-
-
 def _rep_rng(seed: int, rep: int) -> np.random.Generator:
     """Stream for one replication: the master seed plus the replication
     index as spawn key.  Serial and batched execution coincide."""
@@ -191,10 +190,10 @@ def _forecast_variances(
     recursive: the forecaster's own variance state evolves under the
     per-period contaminated parameters, seeded at delta[0]*sigma2_true[0].
     """
+    if mode not in VARIANCE_MODES:
+        raise ValueError("variance mode must be " + " or ".join(map(repr, VARIANCE_MODES)))
     if mode == "one-step":
         return delta_marg[..., None] * sigma2
-    if mode != "recursive":
-        raise ValueError("variance mode must be 'one-step' or 'recursive'")
     out = np.empty_like(sigma2)
     n = sigma2.shape[-2]
     out[..., 0, :] = delta_marg[..., 0, None] * sigma2[..., 0, :]
@@ -211,7 +210,7 @@ def _experiment_diffs(
     setting: Setting,
     reps: int,
     seed: int,
-    variance_mode: str = "one-step",
+    variance_mode: str = VARIANCE_MODES[0],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Score-difference series of all replications, shape (reps, n) each.
 
@@ -246,10 +245,10 @@ def run_experiment(
     alpha: float,
     seed: int,
     hac: HacConfig = HacConfig(),
-    variance_mode: str = "one-step",
-) -> FreqTable:
+    variance_mode: str = VARIANCE_MODES[0],
+) -> tuple[FreqRow, ...]:
     """Rejection frequencies of both two-step tests over ``reps``
-    replications of the scenario.
+    replications of the scenario: one row per hypothesis.
 
     Per replication (stream split from the master seed by replication
     index, draws in this order): innovations for burn-in plus window, then
@@ -286,4 +285,4 @@ def run_experiment(
                 seed=seed,
             )
         )
-    return FreqTable(rows=tuple(rows))
+    return tuple(rows)

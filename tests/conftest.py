@@ -33,7 +33,7 @@ def _get(setting: str, n: int):
             DgpSpec(n=n), SETTINGS[setting], reps=REPS, alpha=ALPHA, seed=MASTER_SEED
         )
         _seconds[key] = time.perf_counter() - start
-        _cache[key] = {row.hypothesis: row for row in table.rows}
+        _cache[key] = {row.hypothesis: row for row in table}
     return _cache[key]
 
 

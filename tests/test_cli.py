@@ -298,6 +298,32 @@ class TestCompareCommand:
         with pytest.raises(SystemExit):
             main(["compare", "--scores", "a.csv", "--hypothesis", "both"])
 
+    @pytest.mark.parametrize("flag", ["--scores", "--matrix"])
+    def test_empty_input_path_rejected(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", flag, ""])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--matrix", str(FIXTURES / "synthetic_model_scores"), "--cumdiff", "x.csv"],
+             "--cumdiff"),
+            (["--matrix", str(FIXTURES / "synthetic_model_scores"), "--format", "densities"],
+             "--format densities"),
+            (["--scores", str(FIXTURES / "synthetic_scores.csv"), "--out", "m.csv"], "--out"),
+        ],
+    )
+    def test_flag_of_the_other_input_rejected(self, tmp_path, monkeypatch, capsys, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestDensitiesFormat:
     def _write_density_file(self, path, n=40, dim=3, seed=3):
@@ -527,6 +553,31 @@ class TestEntryPoint:
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert payload["result"]["attribution"] in ("0", "M", "C")
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", ["compare", "simulate", "cxls-demo"])
+    def test_help_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert "--help" in capsys.readouterr().out
+
+    def test_defaults_come_from_the_library(self):
+        from copulascore.cli import _build_parser
+        from copulascore.sim_harness import DgpSpec
+
+        args = _build_parser().parse_args(
+            ["simulate", "--setting", "i", "--n", "50", "--seed", "1", "--out", "x"]
+        )
+        spec = DgpSpec(n=50)
+        assert (args.dim, args.rho, args.omega0, args.alpha0, args.beta0, args.burn_in) == (
+            spec.dim, spec.rho, spec.omega0, spec.alpha0, spec.beta0, spec.burn_in
+        )
+        assert HacConfig(args.hac_lags, args.hac_weights) == HacConfig()
+        args = _build_parser().parse_args(["compare", "--scores", "a.csv"])
+        assert HacConfig(args.hac_lags, args.hac_weights) == HacConfig()
+        assert Hypothesis(args.hypothesis) is Hypothesis.EQUAL
 
 
 class TestFixtures:

@@ -93,6 +93,13 @@ class TestCopulaScore:
             perm = rng.permutation(4)
             assert s_cop(g, f, y[perm]) == pytest.approx(base, abs=1e-12)
 
+    def test_independence_dimension_must_match(self):
+        f = MarginalForecast(sigma=[1.0, 1.0])
+        with pytest.raises(ValueError, match="dimensions differ"):
+            bivariate_score(Independence(3), f, [0.3, -0.2])
+        with pytest.raises(ValueError, match="dimensions differ"):
+            s_cop(Independence(4), f, [0.3, -0.2])
+
     def test_unsupported_copula_type(self):
         from copulascore.copulas import Comonotone
 

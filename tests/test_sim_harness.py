@@ -200,8 +200,8 @@ class TestRunExperiment:
     def test_table_invariants(self):
         spec = DgpSpec(n=60, burn_in=50)
         table = run_experiment(spec, SETTINGS["v"], reps=40, alpha=0.05, seed=12)
-        assert {row.hypothesis for row in table.rows} == {"equal", "lex"}
-        for row in table.rows:
+        assert {row.hypothesis for row in table} == {"equal", "lex"}
+        for row in table:
             assert row.joint_pct == row.marginal_pct + row.copula_pct
             assert 0.0 <= row.joint_pct <= 100.0
             assert row.reps == 40 and row.seed == 12 and row.setting == "v"
@@ -218,7 +218,7 @@ class TestRunExperiment:
                 res = two_step_test(ScoreDiffSeries(d_m[r], d_c[r]), HacConfig(), alpha, h)
                 m += res.attribution == "M"
                 c += res.attribution == "C"
-            row = next(row for row in table.rows if row.hypothesis == h.value)
+            row = next(row for row in table if row.hypothesis == h.value)
             assert row.marginal_pct == pytest.approx(100.0 * m / reps)
             assert row.copula_pct == pytest.approx(100.0 * c / reps)
 
