@@ -48,6 +48,12 @@ CASES["simulate-ii-300"] = (
      "--out", "{out}/results"],
     ["results.csv", "results.json"],
 )
+CASES["simulate-i-400-recursive"] = (
+    ["simulate", "--setting", "i", "--n", "400", "--reps", "60", "--seed", "5",
+     "--hac-lags", "8", "--hac-weights", "bartlett", "--variance-mode", "recursive",
+     "--out", "{out}/results"],
+    ["results.csv", "results.json"],
+)
 for _base in ("independence", "comonotone", "countermonotone", "gaussian:0.5"):
     for _d in ("ur", "lr"):
         CASES[f"cxls-{_base}-{_d}"] = (
