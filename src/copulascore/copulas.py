@@ -27,7 +27,6 @@ __all__ = [
     "Mixture2D",
     "UPPER_RIGHT",
     "LOWER_RIGHT",
-    "mixture_cdf",
     "gaussian_copula_logdensity",
     "gaussian_logdensity_from_scores",
 ]
@@ -139,32 +138,15 @@ class GaussianEquiCorr(Copula):
         return norm_cdf(z)
 
 
-def mixture_cdf(base: Copula, direction: str, u1: float, u2: float) -> float:
-    """Cdf of the two-block rescaling of ``base`` at (u1, u2).
-
-    upper-right places half-mass copies of ``base`` in the lower-left and
-    upper-right quarters of the unit square; lower-right places them in the
-    upper-left and lower-right quarters.  Mixture weights are fixed at 1/2.
-    """
-    if direction not in _DIRECTIONS:
-        raise ValueError(f"direction must be one of {_DIRECTIONS}")
-
-    def ext(x1: float, x2: float) -> float:
-        # the base copula extended from [0,1]^2 to the plane by clamping
-        return base.cdf((min(max(x1, 0.0), 1.0), min(max(x2, 0.0), 1.0)))
-
-    if direction == UPPER_RIGHT:
-        return 0.5 * (ext(2 * u1, 2 * u2) + ext(2 * (u1 - 0.5), 2 * (u2 - 0.5)))
-    return 0.5 * (ext(2 * u1, 2 * (u2 - 0.5)) + ext(2 * (u1 - 0.5), 2 * u2))
-
-
 @dataclass(frozen=True)
 class Mixture2D(Copula):
     """Two-block mixture copula built from a base 2-copula.
 
     The copula of a mixture does not depend on the mixing weight of the
-    distribution-level convex combination; it is the fixed 1/2-weight block
-    formula of :func:`mixture_cdf`.
+    distribution-level convex combination: the cdf is a fixed 1/2-weight
+    block formula.  upper-right places half-mass copies of ``base`` in the
+    lower-left and upper-right quarters of the unit square; lower-right
+    places them in the upper-left and lower-right quarters.
     """
 
     base: Copula
@@ -181,7 +163,15 @@ class Mixture2D(Copula):
         return 2
 
     def _cdf(self, u):
-        return mixture_cdf(self.base, self.direction, float(u[0]), float(u[1]))
+        u1, u2 = float(u[0]), float(u[1])
+
+        def ext(x1: float, x2: float) -> float:
+            # the base copula extended from [0,1]^2 to the plane by clamping
+            return self.base.cdf((min(max(x1, 0.0), 1.0), min(max(x2, 0.0), 1.0)))
+
+        if self.direction == UPPER_RIGHT:
+            return 0.5 * (ext(2 * u1, 2 * u2) + ext(2 * (u1 - 0.5), 2 * (u2 - 0.5)))
+        return 0.5 * (ext(2 * u1, 2 * (u2 - 0.5)) + ext(2 * (u1 - 0.5), 2 * u2))
 
     def _sample(self, n, rng):
         u, _ = self._sample_labeled(n, rng)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +34,6 @@ __all__ = [
     "hac_cov",
     "critical_values",
     "two_step_test",
-    "bonferroni_test",
 ]
 
 # A component counts as constant when its long-run variance is negligible
@@ -320,18 +319,24 @@ def _one_step_critical(variance: float, alpha: float, two_sided: bool) -> float:
     return math.sqrt(variance) * norm_quantile(p)
 
 
-def _stepwise_test(
+def two_step_test(
     d: ScoreDiffSeries,
     cfg: HacConfig,
     alpha: float,
-    alpha1: float | None,
     hypothesis: Hypothesis,
-    calibrate: Callable[[LongRunCov, Hypothesis], tuple[float, float, bool]],
+    alpha1: float | None = None,
 ) -> TwoStepResult:
-    """What both tests share: the statistics, the long-run covariance and its
-    checks, the constant-component rules and the marginal-then-copula
-    decision.  ``calibrate(omega, hypothesis)`` gives (c1, c2,
-    correlation_shrunk) when neither component is constant."""
+    """Stepwise test: marginal component first, copula component second.
+
+    When one component is identically zero (identical forecasts on that
+    component), the test falls back to a one-step comparison of the other
+    component at the full level alpha; when both are zero the series
+    carries no ranking information and an error is raised.  A component
+    that is constant but not zero decides its step by sign (critical value
+    0), and the other component is tested at the full level alpha.  A
+    long-run covariance that is not positive semi-definite beyond rounding
+    (possible with truncated weights) raises ``LongRunCovError``.
+    """
     hypothesis = Hypothesis(hypothesis)
     _split(alpha, alpha1)  # rejects bad levels on every path
     sqrt_n = math.sqrt(d.n)
@@ -365,7 +370,8 @@ def _stepwise_test(
     else:
         if abs(omega.correlation()) > _CORR_INDEFINITE:
             raise _indefinite(cfg, f"correlation {omega.correlation()!r}")
-        c1, c2, shrunk = calibrate(omega, hypothesis)
+        calib, shrunk = _shrink_if_singular(omega)
+        c1, c2 = critical_values(calib, alpha, hypothesis, alpha1)
 
     if abs(stat_m) > c1:
         outcome = Outcome.REJECTED_AT_MARGINAL_STEP
@@ -377,52 +383,3 @@ def _stepwise_test(
         hypothesis, stat_m, stat_c, c1, c2, outcome, alpha, omega,
         degenerate_fallback=zero_m or zero_c, correlation_shrunk=shrunk,
     )
-
-
-def two_step_test(
-    d: ScoreDiffSeries,
-    cfg: HacConfig,
-    alpha: float,
-    hypothesis: Hypothesis,
-    alpha1: float | None = None,
-) -> TwoStepResult:
-    """Stepwise test: marginal component first, copula component second.
-
-    When one component is identically zero (identical forecasts on that
-    component), the test falls back to a one-step comparison of the other
-    component at the full level alpha; when both are zero the series
-    carries no ranking information and an error is raised.  A component
-    that is constant but not zero decides its step by sign (critical value
-    0), and the other component is tested at the full level alpha.  A
-    long-run covariance that is not positive semi-definite beyond rounding
-    (possible with truncated weights) raises ``LongRunCovError``.
-    """
-
-    def calibrate(omega: LongRunCov, hypothesis: Hypothesis) -> tuple[float, float, bool]:
-        calib, shrunk = _shrink_if_singular(omega)
-        return (*critical_values(calib, alpha, hypothesis, alpha1), shrunk)
-
-    return _stepwise_test(d, cfg, alpha, alpha1, hypothesis, calibrate)
-
-
-def bonferroni_test(
-    d: ScoreDiffSeries,
-    cfg: HacConfig,
-    alpha: float,
-    hypothesis: Hypothesis,
-) -> TwoStepResult:
-    """Reference test with an even per-component level split and no stepwise
-    coupling of the critical values.
-
-    Each component gets its own marginal critical value at level alpha/2;
-    rejection in the marginal component takes precedence in the attribution.
-    Constant and indefinite series are handled as in :func:`two_step_test`.
-    """
-
-    def calibrate(omega: LongRunCov, hypothesis: Hypothesis) -> tuple[float, float, bool]:
-        equal = hypothesis is Hypothesis.EQUAL
-        c1 = _one_step_critical(omega.s_mm, alpha / 2.0, two_sided=True)
-        c2 = _one_step_critical(omega.s_cc, alpha / 2.0, two_sided=equal)
-        return c1, c2, False
-
-    return _stepwise_test(d, cfg, alpha, None, hypothesis, calibrate)

@@ -11,6 +11,7 @@ are bit-identical regardless of batching or execution order.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -53,8 +54,12 @@ class DgpSpec:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("n must be >= 2")
-        if self.omega0 <= 0.0 or self.alpha0 < 0.0 or self.beta0 < 0.0:
-            raise ValueError("need omega0 > 0 and alpha0, beta0 >= 0")
+        # Each check is written so that NaN fails it.
+        if not (math.isfinite(self.omega0) and self.omega0 > 0.0):
+            raise ValueError(f"omega0 must be finite and > 0, got {self.omega0!r}")
+        for name, value in (("alpha0", self.alpha0), ("beta0", self.beta0)):
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         if self.alpha0 + self.beta0 >= 1.0:
             raise ValueError("alpha0 + beta0 < 1 required for covariance stationarity")
         if self.burn_in < 0:
@@ -75,8 +80,11 @@ class ContaminationSpec:
     delta_cop: float
 
     def __post_init__(self):
-        if self.delta_marg < 0.0 or self.delta_cop < 0.0:
-            raise ValueError("contamination half-widths must be >= 0")
+        # Written so that NaN fails; delta_marg >= 1 would make variances <= 0.
+        if not 0.0 <= self.delta_marg < 1.0:
+            raise ValueError(f"delta_marg must lie in [0, 1), got {self.delta_marg!r}")
+        if not (math.isfinite(self.delta_cop) and self.delta_cop >= 0.0):
+            raise ValueError(f"delta_cop must be finite and >= 0, got {self.delta_cop!r}")
 
     def check_against(self, spec: DgpSpec) -> None:
         """Contaminated correlations must stay inside the validity range."""

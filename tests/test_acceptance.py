@@ -22,7 +22,6 @@ from copulascore.copulas import (
     Mixture2D,
     UPPER_RIGHT,
     gaussian_logdensity_from_scores,
-    mixture_cdf,
 )
 from copulascore.dist_math import EquiCorr, norm_quantile
 from copulascore.inference import (
@@ -204,12 +203,12 @@ def test_criterion_7_counterexample_suite():
     grid = np.linspace(0.0, 1.0, 101)
     witness = max(abs(c.cdf((a, b)) - a * b) for a in grid for b in grid)
     fixed_ur = max(
-        abs(mixture_cdf(Comonotone(2), UPPER_RIGHT, a, b) - min(a, b))
+        abs(Mixture2D(Comonotone(2), UPPER_RIGHT).cdf((a, b)) - min(a, b))
         for a in grid
         for b in grid
     )
     moved_lr = max(
-        abs(mixture_cdf(Comonotone(2), LOWER_RIGHT, a, b) - min(a, b))
+        abs(Mixture2D(Comonotone(2), LOWER_RIGHT).cdf((a, b)) - min(a, b))
         for a in grid
         for b in grid
     )

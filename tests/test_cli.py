@@ -16,7 +16,7 @@ from copulascore.cli import (
     parse_single_model_scores,
     write_scores,
 )
-from copulascore import inference
+from copulascore import cli, inference
 from copulascore.inference import HacConfig, Hypothesis, two_step_test
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -473,6 +473,20 @@ class TestSimulateCommand:
         for row in payload["rows"]:
             assert row["joint_pct"] in (0.0, 100.0)
             assert row["reps"] == 1
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--omega0", "nan"), ("--omega0", "inf"), ("--alpha0", "nan"),
+                        ("--beta0", "-inf")]
+    )
+    def test_non_finite_garch_parameter_exits_before_simulating(
+        self, flag, value, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("simulated"))
+        rc = main(["simulate", "--setting", "i", "--n", "50", "--reps", "2", "--seed", "1",
+                   f"{flag}={value}", "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert flag[2:] in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_invalid_setting_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -15,7 +15,6 @@ from copulascore.copulas import (
     Mixture2D,
     UPPER_RIGHT,
     gaussian_copula_logdensity,
-    mixture_cdf,
 )
 from copulascore.dist_math import EquiCorr
 
@@ -63,19 +62,19 @@ class TestCdfExamples:
 
 class TestMixtureCdf:
     def test_comonotone_lower_right_center(self):
-        assert mixture_cdf(Comonotone(2), LOWER_RIGHT, 0.5, 0.5) == 0.0
+        assert Mixture2D(Comonotone(2), LOWER_RIGHT).cdf((0.5, 0.5)) == 0.0
 
     def test_comonotone_lower_right_corner(self):
-        assert mixture_cdf(Comonotone(2), LOWER_RIGHT, 1.0, 1.0) == 1.0
+        assert Mixture2D(Comonotone(2), LOWER_RIGHT).cdf((1.0, 1.0)) == 1.0
 
     def test_independence_upper_right_hand_value(self):
         # 0.5*[C(0.5, 1.5) + C(-0.5, 1.0)] = 0.5*[0.5 + 0] with clamping
-        got = mixture_cdf(Independence(2), UPPER_RIGHT, 0.25, 0.75)
+        got = Mixture2D(Independence(2), UPPER_RIGHT).cdf((0.25, 0.75))
         assert got == pytest.approx(0.25)
 
     def test_bad_direction(self):
         with pytest.raises(ValueError):
-            mixture_cdf(Independence(2), "sideways", 0.5, 0.5)
+            Mixture2D(Independence(2), "sideways").cdf((0.5, 0.5))
 
 
 class TestCopulaAxioms:
@@ -115,17 +114,15 @@ class TestMixtureWitness:
         assert abs(c.cdf((0.5, 0.5)) - 0.25) == pytest.approx(0.25)
 
     def test_comonotone_fixed_point_upper_right(self):
-        base = Comonotone(2)
+        c = Mixture2D(Comonotone(2), UPPER_RIGHT)
         for u1 in GRID:
             for u2 in GRID:
-                assert mixture_cdf(base, UPPER_RIGHT, u1, u2) == pytest.approx(
-                    min(u1, u2), abs=1e-12
-                )
+                assert c.cdf((u1, u2)) == pytest.approx(min(u1, u2), abs=1e-12)
 
     def test_comonotone_not_fixed_lower_right(self):
-        base = Comonotone(2)
+        c = Mixture2D(Comonotone(2), LOWER_RIGHT)
         gap = max(
-            abs(mixture_cdf(base, LOWER_RIGHT, u1, u2) - min(u1, u2))
+            abs(c.cdf((u1, u2)) - min(u1, u2))
             for u1 in GRID
             for u2 in GRID
         )

@@ -1,5 +1,5 @@
 """Tests for score differencing, the long-run covariance estimator, the
-jointly calibrated critical values, and the two-step / Bonferroni tests."""
+jointly calibrated critical values, and the two-step test."""
 
 import math
 
@@ -20,7 +20,6 @@ from copulascore.inference import (
     LongRunCovError,
     Outcome,
     ScoreDiffSeries,
-    bonferroni_test,
     critical_values,
     hac_cov,
     score_diffs,
@@ -368,11 +367,11 @@ class TestConstantComponents:
     identical forecasts: its step decides by sign (critical value 0).  Only
     an identically zero component falls back or raises."""
 
-    @pytest.mark.parametrize("test", [two_step_test, bonferroni_test])
     @pytest.mark.parametrize("hypothesis", list(Hypothesis))
-    def test_constant_marginal_rejects_at_marginal_step(self, test, hypothesis):
+    def test_constant_marginal_rejects_at_marginal_step(self, hypothesis):
         d_c = np.random.default_rng(500).standard_normal(200)
-        res = test(ScoreDiffSeries(np.full(200, 0.3), d_c), HacConfig(), 0.05, hypothesis)
+        d = ScoreDiffSeries(np.full(200, 0.3), d_c)
+        res = two_step_test(d, HacConfig(), 0.05, hypothesis)
         assert res.stat_m == pytest.approx(math.sqrt(200) * 0.3, rel=1e-12)
         assert res.outcome is Outcome.REJECTED_AT_MARGINAL_STEP
         assert res.c1 == 0.0
@@ -410,18 +409,15 @@ class TestConstantComponents:
 
 
 class TestBonferroni:
-    def test_identity_closed_form(self):
-        rng = np.random.default_rng(90)
-        d = ScoreDiffSeries(rng.standard_normal(500), rng.standard_normal(500))
-        res = bonferroni_test(d, HacConfig(), 0.05, Hypothesis.EQUAL)
-        q = norm_quantile(1 - 0.05 / 4)
-        assert res.c1 == pytest.approx(math.sqrt(res.omega.s_mm) * q, abs=1e-12)
-        assert res.c2 == pytest.approx(math.sqrt(res.omega.s_cc) * q, abs=1e-12)
+    """The two-step test against the per-component (Bonferroni) split at
+    level alpha/2 per component: its closed-form critical values bound the
+    two-step ones, and the attribution follows the same marginal-first rule."""
 
     @pytest.mark.parametrize("hypothesis", list(Hypothesis))
     def test_never_sharper_than_two_step(self, hypothesis):
-        """The stepwise calibration can always afford a smaller second-step
-        critical value than the per-component split."""
+        """The stepwise calibration can always afford a second-step critical
+        value no larger than the per-component split's; its first step is
+        the per-component value."""
         rng = np.random.default_rng(91)
         for _ in range(25):
             n = 150
@@ -431,23 +427,24 @@ class TestBonferroni:
             )
             for alpha in (0.05, 0.1):
                 two = two_step_test(d, HacConfig(), alpha, hypothesis)
-                bon = bonferroni_test(d, HacConfig(), alpha, hypothesis)
-                assert two.c2 <= bon.c2 + 1e-9
-                assert two.c1 == pytest.approx(bon.c1, abs=1e-12)
+                q2 = 1 - alpha / 4 if hypothesis is Hypothesis.EQUAL else 1 - alpha / 2
+                assert two.c2 <= math.sqrt(two.omega.s_cc) * norm_quantile(q2) + 1e-9
+                assert two.c1 == pytest.approx(
+                    math.sqrt(two.omega.s_mm) * norm_quantile(1 - alpha / 4), abs=1e-12
+                )
 
-    def test_copula_attribution_matches_two_step(self):
+    def test_copula_attribution(self):
         rng = np.random.default_rng(92)
         d = ScoreDiffSeries(np.zeros(300), 0.6 + rng.standard_normal(300))
-        bon = bonferroni_test(d, HacConfig(), 0.05, Hypothesis.EQUAL)
         two = two_step_test(d, HacConfig(), 0.05, Hypothesis.EQUAL)
-        assert bon.outcome is two.outcome is Outcome.REJECTED_AT_COPULA_STEP
+        assert two.outcome is Outcome.REJECTED_AT_COPULA_STEP
 
     def test_marginal_takes_precedence(self):
         rng = np.random.default_rng(93)
         d = ScoreDiffSeries(
             1.0 + 0.1 * rng.standard_normal(200), 1.0 + 0.1 * rng.standard_normal(200)
         )
-        res = bonferroni_test(d, HacConfig(), 0.05, Hypothesis.EQUAL)
+        res = two_step_test(d, HacConfig(), 0.05, Hypothesis.EQUAL)
         assert res.outcome is Outcome.REJECTED_AT_MARGINAL_STEP
 
 
@@ -464,20 +461,18 @@ class TestIndefiniteLongRunCov:
     long-run covariance; an indefinite estimate is an error, never an
     outcome, while rounding-level violations keep their old handling."""
 
-    @pytest.mark.parametrize("test", [two_step_test, bonferroni_test])
-    def test_negative_variance_raises(self, test):
+    def test_negative_variance_raises(self):
         d = _normal_pair(0)
         assert hac_cov(d, TRUNCATED_15).s_mm < -0.05
         with pytest.raises(LongRunCovError, match=r"lags=15, weights='truncated'"):
-            test(d, TRUNCATED_15, 0.05, Hypothesis.EQUAL)
+            two_step_test(d, TRUNCATED_15, 0.05, Hypothesis.EQUAL)
 
-    @pytest.mark.parametrize("test", [two_step_test, bonferroni_test])
-    def test_correlation_beyond_one_raises(self, test):
+    def test_correlation_beyond_one_raises(self):
         d = _normal_pair(3)
         omega = hac_cov(d, TRUNCATED_15)
         assert omega.s_mm > 0.0 and omega.s_cc > 0.0 and abs(omega.correlation()) > 1.0
         with pytest.raises(LongRunCovError, match=r"lags=15, weights='truncated'"):
-            test(d, TRUNCATED_15, 0.05, Hypothesis.LEX_SUPERIORITY)
+            two_step_test(d, TRUNCATED_15, 0.05, Hypothesis.LEX_SUPERIORITY)
 
     @pytest.mark.parametrize("weights", ["zero", "bartlett", "truncated"])
     @pytest.mark.parametrize("factor", [2.0, 3.0, -2.0])
@@ -524,3 +519,58 @@ def test_psd_weights_never_indefinite(rows, lags, weights, hypothesis):
         two_step_test(d, HacConfig(lags=lags, weights=weights), 0.05, hypothesis)
     except DegenerateSeriesError:
         pass
+
+
+def _grid_pair(rows, hac, hypothesis, factor=1.0):
+    """The test on ``rows`` of the 1e-3 grid, each difference multiplied by
+    ``factor``; None when both components are identically zero."""
+    data = factor * (np.array(rows, dtype=float) / 1000.0)
+    d = ScoreDiffSeries(data[:, 0], data[:, 1])
+    try:
+        return two_step_test(d, hac, 0.05, hypothesis)
+    except DegenerateSeriesError:
+        return None
+
+
+_psd_hac = st.builds(
+    HacConfig, lags=st.integers(0, 12), weights=st.sampled_from(["zero", "bartlett"])
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_grid_series, hac=_psd_hac)
+def test_swapping_models_negates_statistics(rows, hac):
+    """Under equality, swapping the two models negates both statistics and
+    leaves the long-run covariance, the critical values and the outcome
+    exactly unchanged."""
+    assume(len(rows) > hac.lags)
+    res = _grid_pair(rows, hac, Hypothesis.EQUAL)
+    swapped = _grid_pair(rows, hac, Hypothesis.EQUAL, factor=-1.0)
+    if res is None:
+        assert swapped is None
+        return
+    assert (swapped.stat_m, swapped.stat_c) == (-res.stat_m, -res.stat_c)
+    assert swapped.omega == res.omega
+    assert (swapped.c1, swapped.c2, swapped.outcome) == (res.c1, res.c2, res.outcome)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=_grid_series,
+    hac=_psd_hac,
+    hypothesis=st.sampled_from(list(Hypothesis)),
+    k=st.integers(-20, 20),
+)
+def test_power_of_two_scaling(rows, hac, hypothesis, k):
+    """Scaling the differences by 2**k scales the statistics and the
+    critical values by 2**k exactly and leaves the outcome unchanged."""
+    assume(len(rows) > hac.lags)
+    s = 2.0**k
+    res = _grid_pair(rows, hac, hypothesis)
+    scaled = _grid_pair(rows, hac, hypothesis, factor=s)
+    if res is None:
+        assert scaled is None
+        return
+    assert (scaled.stat_m, scaled.stat_c) == (s * res.stat_m, s * res.stat_c)
+    assert (scaled.c1, scaled.c2) == (s * res.c1, s * res.c2)
+    assert scaled.outcome is res.outcome

@@ -34,6 +34,12 @@ class TestDgpSpec:
         with pytest.raises(ValueError):
             DgpSpec(n=100, dim=5, rho=-0.5)
 
+    @pytest.mark.parametrize("field", ["omega0", "alpha0", "beta0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_garch_parameter_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DgpSpec(n=100, **{field: value})
+
     def test_stationary_variance(self):
         spec = DgpSpec(n=10)
         assert spec.stationary_variance == pytest.approx(0.001 / 0.4)
@@ -133,6 +139,17 @@ class TestContamination:
     def test_negative_width_rejected(self):
         with pytest.raises(ValueError):
             ContaminationSpec(-0.1, 0.0)
+
+    @pytest.mark.parametrize("delta_marg", [1.0, 1.5, math.nan, math.inf])
+    def test_marginal_width_below_one(self, delta_marg):
+        # a width >= 1 would allow zero or negative forecast variances
+        with pytest.raises(ValueError, match="delta_marg"):
+            ContaminationSpec(delta_marg, 0.1)
+
+    @pytest.mark.parametrize("delta_cop", [math.nan, math.inf])
+    def test_non_finite_copula_width_named(self, delta_cop):
+        with pytest.raises(ValueError, match="delta_cop"):
+            ContaminationSpec(0.1, delta_cop)
 
 
 class TestExperimentDiffs:
