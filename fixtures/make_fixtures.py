@@ -13,8 +13,14 @@ from pathlib import Path
 
 import numpy as np
 
-from copulascore.cli import SINGLE_MODEL_HEADER, ScoresFile, _csv_text, write_scores
-from copulascore.scoring import score_arrays
+from copulascore.cli import (
+    SINGLE_MODEL_HEADER,
+    ScoresFile,
+    _csv_text,
+    _density_header,
+    write_scores,
+)
+from copulascore.scoring import _pit, score_arrays
 from copulascore.sim_harness import (
     ContaminationSpec,
     DgpSpec,
@@ -25,6 +31,9 @@ from copulascore.sim_harness import (
 
 SEED = 223223
 N = 223
+# dimension of the per-dimension densities file; at 8 or more columns a
+# pairwise block sum would differ from the left-to-right one in the last bit
+DENSITY_DIM = 9
 
 # (marginal noise half-width, correlation noise half-width) per model
 MODELS = {
@@ -43,6 +52,19 @@ def model_scores(spec, y, sigma, cspec, rng):
     cspec.check_against(spec)
     dm, dc = _draw_contamination(cspec, N, rng)
     return score_arrays(y, np.sqrt(dm)[:, None] * sigma, spec.rho * dc)
+
+
+def density_columns(spec, y, sigma, cspec, rng):
+    """One contaminated forecaster's block of the densities format: log
+    predictive densities and probability transforms per dimension, then the
+    log copula density, one row per period."""
+    cspec.check_against(spec)
+    dm, dc = _draw_contamination(cspec, N, rng)
+    sig = np.sqrt(dm)[:, None] * sigma
+    z = y / sig
+    logf = -(0.5 * np.log(2.0 * np.pi) + np.log(sig) + 0.5 * z**2)
+    _, s_c = score_arrays(y, sig, spec.rho * dc)
+    return np.column_stack([logf, _pit(z), -s_c])
 
 
 def main() -> None:
@@ -64,6 +86,17 @@ def main() -> None:
     # pairwise file: model_c versus model_b (differently noisy correlations)
     pair = ScoresFile(np.arange(1.0, N + 1), *per_model["model_c"], *per_model["model_b"])
     write_scores(out_dir / "synthetic_scores.csv", pair)
+
+    # densities file: the model_c and model_b contamination on a wider path
+    dspec = DgpSpec(n=N, dim=DENSITY_DIM)
+    y, sigma = simulate_path(dspec, seed=SEED)
+    blocks = [
+        density_columns(dspec, y, sigma, MODELS[name], _rep_rng(SEED, len(MODELS) + m))
+        for m, name in enumerate(("model_c", "model_b"), start=1)
+    ]
+    rows = np.column_stack([np.arange(1.0, N + 1), *blocks])
+    text = _csv_text(_density_header(DENSITY_DIM), rows)
+    (out_dir / "synthetic_densities.csv").write_text(text, encoding="utf-8")
 
 
 if __name__ == "__main__":

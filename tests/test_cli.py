@@ -612,6 +612,6 @@ class TestFixtures:
             [sys.executable, str(work / "make_fixtures.py")], check=True
         )
         committed = sorted(p.relative_to(FIXTURES) for p in FIXTURES.rglob("*.csv"))
-        assert len(committed) == 8
+        assert len(committed) == 9
         for rel in committed:
             assert (work / rel).read_bytes() == (FIXTURES / rel).read_bytes(), rel

@@ -38,6 +38,11 @@ for _h in ("equal", "lex"):
          "--hac-lags", "4", "--hac-weights", "bartlett"],
         [],
     )
+    CASES[f"compare-densities-{_h}"] = (
+        ["compare", "--scores", "fixtures/synthetic_densities.csv", "--format", "densities",
+         "--hypothesis", _h, "--cumdiff", "{out}/cum.csv"],
+        ["cum.csv"],
+    )
     CASES[f"matrix-{_h}"] = (
         ["compare", "--matrix", "fixtures/synthetic_model_scores", "--hypothesis", _h,
          "--out", "{out}/matrix.csv"],
