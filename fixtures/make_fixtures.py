@@ -13,13 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from copulascore.cli import (
-    SINGLE_MODEL_HEADER,
-    ScoresFile,
-    _csv_text,
-    _density_header,
-    write_scores,
-)
+from copulascore.cli import SINGLE_MODEL_HEADER, _csv_text, _density_header, write_scores
 from copulascore.scoring import _pit, score_arrays
 from copulascore.sim_harness import (
     ContaminationSpec,
@@ -48,10 +42,11 @@ MODELS = {
 
 
 def model_scores(spec, y, sigma, cspec, rng):
-    """(marginal, copula) scores per period of one contaminated forecaster."""
+    """(marginal, copula) scores of one contaminated forecaster, one row
+    per period."""
     cspec.check_against(spec)
     dm, dc = _draw_contamination(cspec, N, rng)
-    return score_arrays(y, np.sqrt(dm)[:, None] * sigma, spec.rho * dc)
+    return np.column_stack(score_arrays(y, np.sqrt(dm)[:, None] * sigma, spec.rho * dc))
 
 
 def density_columns(spec, y, sigma, cspec, rng):
@@ -78,14 +73,14 @@ def main() -> None:
 
     model_dir = out_dir / "synthetic_model_scores"
     model_dir.mkdir(exist_ok=True)
-    t = range(1, N + 1)
-    for name, (sm, sc) in per_model.items():
-        text = _csv_text(SINGLE_MODEL_HEADER, zip(t, sm, sc))
+    t = np.arange(1.0, N + 1)
+    for name, scores in per_model.items():
+        text = _csv_text(SINGLE_MODEL_HEADER, np.column_stack([t, scores]))
         (model_dir / f"{name}.csv").write_text(text, encoding="utf-8")
 
     # pairwise file: model_c versus model_b (differently noisy correlations)
-    pair = ScoresFile(np.arange(1.0, N + 1), *per_model["model_c"], *per_model["model_b"])
-    write_scores(out_dir / "synthetic_scores.csv", pair)
+    pair = np.stack([per_model["model_c"], per_model["model_b"]], axis=1)
+    write_scores(out_dir / "synthetic_scores.csv", t, pair)
 
     # densities file: the model_c and model_b contamination on a wider path
     dspec = DgpSpec(n=N, dim=DENSITY_DIM)
@@ -94,7 +89,7 @@ def main() -> None:
         density_columns(dspec, y, sigma, MODELS[name], _rep_rng(SEED, len(MODELS) + m))
         for m, name in enumerate(("model_c", "model_b"), start=1)
     ]
-    rows = np.column_stack([np.arange(1.0, N + 1), *blocks])
+    rows = np.column_stack([t, *blocks])
     text = _csv_text(_density_header(DENSITY_DIM), rows)
     (out_dir / "synthetic_densities.csv").write_text(text, encoding="utf-8")
 

@@ -18,10 +18,11 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -41,14 +42,13 @@ from .inference import (
     HAC_WEIGHTS,
     HacConfig,
     Hypothesis,
-    ScoreDiffSeries,
     TwoStepResult,
+    score_diffs,
     two_step_test,
 )
 from .sim_harness import SETTINGS, VARIANCE_MODES, DgpSpec, FreqRow, run_experiment
 
 __all__ = [
-    "ScoresFile",
     "ScoresFileError",
     "parse_scores",
     "parse_density_scores",
@@ -63,22 +63,6 @@ SINGLE_MODEL_HEADER = ["t", "s_marg", "s_cop"]
 
 class ScoresFileError(ValueError):
     """Malformed scores file; the message carries row/column diagnostics."""
-
-
-@dataclass(frozen=True)
-class ScoresFile:
-    """Per-period bivariate scores of two competing forecast streams."""
-
-    t: np.ndarray
-    s_marg_1: np.ndarray
-    s_cop_1: np.ndarray
-    s_marg_2: np.ndarray
-    s_cop_2: np.ndarray
-
-    def diff_series(self) -> ScoreDiffSeries:
-        return ScoreDiffSeries(
-            self.s_marg_1 - self.s_marg_2, self.s_cop_1 - self.s_cop_2
-        )
 
 
 def _fmt(x: float) -> str:
@@ -175,18 +159,20 @@ def _parse_table(path, header: list[str], rows=None) -> np.ndarray:
     return data
 
 
-def parse_scores(path) -> ScoresFile:
+def parse_scores(path) -> tuple[np.ndarray, np.ndarray]:
     """Read the two-model scores format with header
-    ``t,s_marg_1,s_cop_1,s_marg_2,s_cop_2``."""
+    ``t,s_marg_1,s_cop_1,s_marg_2,s_cop_2`` as ``(t, scores)``: ``t`` has
+    shape (n,), and ``scores`` has shape (n, 2, 2), where ``scores[:, m]``
+    holds model m + 1's ``(s_marg, s_cop)`` per period."""
     data = _parse_table(path, SCORES_HEADER)
-    return ScoresFile(data[:, 0], data[:, 1], data[:, 2], data[:, 3], data[:, 4])
+    return data[:, 0], data[:, 1:].reshape(-1, 2, 2)
 
 
-def parse_single_model_scores(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read one model's scores (header ``t,s_marg,s_cop``); used by
-    ``compare --matrix``. Returns (t, s_marg, s_cop)."""
+def parse_single_model_scores(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read one model's scores (header ``t,s_marg,s_cop``) for ``compare
+    --matrix`` as ``(t, scores)``: one ``(s_marg, s_cop)`` row per period."""
     data = _parse_table(path, SINGLE_MODEL_HEADER)
-    return data[:, 0], data[:, 1], data[:, 2]
+    return data[:, 0], data[:, 1:]
 
 
 def _density_header(dim: int) -> list[str]:
@@ -198,12 +184,13 @@ def _density_header(dim: int) -> list[str]:
     return cols
 
 
-def parse_density_scores(path) -> ScoresFile:
+def parse_density_scores(path) -> tuple[np.ndarray, np.ndarray]:
     """Read the per-dimension density format and reduce it to scores.
 
     Columns per model: log predictive densities ``logf_<m>_<j>`` and
     probability transforms ``pit_<m>_<j>`` for each dimension j, then the
-    log copula density ``logc_<m>``.  Scores are the negated sums/values.
+    log copula density ``logc_<m>``.  Scores are the negated sums/values,
+    returned as ``(t, scores)`` in the layout of :func:`parse_scores`.
     """
     rows = _read_rows(path)
     actual = rows[0]
@@ -213,28 +200,23 @@ def parse_density_scores(path) -> ScoresFile:
             "1 + 2*(2*dim+1) columns"
         )
     dim = (len(actual) - 3) // 4
-    header = _density_header(dim)
-    data = _parse_table(path, header, rows)
-    pit_cols = [header.index(f"pit_{m}_{j}") for m in (1, 2) for j in range(1, dim + 1)]
-    pits = data[:, pit_cols]
+    data = _parse_table(path, _density_header(dim), rows)
+    # blocks[:, m] is model m's (logf_1..logf_dim, pit_1..pit_dim, logc)
+    blocks = data[:, 1:].reshape(-1, 2, 2 * dim + 1)
+    pits = blocks[:, :, dim : 2 * dim]
     if np.any(pits < 0.0) or np.any(pits > 1.0):
         bad = int(np.argwhere((pits < 0.0) | (pits > 1.0))[0][0]) + 1
         raise ScoresFileError(f"{path}: row {bad}: probability transforms outside [0, 1]")
-
-    def block(model: int) -> tuple[np.ndarray, np.ndarray]:
-        logf = data[:, [header.index(f"logf_{model}_{j}") for j in range(1, dim + 1)]]
-        logc = data[:, header.index(f"logc_{model}")]
-        return -logf.sum(axis=1), -logc
-
-    sm1, sc1 = block(1)
-    sm2, sc2 = block(2)
-    return ScoresFile(data[:, 0], sm1, sc1, sm2, sc2)
+    # column-major, so each row's log densities are summed left to right
+    logf = np.asfortranarray(blocks[:, :, :dim]).sum(axis=2)
+    return data[:, 0], -np.stack([logf, blocks[:, :, 2 * dim]], axis=2)
 
 
-def write_scores(path, scores: ScoresFile) -> None:
-    """Write the two-model scores format (12 significant digits)."""
-    columns = (scores.t, scores.s_marg_1, scores.s_cop_1, scores.s_marg_2, scores.s_cop_2)
-    Path(path).write_text(_csv_text(SCORES_HEADER, zip(*columns)), encoding="utf-8")
+def write_scores(path, t, scores) -> None:
+    """Write the two-model scores format (12 significant digits) from the
+    ``(t, scores)`` layout that :func:`parse_scores` returns."""
+    rows = np.column_stack([t, np.reshape(scores, (len(t), 4))])
+    Path(path).write_text(_csv_text(SCORES_HEADER, rows), encoding="utf-8")
 
 
 def _result_dict(r: TwoStepResult) -> dict:
@@ -262,25 +244,22 @@ def _matrix_compare(args, hypothesis: Hypothesis, hac: HacConfig) -> int:
     paths = sorted(directory.glob("*.csv"))
     if len(paths) < 2:
         raise ScoresFileError(f"{directory}: need at least 2 model score files")
-    models, series = [], []
-    t_ref = None
+    tables = []
     for p in paths:
-        t, sm, sc = parse_single_model_scores(p)
-        if t_ref is None:
-            t_ref = t
-        elif t.shape != t_ref.shape or np.any(t != t_ref):
+        t, table = parse_single_model_scores(p)
+        # equal to the previous index, hence to the first
+        if tables and not np.array_equal(t, t_ref):
             raise ScoresFileError(f"{p}: time index differs from {paths[0]}")
-        models.append(p.stem)
-        series.append((sm, sc))
+        t_ref = t
+        tables.append(table)
+    scores = np.stack(tables, axis=1)  # (n, k, 2): model m's pairs in column m
 
+    models = [p.stem for p in paths]
     k = len(models)
     labels: list[list[str | None]] = [[None] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            d = ScoreDiffSeries(series[i][0] - series[j][0], series[i][1] - series[j][1])
-            labels[i][j] = two_step_test(d, hac, args.alpha, hypothesis).attribution
+    for i, j in itertools.permutations(range(k), 2):
+        d = score_diffs(scores[:, i], scores[:, j])
+        labels[i][j] = two_step_test(d, hac, args.alpha, hypothesis).attribution
 
     payload = {
         "config": {
@@ -306,27 +285,24 @@ def cmd_compare(args) -> int:
     if args.matrix is not None:
         return _matrix_compare(args, hypothesis, hac)
     parse = parse_density_scores if args.format == "densities" else parse_scores
-    scores = parse(args.scores)
-    d = scores.diff_series()
+    t, scores = parse(args.scores)
+    d = score_diffs(scores[:, 0], scores[:, 1])
     result = two_step_test(d, hac, args.alpha, hypothesis)
-    steps = np.arange(1, scores.t.size + 1)
+    steps = np.arange(1, t.size + 1)
     cum_d_m = np.cumsum(d.d_m) / steps
     cum_d_c = np.cumsum(d.d_c) / steps
     averages = {
-        f"model_{m}": {
-            "s_marg": _round12(s_marg.mean()),
-            "s_cop": _round12(s_cop.mean()),
+        f"model_{m + 1}": {
+            "s_marg": _round12(scores[:, m, 0].mean()),
+            "s_cop": _round12(scores[:, m, 1].mean()),
         }
-        for m, s_marg, s_cop in (
-            (1, scores.s_marg_1, scores.s_cop_1),
-            (2, scores.s_marg_2, scores.s_cop_2),
-        )
+        for m in range(2)
     }
     payload = {
         "config": {
             "scores": str(args.scores),
             "format": args.format,
-            "n": int(scores.t.size),
+            "n": int(t.size),
             "alpha": _round12(args.alpha),
             "hypothesis": hypothesis.value,
             "hac_lags": hac.lags,
@@ -335,14 +311,14 @@ def cmd_compare(args) -> int:
         "result": _result_dict(result),
         "average_scores": averages,
         "cumulative_avg_diffs": {
-            "t": [_round12(v) for v in scores.t],
+            "t": [_round12(v) for v in t],
             "d_m": [_round12(v) for v in cum_d_m],
             "d_c": [_round12(v) for v in cum_d_c],
         },
     }
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     if args.cumdiff:
-        rows = zip(scores.t, cum_d_m, cum_d_c)
+        rows = zip(t, cum_d_m, cum_d_c)
         text = _csv_text(["t", "cum_avg_d_m", "cum_avg_d_c"], rows)
         Path(args.cumdiff).write_text(text, encoding="utf-8")
     return 0

@@ -20,7 +20,7 @@ import numpy as np
 # Not called here; perfbench/child.py wraps this module attribute by name.
 from .copulas import gaussian_logdensity_from_scores  # noqa: F401
 from .dist_math import EquiCorr
-from .inference import HacConfig, Hypothesis, ScoreDiffSeries, two_step_test
+from .inference import HacConfig, Hypothesis, ScoreDiffSeries, _split, two_step_test
 from .scoring import score_arrays
 
 __all__ = [
@@ -266,6 +266,10 @@ def run_experiment(
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    # the level and lag checks of every test, before anything is drawn
+    _split(alpha, None)
+    if spec.n <= hac.lags:
+        raise ValueError(f"series length {spec.n} must exceed lag cutoff {hac.lags}")
     setting.spec1.check_against(spec)
     setting.spec2.check_against(spec)
 

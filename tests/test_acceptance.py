@@ -268,17 +268,11 @@ def test_criterion_9_determinism(tmp_path, capsys):
 
     capsys.readouterr()
     # compare determinism: identical stdout for identical inputs
-    from copulascore.cli import ScoresFile, write_scores
+    from copulascore.cli import write_scores
 
-    rng = np.random.default_rng(18)
-    scores = ScoresFile(
-        np.arange(1.0, 61.0),
-        rng.standard_normal(60),
-        rng.standard_normal(60),
-        rng.standard_normal(60),
-        rng.standard_normal(60),
-    )
-    write_scores(tmp_path / "s.csv", scores)
+    # columns s_marg_1, s_cop_1, s_marg_2, s_cop_2, each drawn in that order
+    columns = np.random.default_rng(18).standard_normal((4, 60))
+    write_scores(tmp_path / "s.csv", np.arange(1.0, 61.0), columns.T.reshape(60, 2, 2))
     assert main(["compare", "--scores", str(tmp_path / "s.csv")]) == 0
     out1 = capsys.readouterr().out
     assert main(["compare", "--scores", str(tmp_path / "s.csv")]) == 0

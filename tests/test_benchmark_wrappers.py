@@ -5,11 +5,13 @@ one small traced invocation of each mode in a fresh process."""
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -30,6 +32,21 @@ def run_traced(mode: str, job: dict, tmp_path: Path) -> dict:
 def test_traced_cli_invocation_succeeds(tmp_path):
     job = {"argv": ["compare", "--matrix", "fixtures/synthetic_model_scores"]}
     assert run_traced("cli", job, tmp_path)["error"] is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--scores", "fixtures/synthetic_scores.csv"],
+        ["compare", "--scores", "fixtures/synthetic_densities.csv", "--format", "densities"],
+    ],
+)
+def test_traced_compare_invocation_counts_parsed_rows(argv, tmp_path):
+    # the trace's parse hook reads the time index from each reader's result
+    report = run_traced("cli", {"argv": argv}, tmp_path)
+    assert report["error"] is None and report["rc"] == 0
+    with open(tmp_path / "spans.pkl", "rb") as fh:
+        assert pickle.load(fh)["counts"]["parse_rows"] == 223
 
 
 def test_traced_library_invocation_succeeds(tmp_path):

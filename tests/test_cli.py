@@ -1,5 +1,6 @@
 """Tests for the CSV formats, the JSON report, and the three subcommands."""
 
+import functools
 import json
 import math
 from pathlib import Path
@@ -8,7 +9,6 @@ import numpy as np
 import pytest
 
 from copulascore.cli import (
-    ScoresFile,
     ScoresFileError,
     main,
     parse_density_scores,
@@ -16,8 +16,8 @@ from copulascore.cli import (
     parse_single_model_scores,
     write_scores,
 )
-from copulascore import cli, inference
-from copulascore.inference import HacConfig, Hypothesis, two_step_test
+from copulascore import cli, inference, sim_harness
+from copulascore.inference import HacConfig, Hypothesis, score_diffs, two_step_test
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -33,10 +33,13 @@ class TestParseScores:
     def test_well_formed(self, tmp_path):
         p = tmp_path / "s.csv"
         make_scores_file(p, [1, 2, 3], [0.1, 0.2, 0.3], [1, 2, 3], [4, 5, 6], [7, 8, 9])
-        scores = parse_scores(p)
-        assert scores.t.size == 3
-        np.testing.assert_array_equal(scores.s_marg_1, [0.1, 0.2, 0.3])
-        np.testing.assert_array_equal(scores.s_cop_2, [7.0, 8.0, 9.0])
+        t, scores = parse_scores(p)
+        np.testing.assert_array_equal(t, [1.0, 2.0, 3.0])
+        assert scores.shape == (3, 2, 2)
+        np.testing.assert_array_equal(scores[:, 0, 0], [0.1, 0.2, 0.3])
+        np.testing.assert_array_equal(scores[:, 0, 1], [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(scores[:, 1, 0], [4.0, 5.0, 6.0])
+        np.testing.assert_array_equal(scores[:, 1, 1], [7.0, 8.0, 9.0])
 
     def test_header_typo_names_column(self, tmp_path):
         p = tmp_path / "s.csv"
@@ -83,10 +86,10 @@ class TestParseScores:
         cells = ["1_000", " 1.5 ", "\u0661\u0662", "+2e-3", "-0", ".5", "1e-400"]
         p = tmp_path / "s.csv"
         make_scores_file(p, [1, 2, 3, 4, 5, 6, 7], cells, cells, cells, cells)
-        scores = parse_scores(p)
+        _, scores = parse_scores(p)
         expected = [float(c) for c in cells]
-        np.testing.assert_array_equal(scores.s_marg_1, expected)
-        assert np.signbit(scores.s_cop_2[4])
+        np.testing.assert_array_equal(scores[:, 0, 0], expected)
+        assert np.signbit(scores[4, 1, 1])
 
     def test_first_error_in_row_order(self, tmp_path):
         # a bad cell in row 1 is reported before a ragged row 2
@@ -99,20 +102,27 @@ class TestParseScores:
 class TestRoundTrip:
     def test_write_parse_idempotent(self, tmp_path):
         rng = np.random.default_rng(0)
-        scores = ScoresFile(
-            t=np.arange(1.0, 21.0),
-            s_marg_1=rng.standard_normal(20),
-            s_cop_1=rng.standard_normal(20),
-            s_marg_2=rng.standard_normal(20),
-            s_cop_2=rng.standard_normal(20),
-        )
+        t, scores = np.arange(1.0, 21.0), rng.standard_normal((20, 2, 2))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_scores(p1, scores)
+        write_scores(p1, t, scores)
         once = parse_scores(p1)
-        write_scores(p2, once)
+        write_scores(p2, *once)
         twice = parse_scores(p2)
-        for field in ("t", "s_marg_1", "s_cop_1", "s_marg_2", "s_cop_2"):
-            np.testing.assert_array_equal(getattr(once, field), getattr(twice, field))
+        assert once[1].shape == (20, 2, 2)
+        for a, b in zip(once, twice):
+            np.testing.assert_array_equal(a, b)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_twelve_digit_scores_parse_back_exactly(self, tmp_path):
+        # values with at most 12 significant digits survive write then parse
+        rng = np.random.default_rng(1)
+        t = np.arange(1.0, 31.0)
+        scores = np.vectorize(lambda v: float(f"{v:.12g}"))(rng.standard_normal((30, 2, 2)))
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_scores(p1, t, scores)
+        parsed_t, parsed = parse_scores(p1)
+        assert (parsed_t == t).all() and (parsed == scores).all()
+        write_scores(p2, parsed_t, parsed)
         assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -143,16 +153,9 @@ def simulated_scores_file(path, n, seed, widths1, widths2):
         cols["sc1"].append(s_cop(c1, f1, y[t]))
         cols["sm2"].append(s_marg(f2, y[t]))
         cols["sc2"].append(s_cop(c2, f2, y[t]))
-    write_scores(
-        path,
-        ScoresFile(
-            np.arange(1.0, n + 1.0),
-            np.array(cols["sm1"]),
-            np.array(cols["sc1"]),
-            np.array(cols["sm2"]),
-            np.array(cols["sc2"]),
-        ),
-    )
+    # columns s_marg_1, s_cop_1, s_marg_2, s_cop_2 -> scores[:, model, component]
+    scores = np.array([cols["sm1"], cols["sc1"], cols["sm2"], cols["sc2"]]).T.reshape(n, 2, 2)
+    write_scores(path, np.arange(1.0, n + 1.0), scores)
     return path
 
 
@@ -169,8 +172,9 @@ class TestCompareCommand:
                    "--hypothesis", "equal"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
-        scores = parse_scores(path)
-        expected = two_step_test(scores.diff_series(), HacConfig(), 0.05, Hypothesis.EQUAL)
+        _, scores = parse_scores(path)
+        d = score_diffs(scores[:, 0], scores[:, 1])
+        expected = two_step_test(d, HacConfig(), 0.05, Hypothesis.EQUAL)
         assert payload["result"]["stat_m"] == float(f"{expected.stat_m:.12g}")
         assert payload["result"]["stat_c"] == float(f"{expected.stat_c:.12g}")
         assert payload["result"]["c1"] == float(f"{expected.c1:.12g}")
@@ -179,7 +183,7 @@ class TestCompareCommand:
         assert payload["config"]["n"] == 120
         # averages recomputable from the file
         assert payload["average_scores"]["model_1"]["s_marg"] == float(
-            f"{scores.s_marg_1.mean():.12g}"
+            f"{scores[:, 0, 0].mean():.12g}"
         )
 
     def test_copula_rejection_on_noisier_correlation(self, tmp_path, capsys):
@@ -281,8 +285,8 @@ class TestCompareCommand:
         assert lines[0] == "t,cum_avg_d_m,cum_avg_d_c"
         assert len(lines) == 121
         # last line equals the average score differences over the window
-        scores = parse_scores(path)
-        d = scores.diff_series()
+        _, scores = parse_scores(path)
+        d = score_diffs(scores[:, 0], scores[:, 1])
         last = lines[-1].split(",")
         assert float(last[1]) == pytest.approx(d.d_m.mean(), rel=1e-10)
         assert float(last[2]) == pytest.approx(d.d_c.mean(), rel=1e-10)
@@ -326,7 +330,9 @@ class TestCompareCommand:
 
 
 class TestDensitiesFormat:
-    def _write_density_file(self, path, n=40, dim=3, seed=3):
+    def _write_density_file(self, path, n=40, dim=3, seed=3, grid=None):
+        """With ``grid``, log densities are rounded to multiples of 1/grid, so
+        that their sums are exact and print in fewer than 12 digits."""
         rng = np.random.default_rng(seed)
         header = (
             ["t"]
@@ -343,6 +349,10 @@ class TestDensitiesFormat:
         pit2 = rng.uniform(0.01, 0.99, (n, dim))
         logc1 = rng.standard_normal(n)
         logc2 = rng.standard_normal(n)
+        if grid:
+            logf1, logf2, logc1, logc2 = (
+                np.round(a * grid) / grid for a in (logf1, logf2, logc1, logc2)
+            )
         lines = [",".join(header)]
         for t in range(n):
             row = (
@@ -359,13 +369,29 @@ class TestDensitiesFormat:
         return logf1, logf2, logc1, logc2
 
     def test_reduces_to_scores(self, tmp_path):
+        # nine dimensions: the log densities are summed left to right, bit for
+        # bit (numpy's pairwise sum of 8 or more terms would differ)
         p = tmp_path / "dens.csv"
-        logf1, logf2, logc1, logc2 = self._write_density_file(p)
-        scores = parse_density_scores(p)
-        np.testing.assert_allclose(scores.s_marg_1, -logf1.sum(axis=1), rtol=1e-12)
-        np.testing.assert_allclose(scores.s_marg_2, -logf2.sum(axis=1), rtol=1e-12)
-        np.testing.assert_allclose(scores.s_cop_1, -logc1, rtol=1e-12)
-        np.testing.assert_allclose(scores.s_cop_2, -logc2, rtol=1e-12)
+        logf1, logf2, logc1, logc2 = self._write_density_file(p, dim=9)
+        t, scores = parse_density_scores(p)
+        np.testing.assert_array_equal(t, np.arange(1.0, 41.0))
+        assert scores.shape == (40, 2, 2)
+        for m, (logf, logc) in enumerate(((logf1, logc1), (logf2, logc2))):
+            np.testing.assert_array_equal(scores[:, m, 0], -functools.reduce(np.add, logf.T))
+            np.testing.assert_array_equal(scores[:, m, 1], -logc)
+
+    def test_compare_matches_the_reduced_scores_file(self, tmp_path, capsys):
+        # the densities input and the scores file written from its reduction
+        # give the same report (the grid makes the scores print exactly)
+        dens, reduced = tmp_path / "dens.csv", tmp_path / "scores.csv"
+        self._write_density_file(dens, n=60, dim=9, grid=64)
+        write_scores(reduced, *parse_density_scores(dens))
+        assert main(["compare", "--scores", str(dens), "--format", "densities"]) == 0
+        from_densities = json.loads(capsys.readouterr().out)
+        assert main(["compare", "--scores", str(reduced)]) == 0
+        from_scores = json.loads(capsys.readouterr().out)
+        for key in ("result", "average_scores", "cumulative_avg_diffs"):
+            assert from_densities[key] == from_scores[key]
 
     def test_compare_accepts_densities(self, tmp_path, capsys):
         p = tmp_path / "dens.csv"
@@ -409,16 +435,14 @@ class TestMatrixMode:
         assert len(matrix) == 7 and all(len(row) == 7 for row in matrix)
         assert all(matrix[i][i] is None for i in range(7))
         # spot-check one pair against the in-process test
-        t1, sm1, sc1 = parse_single_model_scores(
+        _, model_a = parse_single_model_scores(
             FIXTURES / "synthetic_model_scores" / "model_a.csv"
         )
-        _, sm2, sc2 = parse_single_model_scores(
+        _, model_e = parse_single_model_scores(
             FIXTURES / "synthetic_model_scores" / "model_e.csv"
         )
-        from copulascore.inference import ScoreDiffSeries
-
         expected = two_step_test(
-            ScoreDiffSeries(sm1 - sm2, sc1 - sc2),
+            score_diffs(model_a, model_e),
             HacConfig(),
             0.05,
             Hypothesis.LEX_SUPERIORITY,
@@ -486,6 +510,23 @@ class TestSimulateCommand:
                    f"{flag}={value}", "--out", str(tmp_path / "x")])
         assert rc == 1
         assert flag[2:] in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--alpha", "1.5"], "alpha must lie in (0, 1)"),
+         (["--hac-lags", "400"], "series length 300 must exceed lag cutoff 400")],
+    )
+    def test_bad_level_or_lag_cutoff_exits_before_simulating(
+        self, flags, message, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(
+            sim_harness, "_experiment_diffs", lambda *a, **k: pytest.fail("simulated")
+        )
+        rc = main(["simulate", "--setting", "ii", "--n", "300", "--reps", "2000", "--seed", "1",
+                   *flags, "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert message in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     def test_invalid_setting_rejected(self, tmp_path):
