@@ -364,7 +364,13 @@ def _parse_base(text: str) -> Copula:
     if text == "countermonotone":
         return Countermonotone()
     if text.startswith("gaussian:"):
-        rho = float(text.split(":", 1)[1])
+        value = text.split(":", 1)[1]
+        try:
+            rho = float(value)
+        except ValueError:
+            raise ValueError(
+                f"--base {text!r}: RHO in gaussian:RHO must be a number, got {value!r}"
+            ) from None
         return GaussianEquiCorr(EquiCorr(2, rho))
     raise ValueError(
         f"unknown base copula '{text}'; use independence, comonotone, "

@@ -76,8 +76,8 @@ def _check_obs(f: MarginalForecast, y) -> np.ndarray:
     return y
 
 
-def _pit(z):
-    return np.clip(ndtr(z), UNIT_CLAMP, 1.0 - UNIT_CLAMP)
+def _pit(z, out=None):
+    return np.clip(ndtr(z, out=out), UNIT_CLAMP, 1.0 - UNIT_CLAMP, out=out)
 
 
 def score_arrays(y, sigma, rho) -> tuple[np.ndarray, np.ndarray]:
@@ -92,7 +92,8 @@ def score_arrays(y, sigma, rho) -> tuple[np.ndarray, np.ndarray]:
     y = np.asarray(y, dtype=float)
     z = y / sigma
     s_m = np.sum(0.5 * _LOG_2PI + np.log(sigma) + 0.5 * z**2, axis=-1)
-    s_c = -gaussian_logdensity_from_scores(y.shape[-1], rho, ndtri(_pit(z)))
+    # z is not needed again: the round trip to normal scores reuses its buffer
+    s_c = -gaussian_logdensity_from_scores(y.shape[-1], rho, ndtri(_pit(z, out=z), out=z))
     return s_m, s_c
 
 

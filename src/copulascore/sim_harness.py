@@ -7,6 +7,10 @@ recursion, forecaster disturbances from one draw (:func:`_draw_contamination`),
 and both forecasters are scored by :func:`copulascore.scoring.score_arrays`.
 Replication streams are split from the master seed by spawn key, so results
 are bit-identical regardless of batching or execution order.
+
+The recursions run time-major, over arrays of shape (steps, ..., dim), and
+keep only the evaluation window: burn-in steps advance the variance state
+but are not stored.
 """
 
 from __future__ import annotations
@@ -160,29 +164,33 @@ def _draw_contamination(
 
 
 def _garch_paths(spec: DgpSpec, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Run the volatility recursion; returns (Y, sigma2) over all steps.
+    """Run the volatility recursion; returns (Y, sigma2) over the evaluation
+    window only.
 
-    ``eps`` has shape (..., steps, dim); the recursion starts at the
-    stationary variance.
+    ``eps`` is time-major, shape (burn_in + n, ..., dim).  The recursion
+    starts at the stationary variance; its first ``spec.burn_in`` steps only
+    advance the state, and Y and sigma2 have shape (n, ..., dim).
     """
-    steps = eps.shape[-2]
-    y = np.empty_like(eps)
-    sigma2 = np.empty_like(eps)
-    s2 = np.full(eps.shape[:-2] + (eps.shape[-1],), spec.stationary_variance)
-    for t in range(steps):
-        sigma2[..., t, :] = s2
-        y[..., t, :] = np.sqrt(s2) * eps[..., t, :]
-        s2 = spec.omega0 + spec.alpha0 * y[..., t, :] ** 2 + spec.beta0 * s2
+    burn_in = spec.burn_in
+    y = np.empty((eps.shape[0] - burn_in,) + eps.shape[1:])
+    sigma2 = np.empty_like(y)
+    s2 = np.full(eps.shape[1:], spec.stationary_variance)
+    for t, e in enumerate(eps):
+        y_t = np.sqrt(s2) * e
+        if t >= burn_in:
+            sigma2[t - burn_in] = s2
+            y[t - burn_in] = y_t
+        s2 = spec.omega0 + spec.alpha0 * y_t**2 + spec.beta0 * s2
     return y, sigma2
 
 
 def simulate_path(spec: DgpSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate one path; returns (Y, sigma) of shape (n, dim) after burn-in,
-    where sigma holds the true conditional volatilities."""
+    """Simulate one path; returns (Y, sigma) of shape (n, dim) over the
+    evaluation window, where sigma holds the true conditional volatilities.
+    The burn-in steps are run but not returned."""
     rng = np.random.default_rng(seed)
-    eps = _draw_noise(spec, _innovation_chol(spec), rng)
-    y, sigma2 = _garch_paths(spec, eps)
-    return y[spec.burn_in :], np.sqrt(sigma2[spec.burn_in :])
+    y, sigma2 = _garch_paths(spec, _draw_noise(spec, _innovation_chol(spec), rng))
+    return y, np.sqrt(sigma2, out=sigma2)
 
 
 def _forecast_variances(
@@ -194,6 +202,9 @@ def _forecast_variances(
 ) -> np.ndarray:
     """Contaminated conditional variances over the evaluation window.
 
+    Time-major: ``sigma2`` and ``y`` have shape (n, ..., dim) and
+    ``delta_marg`` has shape (n, ...).
+
     one-step: sigma2_tilde[t] = delta[t] * sigma2_true[t].
     recursive: the forecaster's own variance state evolves under the
     per-period contaminated parameters, seeded at delta[0]*sigma2_true[0].
@@ -203,12 +214,10 @@ def _forecast_variances(
     if mode == "one-step":
         return delta_marg[..., None] * sigma2
     out = np.empty_like(sigma2)
-    n = sigma2.shape[-2]
-    out[..., 0, :] = delta_marg[..., 0, None] * sigma2[..., 0, :]
-    for t in range(1, n):
-        d = delta_marg[..., t, None]
-        out[..., t, :] = d * (
-            spec.omega0 + spec.alpha0 * y[..., t - 1, :] ** 2 + spec.beta0 * out[..., t - 1, :]
+    out[0] = delta_marg[0, ..., None] * sigma2[0]
+    for t in range(1, sigma2.shape[0]):
+        out[t] = delta_marg[t, ..., None] * (
+            spec.omega0 + spec.alpha0 * y[t - 1] ** 2 + spec.beta0 * out[t - 1]
         )
     return out
 
@@ -220,9 +229,13 @@ def _experiment_diffs(
     seed: int,
     variance_mode: str = VARIANCE_MODES[0],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Score-difference series of all replications, shape (reps, n) each.
+    """Score-difference series of all replications, contiguous arrays of
+    shape (reps, n) each.
 
-    Row r depends only on (seed, r); see :func:`_rep_rng`.
+    Row r depends only on (seed, r); see :func:`_rep_rng`.  Each
+    replication is drawn into its own rows; everything after the draws runs
+    time-major, (steps, reps, ...), so that one step of a recursion writes
+    one contiguous block.
     """
     chol = _innovation_chol(spec)
     eps = np.empty((reps, spec.burn_in + spec.n, spec.dim))
@@ -234,16 +247,17 @@ def _experiment_diffs(
         for k, cspec in enumerate((setting.spec1, setting.spec2)):
             draws[k, :, r] = _draw_contamination(cspec, spec.n, rng)
 
-    y_all, sigma2_all = _garch_paths(spec, eps)
-    y = y_all[:, spec.burn_in :, :]
-    sigma2 = sigma2_all[:, spec.burn_in :, :]
+    # a time-major view, not a copy, so the innovations are held only once
+    y, sigma2 = _garch_paths(spec, eps.transpose(1, 0, 2))
+    del eps
 
     scores = []
     for dm, dc in draws:
-        sigma = np.sqrt(_forecast_variances(spec, dm, sigma2, y, variance_mode))
-        scores.append(score_arrays(y, sigma, spec.rho * dc))
+        sigma = _forecast_variances(spec, dm.T, sigma2, y, variance_mode)
+        scores.append(score_arrays(y, np.sqrt(sigma, out=sigma), spec.rho * dc.T))
+        del sigma
     (sm1, sc1), (sm2, sc2) = scores
-    return sm1 - sm2, sc1 - sc2
+    return np.ascontiguousarray((sm1 - sm2).T), np.ascontiguousarray((sc1 - sc2).T)
 
 
 def run_experiment(

@@ -592,6 +592,18 @@ class TestCxlsDemo:
         assert "unknown base copula" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("base", ["gaussian:abc", "gaussian:"])
+    def test_non_numeric_gaussian_rho_names_the_flag(self, tmp_path, capsys, base):
+        rc = main(
+            ["cxls-demo", "--base", base, "--direction", "ur",
+             "--samples", "10", "--seed", "8", "--out", str(tmp_path / "x.csv")]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--base" in err and "gaussian:RHO" in err
+        assert not (tmp_path / "x.csv").exists()
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         import subprocess

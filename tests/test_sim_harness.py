@@ -2,6 +2,7 @@
 the rejection-frequency experiment driver."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ import pytest
 from copulascore.copulas import GaussianEquiCorr
 from copulascore.dist_math import EquiCorr
 from copulascore.inference import HacConfig, Hypothesis, ScoreDiffSeries, two_step_test
-from copulascore.scoring import MarginalForecast, s_cop, s_marg
+from copulascore.scoring import MarginalForecast, s_cop, s_marg, score_arrays
 from copulascore.sim_harness import (
     SETTINGS,
+    VARIANCE_MODES,
     ContaminationSpec,
     DgpSpec,
     Setting,
@@ -89,8 +91,9 @@ def pooled():
     chol = np.linalg.cholesky(EquiCorr(spec.dim, spec.rho).matrix())
     eps = rng.standard_normal((MOMENT_BATCHES, spec.burn_in + MOMENT_STEPS, spec.dim))
     eps = eps @ chol.T
-    y, sigma2 = _garch_paths(spec, eps)
-    return spec, y[:, spec.burn_in:], sigma2[:, spec.burn_in:]
+    # _garch_paths is time-major and returns the window: (steps, batches, dim)
+    y, sigma2 = _garch_paths(spec, eps.transpose(1, 0, 2))
+    return spec, y.transpose(1, 0, 2), sigma2.transpose(1, 0, 2)
 
 
 class TestLongRunMoments:
@@ -182,8 +185,7 @@ class TestExperimentDiffs:
             ):
                 draws[name] = rng.uniform(1.0 - width, 1.0 + width, size=spec.n)
             y, sigma2 = _garch_paths(spec, eps)
-            y = y[spec.burn_in:]
-            sigma = np.sqrt(sigma2[spec.burn_in:])
+            sigma = np.sqrt(sigma2)
             for t in range(spec.n):
                 f1 = MarginalForecast(math.sqrt(draws["dm1"][t]) * sigma[t])
                 c1 = GaussianEquiCorr(EquiCorr(spec.dim, spec.rho * draws["dc1"][t]))
@@ -193,6 +195,72 @@ class TestExperimentDiffs:
                 dc_ref = s_cop(c1, f1, y[t]) - s_cop(c2, f2, y[t])
                 assert d_m[r, t] == pytest.approx(dm_ref, abs=1e-10)
                 assert d_c[r, t] == pytest.approx(dc_ref, abs=1e-10)
+
+    @staticmethod
+    def _replication_by_steps(spec, setting, seed, r, mode):
+        """Replication r rebuilt on its own: one (steps, dim) path drawn in
+        the documented order, then a plain loop over time steps."""
+        rng = _rep_rng(seed, r)
+        chol = np.linalg.cholesky(EquiCorr(spec.dim, spec.rho).matrix())
+        eps = rng.standard_normal((spec.burn_in + spec.n, spec.dim)) @ chol.T
+        widths = (setting.spec1.delta_marg, setting.spec1.delta_cop,
+                  setting.spec2.delta_marg, setting.spec2.delta_cop)
+        dm1, dc1, dm2, dc2 = (rng.uniform(1.0 - w, 1.0 + w, size=spec.n) for w in widths)
+
+        y = np.empty((spec.n, spec.dim))
+        sigma2 = np.empty_like(y)
+        s2 = np.full(spec.dim, spec.stationary_variance)
+        for t in range(spec.burn_in + spec.n):
+            y_t = np.sqrt(s2) * eps[t]
+            if t >= spec.burn_in:
+                y[t - spec.burn_in], sigma2[t - spec.burn_in] = y_t, s2
+            s2 = spec.omega0 + spec.alpha0 * y_t**2 + spec.beta0 * s2
+
+        d_m, d_c = np.zeros(spec.n), np.zeros(spec.n)
+        for sign, dm, dc in ((1.0, dm1, dc1), (-1.0, dm2, dc2)):
+            for t in range(spec.n):
+                if mode == "one-step" or t == 0:
+                    var = dm[t] * sigma2[t]
+                else:
+                    var = dm[t] * (spec.omega0 + spec.alpha0 * y[t - 1] ** 2 + spec.beta0 * var)
+                s_m, s_c = score_arrays(y[t], np.sqrt(var), spec.rho * dc[t])
+                d_m[t] += sign * s_m
+                d_c[t] += sign * s_c
+        return d_m, d_c
+
+    @pytest.mark.parametrize("mode", VARIANCE_MODES)
+    @pytest.mark.parametrize("burn_in", [0, 9])
+    @pytest.mark.parametrize("reps", [1, 3])
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_batch_equals_per_replication_loop(self, mode, burn_in, reps, dim):
+        """Bit for bit: batching replications changes only the layout."""
+        spec = DgpSpec(n=30, dim=dim, rho=0.4, burn_in=burn_in)
+        setting = Setting("x", ContaminationSpec(0.3, 0.4), ContaminationSpec(0.1, 0.2))
+        d_m, d_c = _experiment_diffs(spec, setting, reps=reps, seed=17, variance_mode=mode)
+        assert d_m.shape == d_c.shape == (reps, spec.n)
+        assert d_m.flags.c_contiguous and d_c.flags.c_contiguous
+        for r in range(reps):
+            ref_m, ref_c = self._replication_by_steps(spec, setting, 17, r, mode)
+            np.testing.assert_array_equal(d_m[r], ref_m)
+            np.testing.assert_array_equal(d_c[r], ref_c)
+
+    @pytest.mark.parametrize("mode", VARIANCE_MODES)
+    def test_burn_in_is_not_stored(self, mode):
+        """Beyond the innovations, which every replication's stream needs
+        drawn up front, the peak holds a few window-sized arrays; storing
+        the burn-in of Y and sigma2 would add two more innovation-sized
+        arrays."""
+        spec = DgpSpec(n=40, burn_in=800)
+        reps = 50
+        window = spec.n * reps * spec.dim * 8  # one (n, reps, dim) float64 array
+        innovations = (spec.burn_in + spec.n) * reps * spec.dim * 8
+        tracemalloc.start()
+        try:
+            _experiment_diffs(spec, SETTINGS["ii"], reps=reps, seed=3, variance_mode=mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < innovations + 6 * window, peak / window
 
     def test_recursive_mode_differs(self):
         spec = DgpSpec(n=40, burn_in=20)
