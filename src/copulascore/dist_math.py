@@ -48,7 +48,8 @@ class EquiCorr:
             )
 
     def matrix(self) -> np.ndarray:
-        """Dense realization, mainly for brute-force cross-checks."""
+        """Dense realization, Cholesky-factored by the path generator and
+        ``GaussianEquiCorr._sample``."""
         return np.full((self.dim, self.dim), self.rho) + (1.0 - self.rho) * np.eye(self.dim)
 
 

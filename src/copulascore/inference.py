@@ -3,8 +3,8 @@
 The first step compares the marginal components of two forecast streams,
 the second the copula components.  Critical values are calibrated jointly
 on the bivariate normal limit so the overall asymptotic size is alpha,
-split (by default) evenly across the two steps.  A long-run covariance
-estimator with configurable lag weights feeds the calibration.
+split evenly across the two steps.  A long-run covariance estimator with
+configurable lag weights feeds the calibration.
 """
 
 from __future__ import annotations
@@ -183,8 +183,7 @@ def hac_cov(d: ScoreDiffSeries, cfg: HacConfig) -> LongRunCov:
     """Long-run covariance: lag-0 outer-product average (divisor n) plus
     weighted symmetrized cross-lag sums up to the cutoff."""
     n = d.n
-    if n <= cfg.lags:
-        raise ValueError(f"series length {n} must exceed lag cutoff {cfg.lags}")
+    _check_lag_cutoff(n, cfg)
     x = np.column_stack([d.d_m, d.d_c])
     x = x - x.mean(axis=0)
     cov = x.T @ x / n
@@ -197,52 +196,40 @@ def hac_cov(d: ScoreDiffSeries, cfg: HacConfig) -> LongRunCov:
     return LongRunCov(s_mm=float(cov[0, 0]), s_mc=float(cov[0, 1]), s_cc=float(cov[1, 1]))
 
 
-def _split(alpha: float, alpha1: float | None) -> tuple[float, float]:
+def _check_level(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if alpha1 is None:
-        return alpha / 2.0, alpha / 2.0
-    if not 0.0 < alpha1 < alpha:
-        raise ValueError("alpha1 must lie strictly between 0 and alpha")
-    return alpha1, alpha - alpha1
 
 
-def _solve_c2(rho: float, h: float, alpha2: float, hypothesis: Hypothesis) -> float:
+def _check_lag_cutoff(n: int, cfg: HacConfig) -> None:
+    if n <= cfg.lags:
+        raise ValueError(f"series length {n} must exceed lag cutoff {cfg.lags}")
+
+
+def _solve_c2(rho: float, h: float, alpha2: float, sides: int) -> float:
     """Safeguarded Newton iteration for the standardized second-step
     critical value k = c2/sqrt(s_cc), given the correlation ``rho`` and the
     standardized first-step value h = c1/sqrt(s_mm).
 
-    Equal case: P(|Z1| <= h, |Z2| > k) = alpha2, solved for k >= 0.
-    Lex case:   P(|Z1| <= h, Z2 > k)  = alpha2.
-    Both probabilities are strictly decreasing in k.  The iteration starts
-    from the closed form under independence and uses the analytic
-    derivative -phi(k) * P(|Z1| <= h | Z2 = k) (plus the mirrored term at -k
-    in the equal case).  Every evaluation narrows a bracket around the root,
-    and a Newton step that leaves the bracket is replaced by bisection.
-    Raises ``CalibrationError`` when the probability is not within
-    ``_SOLVER_PROB_TOL`` of alpha2 after ``_SOLVER_MAX_ITER`` evaluations,
-    or once the bracket has collapsed.
+    Solves p(k) = sides * P(|Z1| <= h, Z2 > k) = alpha2, with ``sides`` 2
+    under ``equal`` and 1 under ``lex``.  The limit is centrally symmetric,
+    so for k >= 0 the two-sided P(|Z1| <= h, |Z2| > k) is the one-sided
+    strip doubled, and both hypotheses solve the same strip probability.
+    p is strictly decreasing in k.  The iteration starts from the closed
+    form under independence and uses the analytic derivative
+    -sides * phi(k) * P(|Z1| <= h | Z2 = k).  Every evaluation narrows a
+    bracket around the root, and a Newton step that leaves the bracket is
+    replaced by bisection.  Raises ``CalibrationError`` when the probability
+    is not within ``_SOLVER_PROB_TOL`` of alpha2 after ``_SOLVER_MAX_ITER``
+    evaluations, or once the bracket has collapsed.
     """
     r = math.sqrt((1.0 - rho) * (1.0 + rho))
-    p_band = bvn_rect_prob(rho, -h, h, -math.inf, math.inf)
-    equal = hypothesis is Hypothesis.EQUAL
-
-    def band_density(k: float) -> float:
-        return norm_pdf(k) * (norm_cdf((h - rho * k) / r) - norm_cdf((-h - rho * k) / r))
-
-    if equal:
-        lo, hi = 0.0, 10.0
-        k = norm_quantile(1.0 - alpha2 / (2.0 * p_band))
-    else:
-        lo, hi = -10.0, 10.0
-        k = norm_quantile(1.0 - alpha2 / p_band)
-    k = min(max(k, lo), hi)
+    p_band = norm_cdf(h) - norm_cdf(-h)
+    lo, hi = -10.0, 10.0
+    k = min(max(norm_quantile(1.0 - alpha2 / (sides * p_band)), lo), hi)
 
     for _ in range(_SOLVER_MAX_ITER):
-        if equal:
-            p = p_band - bvn_rect_prob(rho, -h, h, -k, k)
-        else:
-            p = bvn_rect_prob(rho, -h, h, k, math.inf)
+        p = sides * bvn_rect_prob(rho, -h, h, k, math.inf)
         if abs(p - alpha2) <= _SOLVER_PROB_TOL:
             return k
         if p > alpha2:
@@ -255,7 +242,9 @@ def _solve_c2(rho: float, h: float, alpha2: float, hypothesis: Hypothesis) -> fl
                 f"second-step solver bracket collapsed at k={k!r} with "
                 f"probability {p!r}, target {alpha2!r}"
             )
-        slope = band_density(k) + (band_density(-k) if equal else 0.0)
+        slope = sides * norm_pdf(k) * (
+            norm_cdf((h - rho * k) / r) - norm_cdf((-h - rho * k) / r)
+        )
         step = k + (p - alpha2) / slope if slope > 0.0 else math.nan
         k = step if lo < step < hi else 0.5 * (lo + hi)
     raise CalibrationError(
@@ -265,26 +254,24 @@ def _solve_c2(rho: float, h: float, alpha2: float, hypothesis: Hypothesis) -> fl
 
 
 def critical_values(
-    omega: LongRunCov,
-    alpha: float,
-    hypothesis: Hypothesis,
-    alpha1: float | None = None,
+    omega: LongRunCov, alpha: float, hypothesis: Hypothesis
 ) -> tuple[float, float]:
     """Jointly calibrated critical values (c1, c2) for the two-step test.
 
-    The problem is solved standardized: h = c1/sqrt(s_mm) satisfies
-    P(|Z1| > h) = alpha1 in closed form, and k = c2/sqrt(s_cc) makes the
-    second-step rejection probability equal alpha2 to within 1e-12, solved
-    by a safeguarded Newton iteration on the closed-form (Owen's T)
-    bivariate normal rectangle kernel.  Both depend on omega only through
-    its correlation.  Defaults to an even split alpha1 = alpha2 = alpha/2.
-    Raises ``CalibrationError`` when the solver does not converge.
+    The level is split evenly, alpha/2 per step, and each critical value is
+    sqrt(variance) times a standardized one.  h = c1/sqrt(s_mm) satisfies
+    P(|Z1| > h) = alpha/2 in closed form.  k = c2/sqrt(s_cc) makes the
+    second-step rejection probability (two-sided under ``equal``, one-sided
+    under ``lex``) equal alpha/2 to within 1e-12; see ``_solve_c2``.  Both
+    depend on omega only through its correlation.  Raises
+    ``CalibrationError`` when the solver does not converge.
     """
     if not omega.is_pd:
         raise ValueError("long-run covariance must be positive definite")
-    a1, a2 = _split(alpha, alpha1)
-    h = norm_quantile(1.0 - a1 / 2.0)
-    k = _solve_c2(omega.correlation(), h, a2, Hypothesis(hypothesis))
+    _check_level(alpha)
+    sides = 2 if Hypothesis(hypothesis) is Hypothesis.EQUAL else 1
+    h = norm_quantile(1.0 - alpha / 4.0)
+    k = _solve_c2(omega.correlation(), h, alpha / 2.0, sides)
     return math.sqrt(omega.s_mm) * h, math.sqrt(omega.s_cc) * k
 
 
@@ -314,19 +301,14 @@ def _shrink_if_singular(omega: LongRunCov) -> tuple[LongRunCov, bool]:
     return omega, False
 
 
-def _one_step_critical(variance: float, alpha: float, two_sided: bool) -> float:
-    p = 1.0 - alpha / 2.0 if two_sided else 1.0 - alpha
-    return math.sqrt(variance) * norm_quantile(p)
-
-
 def two_step_test(
     d: ScoreDiffSeries,
     cfg: HacConfig,
     alpha: float,
     hypothesis: Hypothesis,
-    alpha1: float | None = None,
 ) -> TwoStepResult:
-    """Stepwise test: marginal component first, copula component second.
+    """Stepwise test: marginal component first, copula component second,
+    at level alpha/2 each (see ``critical_values``).
 
     When one component is identically zero (identical forecasts on that
     component), the test falls back to a one-step comparison of the other
@@ -338,7 +320,7 @@ def two_step_test(
     (possible with truncated weights) raises ``LongRunCovError``.
     """
     hypothesis = Hypothesis(hypothesis)
-    _split(alpha, alpha1)  # rejects bad levels on every path
+    _check_level(alpha)  # rejects bad levels on every path
     sqrt_n = math.sqrt(d.n)
     stat_m = sqrt_n * float(d.d_m.mean())
     stat_c = sqrt_n * float(d.d_c.mean())
@@ -354,6 +336,7 @@ def two_step_test(
             "the forecasts carry no ranking information"
         )
     equal = hypothesis is Hypothesis.EQUAL
+    sides = 2 if equal else 1
     shrunk = False
     if flat_m or flat_c:
         # A constant component has no sampling variation.  When identically
@@ -364,14 +347,14 @@ def two_step_test(
         c1 = math.inf if zero_m else 0.0
         c2 = math.inf if zero_c else 0.0
         if not flat_m:
-            c1 = _one_step_critical(omega.s_mm, alpha, two_sided=True)
+            c1 = math.sqrt(omega.s_mm) * norm_quantile(1.0 - alpha / 2.0)
         if not flat_c:
-            c2 = _one_step_critical(omega.s_cc, alpha, two_sided=equal)
+            c2 = math.sqrt(omega.s_cc) * norm_quantile(1.0 - alpha / sides)
     else:
         if abs(omega.correlation()) > _CORR_INDEFINITE:
             raise _indefinite(cfg, f"correlation {omega.correlation()!r}")
         calib, shrunk = _shrink_if_singular(omega)
-        c1, c2 = critical_values(calib, alpha, hypothesis, alpha1)
+        c1, c2 = critical_values(calib, alpha, hypothesis)
 
     if abs(stat_m) > c1:
         outcome = Outcome.REJECTED_AT_MARGINAL_STEP

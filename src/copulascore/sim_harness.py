@@ -24,7 +24,8 @@ import numpy as np
 # Not called here; perfbench/child.py wraps this module attribute by name.
 from .copulas import gaussian_logdensity_from_scores  # noqa: F401
 from .dist_math import EquiCorr
-from .inference import HacConfig, Hypothesis, ScoreDiffSeries, _split, two_step_test
+from .inference import HacConfig, Hypothesis, ScoreDiffSeries, two_step_test
+from .inference import _check_lag_cutoff, _check_level
 from .scoring import score_arrays
 
 __all__ = [
@@ -209,8 +210,6 @@ def _forecast_variances(
     recursive: the forecaster's own variance state evolves under the
     per-period contaminated parameters, seeded at delta[0]*sigma2_true[0].
     """
-    if mode not in VARIANCE_MODES:
-        raise ValueError("variance mode must be " + " or ".join(map(repr, VARIANCE_MODES)))
     if mode == "one-step":
         return delta_marg[..., None] * sigma2
     out = np.empty_like(sigma2)
@@ -237,6 +236,8 @@ def _experiment_diffs(
     time-major, (steps, reps, ...), so that one step of a recursion writes
     one contiguous block.
     """
+    if variance_mode not in VARIANCE_MODES:
+        raise ValueError("variance mode must be " + " or ".join(map(repr, VARIANCE_MODES)))
     chol = _innovation_chol(spec)
     eps = np.empty((reps, spec.burn_in + spec.n, spec.dim))
     # draws[k] holds forecaster k's (dm, dc), each of shape (reps, n)
@@ -281,9 +282,8 @@ def run_experiment(
     if reps < 1:
         raise ValueError("reps must be >= 1")
     # the level and lag checks of every test, before anything is drawn
-    _split(alpha, None)
-    if spec.n <= hac.lags:
-        raise ValueError(f"series length {spec.n} must exceed lag cutoff {hac.lags}")
+    _check_level(alpha)
+    _check_lag_cutoff(spec.n, hac)
     setting.spec1.check_against(spec)
     setting.spec2.check_against(spec)
 

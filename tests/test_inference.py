@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from copulascore import inference
-from copulascore.dist_math import norm_quantile
+from copulascore.dist_math import bvn_rect_prob, norm_cdf, norm_quantile
 from copulascore.inference import (
     CalibrationError,
     DegenerateSeriesError,
@@ -171,13 +171,6 @@ class TestCriticalValues:
             p1, p2 = step_probs(om, c1, c2, hypothesis)
             assert abs(p1 + p2 - alpha) <= 1e-7
 
-    def test_uneven_split(self):
-        om = LongRunCov(1.0, 0.0, 1.0)
-        c1, c2 = critical_values(om, 0.05, Hypothesis.EQUAL, alpha1=0.01)
-        assert c1 == pytest.approx(norm_quantile(1 - 0.01 / 2), abs=1e-6)
-        _, p2 = step_probs(om, c1, c2, Hypothesis.EQUAL)
-        assert p2 == pytest.approx(0.04, abs=1e-7)
-
     def test_c2_nonincreasing_in_alpha(self):
         rng = np.random.default_rng(32)
         om = random_pd_cov(rng)
@@ -239,6 +232,21 @@ class TestSecondStepSolver:
             om = near_singular_pd_cov(rng)
             c1, c2 = critical_values(om, 0.05, hypothesis)
             assert abs(oracle_second_step_prob(om, c1, c2, hypothesis) - 0.025) <= 1e-11
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1, 0.2])
+    def test_equal_residual_in_two_sided_form(self, alpha):
+        # The solver doubles the one-sided strip; the README's 1e-12 must
+        # also hold for the two-sided probability P(|Z1| <= h, |Z2| > k).
+        rng = np.random.default_rng(74)
+        rhos = np.concatenate([
+            rng.uniform(-1.0, 1.0, 500) * (1.0 - 1e-8),
+            np.copysign(1.0 - 10.0 ** rng.uniform(-8, -2, 500), rng.uniform(-1.0, 1.0, 500)),
+        ])
+        for rho in rhos.tolist():
+            h, k = critical_values(LongRunCov(1.0, rho, 1.0), alpha, Hypothesis.EQUAL)
+            p_band = norm_cdf(h) - norm_cdf(-h)
+            p = p_band - bvn_rect_prob(rho, -h, h, -k, k)
+            assert abs(p - alpha / 2) <= 1e-12
 
     def test_kernel_calls_per_calibration(self, monkeypatch):
         calls = []

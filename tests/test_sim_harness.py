@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from copulascore import sim_harness
 from copulascore.copulas import GaussianEquiCorr
 from copulascore.dist_math import EquiCorr
 from copulascore.inference import HacConfig, Hypothesis, ScoreDiffSeries, two_step_test
@@ -314,6 +315,15 @@ class TestRunExperiment:
         bad = Setting("bad", ContaminationSpec(0.1, 1.5), ContaminationSpec(0.1, 0.1))
         with pytest.raises(ValueError):
             run_experiment(spec, bad, reps=2, alpha=0.05, seed=1)
+
+    def test_unknown_variance_mode_rejected_before_drawing(self, monkeypatch):
+        def no_draws(seed, rep):
+            pytest.fail("a replication was drawn before the variance mode was checked")
+
+        monkeypatch.setattr(sim_harness, "_rep_rng", no_draws)
+        spec = DgpSpec(n=30, burn_in=5)
+        with pytest.raises(ValueError, match="variance mode"):
+            run_experiment(spec, SETTINGS["i"], reps=2, alpha=0.05, seed=1, variance_mode="bogus")
 
     def test_settings_table_matches_study_design(self):
         assert set(SETTINGS) == {"i", "ii", "iii", "iv", "v"}
