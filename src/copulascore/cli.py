@@ -69,10 +69,6 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _round12(x: float) -> float:
-    return float(_fmt(x))
-
-
 def _csv_text(header: list[str], rows) -> str:
     """CSV text with LF line endings: floats with 12 significant digits,
     ``None`` as an empty cell, anything else (labels, integer counts and
@@ -85,6 +81,24 @@ def _csv_text(header: list[str], rows) -> str:
 
     lines = [",".join(header)] + [",".join(map(cell, row)) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def _json_text(payload) -> str:
+    """Indented JSON text: floats (numpy scalars and arrays included) with
+    12 significant digits, non-finite floats as strings such as ``"inf"``."""
+
+    def plain(v):
+        if isinstance(v, (np.ndarray, np.generic)):
+            v = v.tolist()
+        if isinstance(v, dict):
+            return {k: plain(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [plain(x) for x in v]
+        if isinstance(v, float):
+            return float(_fmt(v)) if math.isfinite(v) else _fmt(v)
+        return v
+
+    return json.dumps(plain(payload), indent=2) + "\n"
 
 
 def _read_rows(path) -> tuple[list[str], list[list[str]]]:
@@ -224,18 +238,14 @@ def _result_dict(r: TwoStepResult) -> dict:
         "hypothesis": r.hypothesis.value,
         "outcome": r.outcome.value,
         "attribution": r.attribution,
-        "stat_m": _round12(r.stat_m),
-        "stat_c": _round12(r.stat_c),
-        "c1": "inf" if math.isinf(r.c1) else _round12(r.c1),
-        "c2": "inf" if math.isinf(r.c2) else _round12(r.c2),
-        "alpha": _round12(r.alpha),
+        "stat_m": r.stat_m,
+        "stat_c": r.stat_c,
+        "c1": r.c1,
+        "c2": r.c2,
+        "alpha": r.alpha,
         "degenerate_fallback": r.degenerate_fallback,
         "correlation_shrunk": r.correlation_shrunk,
-        "omega": {
-            "s_mm": _round12(r.omega.s_mm),
-            "s_mc": _round12(r.omega.s_mc),
-            "s_cc": _round12(r.omega.s_cc),
-        },
+        "omega": asdict(r.omega),
     }
 
 
@@ -265,14 +275,14 @@ def _matrix_compare(args, hypothesis: Hypothesis, hac: HacConfig) -> int:
         "config": {
             "directory": str(directory),
             "hypothesis": hypothesis.value,
-            "alpha": _round12(args.alpha),
+            "alpha": args.alpha,
             "hac_lags": hac.lags,
             "hac_weights": hac.weights,
         },
         "models": models,
         "attribution": labels,
     }
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    sys.stdout.write(_json_text(payload))
     if args.out:
         rows = ([name, *labels[i]] for i, name in enumerate(models))
         Path(args.out).write_text(_csv_text(["model", *models], rows), encoding="utf-8")
@@ -284,7 +294,10 @@ def cmd_compare(args) -> int:
     hac = HacConfig(lags=args.hac_lags, weights=args.hac_weights)
     if args.matrix is not None:
         return _matrix_compare(args, hypothesis, hac)
-    parse = parse_density_scores if args.format == "densities" else parse_scores
+    # the second header cell decides the format: s_marg_1 or logf_1_1
+    header, _ = _read_rows(args.scores)
+    densities = len(header) > 1 and header[1].startswith("logf_")
+    parse = parse_density_scores if densities else parse_scores
     t, scores = parse(args.scores)
     d = score_diffs(scores[:, 0], scores[:, 1])
     result = two_step_test(d, hac, args.alpha, hypothesis)
@@ -293,17 +306,17 @@ def cmd_compare(args) -> int:
     cum_d_c = np.cumsum(d.d_c) / steps
     averages = {
         f"model_{m + 1}": {
-            "s_marg": _round12(scores[:, m, 0].mean()),
-            "s_cop": _round12(scores[:, m, 1].mean()),
+            "s_marg": scores[:, m, 0].mean(),
+            "s_cop": scores[:, m, 1].mean(),
         }
         for m in range(2)
     }
     payload = {
         "config": {
             "scores": str(args.scores),
-            "format": args.format,
-            "n": int(t.size),
-            "alpha": _round12(args.alpha),
+            "format": "densities" if densities else "scores",
+            "n": t.size,
+            "alpha": args.alpha,
             "hypothesis": hypothesis.value,
             "hac_lags": hac.lags,
             "hac_weights": hac.weights,
@@ -311,12 +324,12 @@ def cmd_compare(args) -> int:
         "result": _result_dict(result),
         "average_scores": averages,
         "cumulative_avg_diffs": {
-            "t": [_round12(v) for v in t],
-            "d_m": [_round12(v) for v in cum_d_m],
-            "d_c": [_round12(v) for v in cum_d_c],
+            "t": t,
+            "d_m": cum_d_m,
+            "d_c": cum_d_c,
         },
     }
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    sys.stdout.write(_json_text(payload))
     if args.cumdiff:
         rows = zip(t, cum_d_m, cum_d_c)
         text = _csv_text(["t", "cum_avg_d_m", "cum_avg_d_c"], rows)
@@ -325,15 +338,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    spec = DgpSpec(
-        n=args.n,
-        dim=args.dim,
-        omega0=args.omega0,
-        alpha0=args.alpha0,
-        beta0=args.beta0,
-        rho=args.rho,
-        burn_in=args.burn_in,
-    )
+    spec = DgpSpec(**{f.name: getattr(args, f.name) for f in fields(DgpSpec)})
     rows = run_experiment(
         spec,
         SETTINGS[args.setting],
@@ -344,14 +349,9 @@ def cmd_simulate(args) -> int:
         variance_mode=args.variance_mode,
     )
     csv_text = _csv_text([f.name for f in fields(FreqRow)], map(astuple, rows))
-    json_rows = [
-        {k: _round12(v) if isinstance(v, float) else v for k, v in asdict(row).items()}
-        for row in rows
-    ]
+    json_text = _json_text({"rows": [asdict(row) for row in rows]})
     Path(str(args.out) + ".csv").write_text(csv_text, encoding="utf-8")
-    Path(str(args.out) + ".json").write_text(
-        json.dumps({"rows": json_rows}, indent=2) + "\n", encoding="utf-8"
-    )
+    Path(str(args.out) + ".json").write_text(json_text, encoding="utf-8")
     sys.stdout.write(csv_text)
     return 0
 
@@ -405,9 +405,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "compare", parents=[test_options], help="two-step test on a per-period scores file"
     )
     source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--scores", help="CSV of per-period scores for two models")
+    source.add_argument("--scores", help="two-model scores or densities CSV (header decides)")
     source.add_argument("--matrix", help="directory of single-model score CSVs")
-    p.add_argument("--format", choices=["scores", "densities"], default="scores")
     p.add_argument(
         "--hypothesis", choices=[h.value for h in Hypothesis], default=Hypothesis.EQUAL.value
     )
@@ -420,15 +419,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--setting", required=True, choices=sorted(SETTINGS))
     p.add_argument("--n", type=int, required=True)
+    for f in fields(DgpSpec)[1:]:  # one flag per process parameter after n
+        flag = "--" + f.name.replace("_", "-")
+        p.add_argument(flag, type=type(f.default), default=f.default)
     p.add_argument("--reps", type=int, default=2000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="output path prefix (.csv/.json)")
-    p.add_argument("--dim", type=int, default=DgpSpec.dim)
-    p.add_argument("--rho", type=float, default=DgpSpec.rho)
-    p.add_argument("--omega0", type=float, default=DgpSpec.omega0)
-    p.add_argument("--alpha0", type=float, default=DgpSpec.alpha0)
-    p.add_argument("--beta0", type=float, default=DgpSpec.beta0)
-    p.add_argument("--burn-in", type=int, default=DgpSpec.burn_in)
     p.add_argument("--variance-mode", choices=VARIANCE_MODES, default=VARIANCE_MODES[0])
     p.set_defaults(func=cmd_simulate)
 
@@ -453,8 +449,6 @@ def main(argv=None) -> int:
             parser.error("compare --out applies only to --matrix")
         if args.matrix is not None and args.cumdiff is not None:
             parser.error("compare --cumdiff applies only to --scores")
-        if args.matrix is not None and args.format == "densities":
-            parser.error("compare --format densities applies only to --scores")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -35,11 +35,6 @@ UPPER_RIGHT = "upper-right"
 LOWER_RIGHT = "lower-right"
 _DIRECTIONS = (UPPER_RIGHT, LOWER_RIGHT)
 
-# Sampled points exactly on the unit-cube boundary (possible in floating
-# point, probability zero otherwise) are pulled inside before any density
-# evaluation.
-UNIT_CLAMP = 1e-15
-
 
 class Copula(abc.ABC):
     """A d-dimensional copula: cdf on [0,1]^d with uniform marginals."""
@@ -54,7 +49,7 @@ class Copula(abc.ABC):
         u = np.asarray(u, dtype=float)
         if u.shape != (self.dim,):
             raise ValueError(f"u must have shape ({self.dim},), got {u.shape}")
-        if np.any(u < 0.0) or np.any(u > 1.0):
+        if not np.all((u >= 0.0) & (u <= 1.0)):  # written so that NaN fails it
             raise ValueError("u must lie in the unit cube")
         return self._cdf(u)
 
@@ -181,15 +176,10 @@ class Mixture2D(Copula):
         # Draw order is fixed: base points first, then block coins.
         v = self.base._sample(n, rng)
         block = rng.integers(0, 2, size=n)
-        u = np.empty_like(v)
-        if self.direction == UPPER_RIGHT:
-            # block 0 -> lower-left quarter, block 1 -> upper-right quarter
-            u = 0.5 * v + 0.5 * block[:, None]
-        else:
-            # block 0 -> upper-left quarter, block 1 -> lower-right quarter
-            u[:, 0] = 0.5 * v[:, 0] + 0.5 * block
-            u[:, 1] = 0.5 * v[:, 1] + 0.5 * (1 - block)
-        return u, block
+        # upper-right: block 0 -> lower-left quarter, 1 -> upper-right quarter;
+        # lower-right: block 0 -> upper-left quarter, 1 -> lower-right quarter
+        row = block if self.direction == UPPER_RIGHT else 1 - block
+        return 0.5 * v + 0.5 * np.column_stack([block, row]), block
 
     def sample_labeled(self, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
         """Sample points together with the index of the block each came from."""

@@ -116,8 +116,8 @@ class HacConfig:
     weights: str = "zero"
 
     def __post_init__(self):
-        if self.lags < 0:
-            raise ValueError("lags must be >= 0")
+        if not isinstance(self.lags, (int, np.integer)) or self.lags < 0:
+            raise ValueError(f"lags must be an integer >= 0, got {self.lags!r}")
         if self.weights not in HAC_WEIGHTS:
             raise ValueError("weights must be one of " + ", ".join(map(repr, HAC_WEIGHTS)))
 

@@ -15,13 +15,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .copulas import (
-    Copula,
-    GaussianEquiCorr,
-    Independence,
-    UNIT_CLAMP,
-    gaussian_logdensity_from_scores,
-)
+from .copulas import Copula, GaussianEquiCorr, Independence, gaussian_logdensity_from_scores
 
 # Not called here; perfbench/child.py wraps this module attribute by name.
 from .copulas import gaussian_copula_logdensity  # noqa: F401
@@ -40,6 +34,11 @@ __all__ = [
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
+# Probability transforms are clamped to [UNIT_CLAMP, 1 - UNIT_CLAMP], about
+# 7.9 predictive standard deviations either side, so that their normal
+# quantiles stay finite where ndtr rounds to exactly 0 or 1.
+UNIT_CLAMP = 1e-15
+
 
 @dataclass(frozen=True)
 class MarginalForecast:
@@ -51,8 +50,8 @@ class MarginalForecast:
         sigma = np.atleast_1d(np.asarray(self.sigma, dtype=float))
         if sigma.ndim != 1 or sigma.size == 0:
             raise ValueError("sigma must be a nonempty vector")
-        if not np.all(sigma > 0.0):
-            raise ValueError("all standard deviations must be strictly positive")
+        if not np.all(np.isfinite(sigma) & (sigma > 0.0)):
+            raise ValueError(f"sigma must be finite and strictly positive, got {sigma}")
         object.__setattr__(self, "sigma", sigma)
 
     @property

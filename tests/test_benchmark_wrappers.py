@@ -38,7 +38,7 @@ def test_traced_cli_invocation_succeeds(tmp_path):
     "argv",
     [
         ["compare", "--scores", "fixtures/synthetic_scores.csv"],
-        ["compare", "--scores", "fixtures/synthetic_densities.csv", "--format", "densities"],
+        ["compare", "--scores", "fixtures/synthetic_densities.csv"],
     ],
 )
 def test_traced_compare_invocation_counts_parsed_rows(argv, tmp_path):

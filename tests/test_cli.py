@@ -313,8 +313,6 @@ class TestCompareCommand:
         [
             (["--matrix", str(FIXTURES / "synthetic_model_scores"), "--cumdiff", "x.csv"],
              "--cumdiff"),
-            (["--matrix", str(FIXTURES / "synthetic_model_scores"), "--format", "densities"],
-             "--format densities"),
             (["--scores", str(FIXTURES / "synthetic_scores.csv"), "--out", "m.csv"], "--out"),
         ],
     )
@@ -386,7 +384,7 @@ class TestDensitiesFormat:
         dens, reduced = tmp_path / "dens.csv", tmp_path / "scores.csv"
         self._write_density_file(dens, n=60, dim=9, grid=64)
         write_scores(reduced, *parse_density_scores(dens))
-        assert main(["compare", "--scores", str(dens), "--format", "densities"]) == 0
+        assert main(["compare", "--scores", str(dens)]) == 0
         from_densities = json.loads(capsys.readouterr().out)
         assert main(["compare", "--scores", str(reduced)]) == 0
         from_scores = json.loads(capsys.readouterr().out)
@@ -394,12 +392,26 @@ class TestDensitiesFormat:
             assert from_densities[key] == from_scores[key]
 
     def test_compare_accepts_densities(self, tmp_path, capsys):
+        # no flag: the header's second cell, logf_1_1, selects the format
         p = tmp_path / "dens.csv"
         self._write_density_file(p)
-        rc = main(["compare", "--scores", str(p), "--format", "densities"])
+        rc = main(["compare", "--scores", str(p)])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["config"]["format"] == "densities"
+
+    def test_malformed_density_header_gets_the_density_error(self, tmp_path, capsys):
+        p = tmp_path / "dens.csv"
+        p.write_text("t,logf_1_1,pit_1_1,logc_1\n1,0,0.5,0\n2,0,0.5,0\n")
+        assert main(["compare", "--scores", str(p)]) == 1
+        assert "density format" in capsys.readouterr().err
+
+    def test_format_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--scores", str(FIXTURES / "synthetic_densities.csv"),
+                  "--format", "densities"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
 
     def test_pit_out_of_range(self, tmp_path):
         p = tmp_path / "dens.csv"
@@ -645,6 +657,42 @@ class TestParser:
         args = _build_parser().parse_args(["compare", "--scores", "a.csv"])
         assert HacConfig(args.hac_lags, args.hac_weights) == HacConfig()
         assert Hypothesis(args.hypothesis) is Hypothesis.EQUAL
+
+    def test_process_flags_keep_their_types(self):
+        from copulascore.cli import _build_parser
+
+        args = _build_parser().parse_args(
+            ["simulate", "--setting", "i", "--n", "50", "--seed", "1", "--out", "x",
+             "--dim", "3", "--burn-in", "10", "--rho", "0.25", "--omega0", "2e-3",
+             "--alpha0", "0.05", "--beta0", "0.4"]
+        )
+        assert (args.dim, args.burn_in) == (3, 10)
+        assert isinstance(args.dim, int) and isinstance(args.burn_in, int)
+        assert (args.rho, args.omega0, args.alpha0, args.beta0) == (0.25, 2e-3, 0.05, 0.4)
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args(
+                ["simulate", "--setting", "i", "--n", "50", "--seed", "1", "--out", "x",
+                 "--dim", "2.5"]
+            )
+
+
+class TestJsonText:
+    def test_rounds_floats_and_numpy_scalars_in_nested_containers(self):
+        payload = {
+            "b": [np.float64(1 / 3), 2, True, {"x": np.int64(7), "y": np.bool_(False)}],
+            "a": (0.1 + 0.2, math.inf, None, "label"),
+            "arr": np.array([1.0, 2 / 3]),
+        }
+        text = cli._json_text(payload)
+        assert text.endswith("}\n")
+        assert json.loads(text) == {
+            "b": [0.333333333333, 2, True, {"x": 7, "y": False}],
+            "a": [0.3, "inf", None, "label"],
+            "arr": [1.0, 0.666666666667],
+        }
+        # key order is kept, and ints and bools are not written as floats
+        assert list(json.loads(text)) == ["b", "a", "arr"]
+        assert '"x": 7' in text and "true" in text and '"y": false' in text
 
 
 class TestFixtures:

@@ -59,6 +59,16 @@ class TestCdfExamples:
         with pytest.raises(ValueError):
             Independence(2).cdf((1.5, 0.5))
 
+    @pytest.mark.parametrize(
+        "copula",
+        [Independence(2), Comonotone(2), Countermonotone(),
+         Mixture2D(Independence(2), UPPER_RIGHT)],
+        ids=["independence", "comonotone", "countermonotone", "mixture"],
+    )
+    def test_nan_coordinate_rejected(self, copula):
+        with pytest.raises(ValueError, match="unit cube"):
+            copula.cdf((math.nan, 0.5))
+
 
 class TestMixtureCdf:
     def test_comonotone_lower_right_center(self):
@@ -205,6 +215,8 @@ class TestGaussianLogDensity:
             gaussian_copula_logdensity(ec, (0.0, 0.5))
         with pytest.raises(ValueError):
             gaussian_copula_logdensity(ec, (0.5, 1.0))
+        with pytest.raises(ValueError):
+            gaussian_copula_logdensity(ec, (0.5, math.nan))
 
     def test_integrates_to_one(self):
         # Monte Carlo: the density averaged over uniform points is 1.

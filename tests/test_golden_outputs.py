@@ -9,6 +9,8 @@ file and say which digits changed and why.
 Regenerate the digests with
 
     PYTHONPATH=src python tests/test_golden_outputs.py
+
+which also prints the cases whose digest changed.
 """
 
 import contextlib
@@ -39,8 +41,8 @@ for _h in ("equal", "lex"):
         [],
     )
     CASES[f"compare-densities-{_h}"] = (
-        ["compare", "--scores", "fixtures/synthetic_densities.csv", "--format", "densities",
-         "--hypothesis", _h, "--cumdiff", "{out}/cum.csv"],
+        ["compare", "--scores", "fixtures/synthetic_densities.csv", "--hypothesis", _h,
+         "--cumdiff", "{out}/cum.csv"],
         ["cum.csv"],
     )
     CASES[f"matrix-{_h}"] = (
@@ -95,9 +97,14 @@ def test_output_digest(name, tmp_path):
 if __name__ == "__main__":
     import tempfile
 
+    old = json.loads(DIGESTS.read_text(encoding="utf-8")) if DIGESTS.exists() else {}
     digests = {}
     for name in sorted(CASES):
         with tempfile.TemporaryDirectory() as d:
             digests[name] = run_case(name, Path(d))
+        if digests[name] != old.get(name):
+            print(f"changed: {name}")
+    for name in sorted(old.keys() - digests.keys()):
+        print(f"removed: {name}")
     DIGESTS.write_text(json.dumps(digests, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {len(digests)} digests to {DIGESTS}")

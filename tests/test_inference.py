@@ -137,6 +137,16 @@ class TestHacCov:
         with pytest.raises(ValueError):
             hac_cov(d, HacConfig(lags=4, weights="truncated"))
 
+    @pytest.mark.parametrize("lags", [2.5, math.nan, "3", -1])
+    def test_lags_must_be_a_nonnegative_integer(self, lags):
+        with pytest.raises(ValueError, match="lags"):
+            HacConfig(lags=lags)
+
+    def test_numpy_integer_lags_accepted(self):
+        d = ScoreDiffSeries(np.arange(6.0), np.arange(6.0) ** 2)
+        cfg = HacConfig(lags=np.int64(2), weights="bartlett")
+        assert hac_cov(d, cfg) == hac_cov(d, HacConfig(lags=2, weights="bartlett"))
+
 
 class TestCriticalValues:
     def test_identity_equal_closed_form(self):

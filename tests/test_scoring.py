@@ -43,6 +43,11 @@ class TestMarginalScore:
         with pytest.raises(ValueError):
             MarginalForecast(np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("sigma", [[math.inf, 1.0], [1.0, math.nan]])
+    def test_non_finite_sigma_named(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            MarginalForecast(sigma)
+
     def test_nonfinite_observation(self):
         f = MarginalForecast(np.array([1.0]))
         with pytest.raises(ValueError):
