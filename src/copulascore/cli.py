@@ -173,12 +173,13 @@ def _parse_table(path, header: list[str], rows=None) -> np.ndarray:
     return data
 
 
-def parse_scores(path) -> tuple[np.ndarray, np.ndarray]:
+def parse_scores(path, rows=None) -> tuple[np.ndarray, np.ndarray]:
     """Read the two-model scores format with header
     ``t,s_marg_1,s_cop_1,s_marg_2,s_cop_2`` as ``(t, scores)``: ``t`` has
     shape (n,), and ``scores`` has shape (n, 2, 2), where ``scores[:, m]``
-    holds model m + 1's ``(s_marg, s_cop)`` per period."""
-    data = _parse_table(path, SCORES_HEADER)
+    holds model m + 1's ``(s_marg, s_cop)`` per period.  ``rows`` is the
+    file as ``_read_rows`` gives it, when already read."""
+    data = _parse_table(path, SCORES_HEADER, rows)
     return data[:, 0], data[:, 1:].reshape(-1, 2, 2)
 
 
@@ -198,15 +199,16 @@ def _density_header(dim: int) -> list[str]:
     return cols
 
 
-def parse_density_scores(path) -> tuple[np.ndarray, np.ndarray]:
+def parse_density_scores(path, rows=None) -> tuple[np.ndarray, np.ndarray]:
     """Read the per-dimension density format and reduce it to scores.
 
     Columns per model: log predictive densities ``logf_<m>_<j>`` and
     probability transforms ``pit_<m>_<j>`` for each dimension j, then the
     log copula density ``logc_<m>``.  Scores are the negated sums/values,
-    returned as ``(t, scores)`` in the layout of :func:`parse_scores`.
+    returned as ``(t, scores)`` in the layout of :func:`parse_scores`;
+    ``rows`` is as there.
     """
-    rows = _read_rows(path)
+    rows = rows or _read_rows(path)
     actual = rows[0]
     if (len(actual) - 3) % 4 != 0 or len(actual) < 7:
         raise ScoresFileError(
@@ -295,10 +297,11 @@ def cmd_compare(args) -> int:
     if args.matrix is not None:
         return _matrix_compare(args, hypothesis, hac)
     # the second header cell decides the format: s_marg_1 or logf_1_1
-    header, _ = _read_rows(args.scores)
+    rows = _read_rows(args.scores)
+    header = rows[0]
     densities = len(header) > 1 and header[1].startswith("logf_")
     parse = parse_density_scores if densities else parse_scores
-    t, scores = parse(args.scores)
+    t, scores = parse(args.scores, rows)
     d = score_diffs(scores[:, 0], scores[:, 1])
     result = two_step_test(d, hac, args.alpha, hypothesis)
     steps = np.arange(1, t.size + 1)

@@ -201,7 +201,7 @@ def gaussian_logdensity_from_scores(dim: int, rho, z):
     ssq = np.sum(z * z, axis=-1)
     tot = np.sum(z, axis=-1)
     logdet = (dim - 1) * np.log1p(-rho) + np.log1p((dim - 1) * rho)
-    quad = (ssq - rho * tot**2 / (1.0 + (dim - 1) * rho)) / (1.0 - rho)
+    quad = (ssq - rho * (tot * tot) / (1.0 + (dim - 1) * rho)) / (1.0 - rho)
     return -0.5 * logdet - 0.5 * (quad - ssq)
 
 

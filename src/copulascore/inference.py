@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -168,14 +169,32 @@ class TwoStepResult:
         }[self.outcome]
 
 
+def _score_pairs(scores) -> np.ndarray:
+    """(n, 2) float array of (s_marg, s_cop) rows, from an array or from a
+    sequence of pairs such as :class:`BivariateScore`."""
+    if isinstance(scores, np.ndarray):
+        a = np.asarray(scores, dtype=float)
+    else:
+        # one flat pass over the pairs: several times faster than np.asarray
+        # on a list of tuples
+        if set(map(len, scores)) - {2}:
+            raise ValueError("every score must be a (s_marg, s_cop) pair")
+        a = np.fromiter(chain.from_iterable(scores), float, 2 * len(scores)).reshape(-1, 2)
+    if a.ndim != 2 or a.shape[1] != 2:
+        raise ValueError(f"scores must have shape (n, 2), got {a.shape}")
+    return a
+
+
 def score_diffs(
-    scores1: Sequence[BivariateScore], scores2: Sequence[BivariateScore]
+    scores1: Sequence[BivariateScore] | np.ndarray,
+    scores2: Sequence[BivariateScore] | np.ndarray,
 ) -> ScoreDiffSeries:
-    """Componentwise score differences, model 1 minus model 2."""
+    """Componentwise score differences, model 1 minus model 2.  Each model's
+    scores are an (n, 2) array or a sequence of (s_marg, s_cop) pairs."""
     if len(scores1) != len(scores2):
         raise ValueError("score sequences must have equal length")
-    a = np.asarray(scores1, dtype=float)
-    b = np.asarray(scores2, dtype=float)
+    a = _score_pairs(scores1)
+    b = _score_pairs(scores2)
     return ScoreDiffSeries(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1])
 
 

@@ -8,9 +8,11 @@ and both forecasters are scored by :func:`copulascore.scoring.score_arrays`.
 Replication streams are split from the master seed by spawn key, so results
 are bit-identical regardless of batching or execution order.
 
-The recursions run time-major, over arrays of shape (steps, ..., dim), and
-keep only the evaluation window: burn-in steps advance the variance state
-but are not stored.
+The recursions run time-major, over arrays of shape (steps, ..., dim).
+Burn-in steps advance the variance state but are not stored, and
+:func:`_experiment_diffs` generates and scores the evaluation window in
+blocks of time steps, so that beyond the draws and its results it holds
+one block at a time.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -57,6 +60,11 @@ class DgpSpec:
     burn_in: int = 500
 
     def __post_init__(self):
+        for name in ("n", "burn_in"):
+            value = getattr(self, name)
+            # NaN and floats such as 300.0 fail here, not in the array shapes
+            if not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 2:
             raise ValueError("n must be >= 2")
         # Each check is written so that NaN fails it.
@@ -164,24 +172,41 @@ def _draw_contamination(
     return dm, dc
 
 
+def _garch_steps(
+    spec: DgpSpec, eps: np.ndarray, s2: np.ndarray, y=None, sigma2=None
+) -> np.ndarray:
+    """Advance the true variance state ``s2`` through the time-major
+    innovations ``eps`` and return the state after the last step.  When
+    ``y`` and ``sigma2`` are given, row t of each receives step t's
+    observation and the variance it was drawn with."""
+    for t, e in enumerate(eps):
+        y_t = np.sqrt(s2) * e
+        if y is not None:
+            y[t] = y_t
+            sigma2[t] = s2
+        s2 = spec.omega0 + spec.alpha0 * y_t**2 + spec.beta0 * s2
+    return s2
+
+
+def _burned_in_state(spec: DgpSpec, eps: np.ndarray) -> np.ndarray:
+    """Variance state at the start of the evaluation window: the recursion
+    starts at the stationary variance, and the first ``spec.burn_in`` steps
+    of the time-major ``eps`` only advance it."""
+    s2 = np.full(eps.shape[1:], spec.stationary_variance)
+    return _garch_steps(spec, eps[: spec.burn_in], s2)
+
+
 def _garch_paths(spec: DgpSpec, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Run the volatility recursion; returns (Y, sigma2) over the evaluation
     window only.
 
-    ``eps`` is time-major, shape (burn_in + n, ..., dim).  The recursion
-    starts at the stationary variance; its first ``spec.burn_in`` steps only
-    advance the state, and Y and sigma2 have shape (n, ..., dim).
+    ``eps`` is time-major, shape (burn_in + n, ..., dim), and Y and sigma2
+    have shape (n, ..., dim); the burn-in steps are run but not stored.
     """
-    burn_in = spec.burn_in
-    y = np.empty((eps.shape[0] - burn_in,) + eps.shape[1:])
+    window = eps[spec.burn_in :]
+    y = np.empty(window.shape)
     sigma2 = np.empty_like(y)
-    s2 = np.full(eps.shape[1:], spec.stationary_variance)
-    for t, e in enumerate(eps):
-        y_t = np.sqrt(s2) * e
-        if t >= burn_in:
-            sigma2[t - burn_in] = s2
-            y[t - burn_in] = y_t
-        s2 = spec.omega0 + spec.alpha0 * y_t**2 + spec.beta0 * s2
+    _garch_steps(spec, window, _burned_in_state(spec, eps), y, sigma2)
     return y, sigma2
 
 
@@ -200,25 +225,40 @@ def _forecast_variances(
     sigma2: np.ndarray,
     y: np.ndarray,
     mode: str,
+    prev: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Contaminated conditional variances over the evaluation window.
+    """Contaminated conditional variances over a block of time steps.
 
-    Time-major: ``sigma2`` and ``y`` have shape (n, ..., dim) and
-    ``delta_marg`` has shape (n, ...).
+    Time-major: ``sigma2`` and ``y`` have shape (steps, ..., dim) and
+    ``delta_marg`` has shape (steps, ...).
 
     one-step: sigma2_tilde[t] = delta[t] * sigma2_true[t].
     recursive: the forecaster's own variance state evolves under the
-    per-period contaminated parameters, seeded at delta[0]*sigma2_true[0].
+    per-period contaminated parameters, seeded at delta[0]*sigma2_true[0]
+    at the window's first step.  ``prev`` is the forecaster's variance and
+    the observation of the step before the block, or None if the block
+    starts the window.
     """
     if mode == "one-step":
         return delta_marg[..., None] * sigma2
     out = np.empty_like(sigma2)
-    out[0] = delta_marg[0, ..., None] * sigma2[0]
-    for t in range(1, sigma2.shape[0]):
-        out[t] = delta_marg[t, ..., None] * (
-            spec.omega0 + spec.alpha0 * y[t - 1] ** 2 + spec.beta0 * out[t - 1]
-        )
+    for t in range(sigma2.shape[0]):
+        if prev is None:
+            out[t] = delta_marg[t, ..., None] * sigma2[t]
+        else:
+            var, y_prev = prev
+            out[t] = delta_marg[t, ..., None] * (
+                spec.omega0 + spec.alpha0 * y_prev**2 + spec.beta0 * var
+            )
+        prev = out[t], y[t]
     return out
+
+
+# Time steps per block of _experiment_diffs.  Every array of a block,
+# scoring temporaries included, stays far below one innovation array, so
+# the peak is set by the draws; longer blocks keep more temporaries alive
+# next to the innovations and buy no speed.
+_BLOCK_STEPS = 16
 
 
 def _experiment_diffs(
@@ -232,9 +272,13 @@ def _experiment_diffs(
     shape (reps, n) each.
 
     Row r depends only on (seed, r); see :func:`_rep_rng`.  Each
-    replication is drawn into its own rows; everything after the draws runs
-    time-major, (steps, reps, ...), so that one step of a recursion writes
-    one contiguous block.
+    replication's innovations and disturbances are drawn up front into its
+    own rows.  The evaluation window is then generated, forecast and scored
+    in blocks of ``_BLOCK_STEPS`` time steps, time-major, (steps, reps,
+    ...), so that one step of a recursion writes one contiguous block; the
+    GARCH state and, under ``recursive``, each forecaster's last variance
+    and observation carry over from block to block.  Beyond the draws and
+    the two outputs, memory holds one block at a time.
     """
     if variance_mode not in VARIANCE_MODES:
         raise ValueError("variance mode must be " + " or ".join(map(repr, VARIANCE_MODES)))
@@ -249,16 +293,26 @@ def _experiment_diffs(
             draws[k, :, r] = _draw_contamination(cspec, spec.n, rng)
 
     # a time-major view, not a copy, so the innovations are held only once
-    y, sigma2 = _garch_paths(spec, eps.transpose(1, 0, 2))
-    del eps
-
-    scores = []
-    for dm, dc in draws:
-        sigma = _forecast_variances(spec, dm.T, sigma2, y, variance_mode)
-        scores.append(score_arrays(y, np.sqrt(sigma, out=sigma), spec.rho * dc.T))
-        del sigma
-    (sm1, sc1), (sm2, sc2) = scores
-    return np.ascontiguousarray((sm1 - sm2).T), np.ascontiguousarray((sc1 - sc2).T)
+    eps = eps.transpose(1, 0, 2)
+    s2 = _burned_in_state(spec, eps)
+    d_m = np.empty((reps, spec.n))
+    d_c = np.empty_like(d_m)
+    prev = [None, None]
+    for a in range(0, spec.n, _BLOCK_STEPS):
+        b = min(a + _BLOCK_STEPS, spec.n)
+        y = np.empty((b - a, reps, spec.dim))
+        sigma2 = np.empty_like(y)
+        s2 = _garch_steps(spec, eps[spec.burn_in + a : spec.burn_in + b], s2, y, sigma2)
+        scores = []
+        for k, (dm, dc) in enumerate(draws):
+            var = _forecast_variances(spec, dm[:, a:b].T, sigma2, y, variance_mode, prev[k])
+            # copies: the square root below overwrites var in place
+            prev[k] = var[-1].copy(), y[-1].copy()
+            scores.append(score_arrays(y, np.sqrt(var, out=var), spec.rho * dc[:, a:b].T))
+        (sm1, sc1), (sm2, sc2) = scores
+        d_m[:, a:b] = (sm1 - sm2).T
+        d_c[:, a:b] = (sc1 - sc2).T
+    return d_m, d_c
 
 
 def run_experiment(

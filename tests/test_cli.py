@@ -257,6 +257,14 @@ class TestCompareCommand:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["synthetic_scores.csv", "synthetic_densities.csv"])
+    def test_scores_file_read_once(self, name, monkeypatch, capsys):
+        reads = []
+        read_rows = cli._read_rows
+        monkeypatch.setattr(cli, "_read_rows", lambda path: reads.append(path) or read_rows(path))
+        assert main(["compare", "--scores", str(FIXTURES / name)]) == 0
+        assert len(reads) == 1
+
     def test_calibration_failure_exit_nonzero(self, monkeypatch, capsys):
         monkeypatch.setattr(inference, "_SOLVER_MAX_ITER", 1)
         rc = main(["compare", "--scores", str(FIXTURES / "synthetic_scores.csv")])

@@ -6,23 +6,38 @@ The digests in ``golden_digests.json`` pin the outputs: a refactor must
 leave them unchanged, and a change that alters digits has to regenerate the
 file and say which digits changed and why.
 
+The nine acceptance tables that the ``conftest.py`` session cache computes
+are pinned too, by a digest of their exact ``FreqRow`` values.
+
 Regenerate the digests with
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 
-which also prints the cases whose digest changed.
+which also prints the cases whose digest changed.  The byte-identity check
+of the full acceptance study runs
+
+    PYTHONPATH=src python tests/test_golden_outputs.py --tables DIR
+
+on two commits and compares the directories with ``diff -r``: it writes the
+``simulate`` stdout, CSV and JSON of all 15 acceptance-seed tables (settings
+i-v at n = 150, 300 and 600) to DIR and leaves the digests alone.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
 import os
+import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+from conftest import ALPHA, MASTER_SEED, REPS, _get
 
 from copulascore.cli import main
+from copulascore.sim_harness import SETTINGS
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = Path(__file__).with_name("golden_digests.json")
@@ -70,9 +85,12 @@ for _base in ("independence", "comonotone", "countermonotone", "gaussian:0.5"):
         )
 
 
-def run_case(name: str, out: Path) -> str:
-    argv_tmpl, files = CASES[name]
-    argv = [a.replace("{out}", str(out)) for a in argv_tmpl]
+# the (setting, n) keys of the acceptance tables in the session cache
+CACHED_TABLES = [("i", 150)] + [(s, n) for s in ("ii", "iii", "iv", "v") for n in (150, 300)]
+
+
+def _main_stdout(argv: list[str]) -> str:
+    """Run the CLI in-process from the repository root; returns its stdout."""
     stdout = io.StringIO()
     cwd = os.getcwd()
     os.chdir(ROOT)
@@ -82,10 +100,36 @@ def run_case(name: str, out: Path) -> str:
     finally:
         os.chdir(cwd)
     assert rc == 0
-    h = hashlib.sha256(stdout.getvalue().encode("utf-8"))
+    return stdout.getvalue()
+
+
+def run_case(name: str, out: Path) -> str:
+    argv_tmpl, files = CASES[name]
+    argv = [a.replace("{out}", str(out)) for a in argv_tmpl]
+    h = hashlib.sha256(_main_stdout(argv).encode("utf-8"))
     for f in files:
         h.update((out / f).read_bytes())
     return h.hexdigest()
+
+
+def table_digest(rows) -> str:
+    """Digest of one table's ``FreqRow`` values; JSON writes each float
+    exactly, so any change in a rejection frequency changes the digest."""
+    text = json.dumps([asdict(row) for row in rows])
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def write_acceptance_tables(out: Path) -> None:
+    """Write stdout, CSV and JSON of ``simulate`` at the acceptance seed for
+    every setting at n = 150, 300 and 600 to ``out``."""
+    out = out.resolve()
+    out.mkdir(parents=True, exist_ok=True)
+    for setting in sorted(SETTINGS):
+        for n in (150, 300, 600):
+            prefix = out / f"{setting}-{n}"
+            argv = ["simulate", "--setting", setting, "--n", str(n), "--reps", str(REPS),
+                    "--alpha", str(ALPHA), "--seed", str(MASTER_SEED), "--out", str(prefix)]
+            Path(f"{prefix}.stdout").write_text(_main_stdout(argv), encoding="utf-8")
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -94,17 +138,41 @@ def test_output_digest(name, tmp_path):
     assert run_case(name, tmp_path) == expected[name]
 
 
-if __name__ == "__main__":
-    import tempfile
+@pytest.mark.parametrize("setting,n", CACHED_TABLES)
+def test_acceptance_table_digest(setting, n, freq):
+    expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    assert table_digest(freq(setting, n).values()) == expected[f"table-{setting}-{n}"]
 
+
+def regenerate_digests() -> None:
     old = json.loads(DIGESTS.read_text(encoding="utf-8")) if DIGESTS.exists() else {}
     digests = {}
     for name in sorted(CASES):
         with tempfile.TemporaryDirectory() as d:
             digests[name] = run_case(name, Path(d))
-        if digests[name] != old.get(name):
+    for setting, n in CACHED_TABLES:
+        digests[f"table-{setting}-{n}"] = table_digest(_get(setting, n).values())
+    digests = dict(sorted(digests.items()))
+    for name, digest in digests.items():
+        if name not in old:
+            print(f"added: {name}")
+        elif digest != old[name]:
             print(f"changed: {name}")
     for name in sorted(old.keys() - digests.keys()):
         print(f"removed: {name}")
     DIGESTS.write_text(json.dumps(digests, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {len(digests)} digests to {DIGESTS}")
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(
+        description="Regenerate the golden digests, or write the acceptance tables."
+    )
+    parser.add_argument("--tables", type=Path, metavar="DIR",
+                        help="write the 15 acceptance-seed simulate tables to DIR instead")
+    args = parser.parse_args()
+    if args.tables is None:
+        regenerate_digests()
+    else:
+        write_acceptance_tables(args.tables)
+        print(f"wrote 15 tables to {args.tables}")

@@ -79,6 +79,33 @@ class TestScoreDiffs:
         with pytest.raises(ValueError):
             score_diffs(a, b)
 
+    def test_list_and_array_inputs_agree(self):
+        rows = np.random.default_rng(1).standard_normal((2, 6, 2))
+        pairs = [[BivariateScore(*row) for row in model] for model in rows]
+        from_arrays, from_pairs = score_diffs(*rows), score_diffs(*pairs)
+        np.testing.assert_array_equal(from_arrays.d_m, from_pairs.d_m)
+        np.testing.assert_array_equal(from_arrays.d_c, from_pairs.d_c)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [(1.0, 2.0, 3.0), (4.0,), (5.0, 6.0)],  # ragged, right total
+            [(1.0, 2.0, 3.0), (4.0, 5.0), (6.0, 7.0)],  # ragged
+            [(1.0, 2.0, 3.0)] * 3,  # width 3
+            np.zeros((3, 3)),
+            np.zeros((3, 1)),
+            np.zeros(3),
+        ],
+        ids=["ragged-same-total", "ragged", "list-width-3", "array-width-3",
+             "array-width-1", "array-1d"],
+    )
+    def test_pairs_of_wrong_width_rejected(self, bad):
+        good = [BivariateScore(0.0, 0.0)] * 3
+        with pytest.raises(ValueError):
+            score_diffs(bad, good)
+        with pytest.raises(ValueError):
+            score_diffs(good, bad)
+
     def test_series_validation(self):
         with pytest.raises(ValueError):
             ScoreDiffSeries(np.array([1.0]), np.array([1.0]))

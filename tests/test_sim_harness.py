@@ -26,6 +26,8 @@ from copulascore.sim_harness import (
     simulate_path,
 )
 
+BLOCK = sim_harness._BLOCK_STEPS
+
 
 class TestDgpSpec:
     def test_stationarity_required(self):
@@ -42,6 +44,16 @@ class TestDgpSpec:
     def test_non_finite_garch_parameter_named(self, field, value):
         with pytest.raises(ValueError, match=field):
             DgpSpec(n=100, **{field: value})
+
+    @pytest.mark.parametrize("field", ["n", "burn_in"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 2.5, 300.0, "300"])
+    def test_non_integer_length_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            DgpSpec(**{"n": 100, field: value})
+
+    def test_numpy_integer_lengths_accepted(self):
+        spec = DgpSpec(n=np.int64(30), burn_in=np.int32(5))
+        assert _experiment_diffs(spec, SETTINGS["i"], reps=1, seed=0)[0].shape == (1, 30)
 
     def test_stationary_variance(self):
         spec = DgpSpec(n=10)
@@ -229,13 +241,7 @@ class TestExperimentDiffs:
                 d_c[t] += sign * s_c
         return d_m, d_c
 
-    @pytest.mark.parametrize("mode", VARIANCE_MODES)
-    @pytest.mark.parametrize("burn_in", [0, 9])
-    @pytest.mark.parametrize("reps", [1, 3])
-    @pytest.mark.parametrize("dim", [2, 5])
-    def test_batch_equals_per_replication_loop(self, mode, burn_in, reps, dim):
-        """Bit for bit: batching replications changes only the layout."""
-        spec = DgpSpec(n=30, dim=dim, rho=0.4, burn_in=burn_in)
+    def _assert_equals_per_replication_loop(self, spec, reps, mode):
         setting = Setting("x", ContaminationSpec(0.3, 0.4), ContaminationSpec(0.1, 0.2))
         d_m, d_c = _experiment_diffs(spec, setting, reps=reps, seed=17, variance_mode=mode)
         assert d_m.shape == d_c.shape == (reps, spec.n)
@@ -244,6 +250,25 @@ class TestExperimentDiffs:
             ref_m, ref_c = self._replication_by_steps(spec, setting, 17, r, mode)
             np.testing.assert_array_equal(d_m[r], ref_m)
             np.testing.assert_array_equal(d_c[r], ref_c)
+
+    @pytest.mark.parametrize("mode", VARIANCE_MODES)
+    @pytest.mark.parametrize("burn_in", [0, 9])
+    @pytest.mark.parametrize("reps", [1, 3])
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_batch_equals_per_replication_loop(self, mode, burn_in, reps, dim):
+        """Bit for bit: batching replications changes only the layout."""
+        spec = DgpSpec(n=30, dim=dim, rho=0.4, burn_in=burn_in)
+        self._assert_equals_per_replication_loop(spec, reps, mode)
+
+    @pytest.mark.parametrize("mode", VARIANCE_MODES)
+    @pytest.mark.parametrize("burn_in", [0, 9])
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    def test_block_boundaries_equal_per_replication_loop(self, n, burn_in, mode):
+        """Bit for bit: the window split into blocks of time steps, with
+        the GARCH state and the recursive forecasts carried across each
+        boundary, matches one uninterrupted loop."""
+        spec = DgpSpec(n=n, dim=3, rho=0.4, burn_in=burn_in)
+        self._assert_equals_per_replication_loop(spec, 3, mode)
 
     @pytest.mark.parametrize("mode", VARIANCE_MODES)
     def test_burn_in_is_not_stored(self, mode):
@@ -262,6 +287,26 @@ class TestExperimentDiffs:
         finally:
             tracemalloc.stop()
         assert peak < innovations + 6 * window, peak / window
+
+    @pytest.mark.parametrize("mode", VARIANCE_MODES)
+    def test_window_is_generated_in_blocks(self, mode):
+        """A long window with few replications: beyond the draws and the two
+        outputs, the peak holds one block of time steps, far below half a
+        window.  Generating the whole window at once holds Y and sigma2
+        alone, two windows."""
+        spec = DgpSpec(n=2000, burn_in=10)
+        reps = 20
+        window = spec.n * reps * spec.dim * 8
+        innovations = (spec.burn_in + spec.n) * reps * spec.dim * 8
+        contamination = 2 * 2 * reps * spec.n * 8  # (dm, dc) of both forecasters
+        outputs = 2 * reps * spec.n * 8
+        tracemalloc.start()
+        try:
+            _experiment_diffs(spec, SETTINGS["ii"], reps=reps, seed=3, variance_mode=mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < innovations + contamination + outputs + window / 2, peak / window
 
     def test_recursive_mode_differs(self):
         spec = DgpSpec(n=40, burn_in=20)
