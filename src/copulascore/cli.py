@@ -101,16 +101,21 @@ def _json_text(payload) -> str:
     return json.dumps(plain(payload), indent=2) + "\n"
 
 
-def _read_rows(path) -> tuple[list[str], list[list[str]]]:
+def _read_text(path) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ScoresFileError(f"cannot read {path}: {exc}") from exc
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
-    if not rows:
+
+
+def _csv_rows(path, text: str):
+    """The header row of ``text`` and a lazy iterator over its data rows, as
+    the csv reader splits them; empty rows are skipped."""
+    rows = filter(None, csv.reader(io.StringIO(text)))
+    header = next(rows, None)
+    if header is None:
         raise ScoresFileError(f"{path}: empty file")
-    return rows[0], rows[1:]
+    return header, rows
 
 
 def _check_header(actual: list[str], expected: list[str], path) -> None:
@@ -150,21 +155,35 @@ def _parse_cells(path, header: list[str], raw_rows: list[list[str]]) -> np.ndarr
     return data
 
 
-def _parse_table(path, header: list[str], rows=None) -> np.ndarray:
+def _parse_table(path, header: list[str], text: str | None = None) -> np.ndarray:
     """Parse a CSV with the given exact header into an (n, k) float array.
-    ``rows`` is the file as ``_read_rows`` gives it, when already read.
+    ``text`` is the file's content, when already read.
 
-    All cells are converted by one array cast (numpy parses strings as
-    ``float`` does); the cell-by-cell scan runs only to locate an error."""
-    actual, raw_rows = rows or _read_rows(path)
-    _check_header(actual, header, path)
-    if len(raw_rows) < 2:
-        raise ScoresFileError(f"{path}: need at least 2 data rows, found {len(raw_rows)}")
-    try:
-        data = np.array(raw_rows, dtype=float)
-    except ValueError:
-        data = None
-    if data is None or data.shape[1] != len(header) or not np.isfinite(data).all():
+    When the first line is exactly the header, one ``np.loadtxt`` call
+    converts the rest.  A file that it rejects, or whose table is too short,
+    of the wrong width or not finite, is rescanned by the csv reader cell by
+    cell (``float`` on each cell), which names the first bad row or cell."""
+    if text is None:
+        text = _read_text(path)
+    first, _, body = text.partition("\n")
+    data = None
+    # an empty body would make np.loadtxt warn; the rescan reports it
+    if first == ",".join(header) and body.strip():
+        try:
+            data = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if (
+        data is None
+        or len(data) < 2
+        or data.shape[1] != len(header)
+        or not np.isfinite(data).all()
+    ):
+        actual, raw_rows = _csv_rows(path, text)
+        _check_header(actual, header, path)
+        raw_rows = list(raw_rows)
+        if len(raw_rows) < 2:
+            raise ScoresFileError(f"{path}: need at least 2 data rows, found {len(raw_rows)}")
         data = _parse_cells(path, header, raw_rows)
     t = data[:, 0]
     if np.any(np.diff(t) <= 0.0):
@@ -173,13 +192,13 @@ def _parse_table(path, header: list[str], rows=None) -> np.ndarray:
     return data
 
 
-def parse_scores(path, rows=None) -> tuple[np.ndarray, np.ndarray]:
+def parse_scores(path, text=None) -> tuple[np.ndarray, np.ndarray]:
     """Read the two-model scores format with header
     ``t,s_marg_1,s_cop_1,s_marg_2,s_cop_2`` as ``(t, scores)``: ``t`` has
     shape (n,), and ``scores`` has shape (n, 2, 2), where ``scores[:, m]``
-    holds model m + 1's ``(s_marg, s_cop)`` per period.  ``rows`` is the
-    file as ``_read_rows`` gives it, when already read."""
-    data = _parse_table(path, SCORES_HEADER, rows)
+    holds model m + 1's ``(s_marg, s_cop)`` per period.  ``text`` is the
+    file's content, when already read."""
+    data = _parse_table(path, SCORES_HEADER, text)
     return data[:, 0], data[:, 1:].reshape(-1, 2, 2)
 
 
@@ -199,24 +218,25 @@ def _density_header(dim: int) -> list[str]:
     return cols
 
 
-def parse_density_scores(path, rows=None) -> tuple[np.ndarray, np.ndarray]:
+def parse_density_scores(path, text=None) -> tuple[np.ndarray, np.ndarray]:
     """Read the per-dimension density format and reduce it to scores.
 
     Columns per model: log predictive densities ``logf_<m>_<j>`` and
     probability transforms ``pit_<m>_<j>`` for each dimension j, then the
     log copula density ``logc_<m>``.  Scores are the negated sums/values,
     returned as ``(t, scores)`` in the layout of :func:`parse_scores`;
-    ``rows`` is as there.
+    ``text`` is as there.
     """
-    rows = rows or _read_rows(path)
-    actual = rows[0]
+    if text is None:
+        text = _read_text(path)
+    actual, _ = _csv_rows(path, text)
     if (len(actual) - 3) % 4 != 0 or len(actual) < 7:
         raise ScoresFileError(
             f"{path}: header has {len(actual)} columns; the density format needs "
             "1 + 2*(2*dim+1) columns"
         )
     dim = (len(actual) - 3) // 4
-    data = _parse_table(path, _density_header(dim), rows)
+    data = _parse_table(path, _density_header(dim), text)
     # blocks[:, m] is model m's (logf_1..logf_dim, pit_1..pit_dim, logc)
     blocks = data[:, 1:].reshape(-1, 2, 2 * dim + 1)
     pits = blocks[:, :, dim : 2 * dim]
@@ -269,9 +289,13 @@ def _matrix_compare(args, hypothesis: Hypothesis, hac: HacConfig) -> int:
     models = [p.stem for p in paths]
     k = len(models)
     labels: list[list[str | None]] = [[None] * k for _ in range(k)]
-    for i, j in itertools.permutations(range(k), 2):
+    # one test per unordered pair: the pair in the other order has the
+    # negated differences, so its result follows exactly by swapped()
+    for i, j in itertools.combinations(range(k), 2):
         d = score_diffs(scores[:, i], scores[:, j])
-        labels[i][j] = two_step_test(d, hac, args.alpha, hypothesis).attribution
+        r = two_step_test(d, hac, args.alpha, hypothesis)
+        labels[i][j] = r.attribution
+        labels[j][i] = r.swapped().attribution
 
     payload = {
         "config": {
@@ -297,11 +321,11 @@ def cmd_compare(args) -> int:
     if args.matrix is not None:
         return _matrix_compare(args, hypothesis, hac)
     # the second header cell decides the format: s_marg_1 or logf_1_1
-    rows = _read_rows(args.scores)
-    header = rows[0]
+    text = _read_text(args.scores)
+    header, _ = _csv_rows(args.scores, text)
     densities = len(header) > 1 and header[1].startswith("logf_")
     parse = parse_density_scores if densities else parse_scores
-    t, scores = parse(args.scores, rows)
+    t, scores = parse(args.scores, text)
     d = score_diffs(scores[:, 0], scores[:, 1])
     result = two_step_test(d, hac, args.alpha, hypothesis)
     steps = np.arange(1, t.size + 1)

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -105,6 +106,12 @@ class ScoreDiffSeries:
         return self.d_m.size
 
 
+def _is_integer(value) -> bool:
+    """True for Python and numpy integers.  ``bool`` is an ``int`` subclass,
+    but ``True`` is no count."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class HacConfig:
     """Lag cutoff and weight rule for the long-run covariance estimator.
@@ -117,7 +124,7 @@ class HacConfig:
     weights: str = "zero"
 
     def __post_init__(self):
-        if not isinstance(self.lags, (int, np.integer)) or self.lags < 0:
+        if not _is_integer(self.lags) or self.lags < 0:
             raise ValueError(f"lags must be an integer >= 0, got {self.lags!r}")
         if self.weights not in HAC_WEIGHTS:
             raise ValueError("weights must be one of " + ", ".join(map(repr, HAC_WEIGHTS)))
@@ -167,6 +174,34 @@ class TwoStepResult:
             Outcome.REJECTED_AT_MARGINAL_STEP: "M",
             Outcome.REJECTED_AT_COPULA_STEP: "C",
         }[self.outcome]
+
+    def swapped(self) -> TwoStepResult:
+        """The result for the two models in the other order.
+
+        Swapping the models negates every score difference exactly, so the
+        statistics change sign while the long-run covariance, the critical
+        values and the fallback flags stay bit-identical; only the outcome
+        is decided again, by the rule of :func:`two_step_test`."""
+        stat_m, stat_c = -self.stat_m, -self.stat_c
+        return replace(
+            self,
+            stat_m=stat_m,
+            stat_c=stat_c,
+            outcome=_decide(stat_m, stat_c, self.c1, self.c2, self.hypothesis),
+        )
+
+
+def _decide(
+    stat_m: float, stat_c: float, c1: float, c2: float, hypothesis: Hypothesis
+) -> Outcome:
+    """The stepwise decision: the marginal step rejects on |stat_m| > c1;
+    otherwise the copula step on |stat_c| > c2 under ``equal`` and on
+    stat_c > c2 under ``lex``."""
+    if abs(stat_m) > c1:
+        return Outcome.REJECTED_AT_MARGINAL_STEP
+    if (abs(stat_c) if hypothesis is Hypothesis.EQUAL else stat_c) > c2:
+        return Outcome.REJECTED_AT_COPULA_STEP
+    return Outcome.NO_REJECTION
 
 
 def _score_pairs(scores) -> np.ndarray:
@@ -354,8 +389,7 @@ def two_step_test(
             "both score-difference components are degenerate; "
             "the forecasts carry no ranking information"
         )
-    equal = hypothesis is Hypothesis.EQUAL
-    sides = 2 if equal else 1
+    sides = 2 if hypothesis is Hypothesis.EQUAL else 1
     shrunk = False
     if flat_m or flat_c:
         # A constant component has no sampling variation.  When identically
@@ -375,12 +409,7 @@ def two_step_test(
         calib, shrunk = _shrink_if_singular(omega)
         c1, c2 = critical_values(calib, alpha, hypothesis)
 
-    if abs(stat_m) > c1:
-        outcome = Outcome.REJECTED_AT_MARGINAL_STEP
-    elif (abs(stat_c) if equal else stat_c) > c2:
-        outcome = Outcome.REJECTED_AT_COPULA_STEP
-    else:
-        outcome = Outcome.NO_REJECTION
+    outcome = _decide(stat_m, stat_c, c1, c2, hypothesis)
     return TwoStepResult(
         hypothesis, stat_m, stat_c, c1, c2, outcome, alpha, omega,
         degenerate_fallback=zero_m or zero_c, correlation_shrunk=shrunk,

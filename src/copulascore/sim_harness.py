@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
@@ -28,7 +27,7 @@ import numpy as np
 from .copulas import gaussian_logdensity_from_scores  # noqa: F401
 from .dist_math import EquiCorr
 from .inference import HacConfig, Hypothesis, ScoreDiffSeries, two_step_test
-from .inference import _check_lag_cutoff, _check_level
+from .inference import _check_lag_cutoff, _check_level, _is_integer
 from .scoring import score_arrays
 
 __all__ = [
@@ -62,8 +61,8 @@ class DgpSpec:
     def __post_init__(self):
         for name in ("n", "burn_in"):
             value = getattr(self, name)
-            # NaN and floats such as 300.0 fail here, not in the array shapes
-            if not isinstance(value, Integral):
+            # NaN, floats such as 300.0 and bools fail here, not in the array shapes
+            if not _is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 2:
             raise ValueError("n must be >= 2")
@@ -333,6 +332,8 @@ def run_experiment(
     forecaster 2's.  Each forecaster is scored with its own contaminated
     marginals and copula; the two-step tests run on the score differences.
     """
+    if not _is_integer(reps):
+        raise ValueError(f"reps must be an integer, got {reps!r}")
     if reps < 1:
         raise ValueError("reps must be >= 1")
     # the level and lag checks of every test, before anything is drawn

@@ -1,12 +1,16 @@
 """Tests for the CSV formats, the JSON report, and the three subcommands."""
 
+import csv
 import functools
+import io
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from copulascore.cli import (
     ScoresFileError,
@@ -124,6 +128,165 @@ class TestRoundTrip:
         assert (parsed_t == t).all() and (parsed == scores).all()
         write_scores(p2, parsed_t, parsed)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def reference_parse_table(path, header):
+    """The parser that the ``np.loadtxt`` path replaced, kept as an oracle:
+    every row through the csv reader, one array cast of all cells, and a
+    cell-by-cell scan only to locate an error."""
+    text = Path(path).read_text(encoding="utf-8")
+    rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    if not rows:
+        raise ScoresFileError(f"{path}: empty file")
+    actual, raw_rows = rows[0], rows[1:]
+    if actual != header:
+        for i, name in enumerate(header):
+            if i >= len(actual):
+                raise ScoresFileError(f"{path}: header is missing column '{name}'")
+            if actual[i] != name:
+                raise ScoresFileError(
+                    f"{path}: header column {i + 1} is '{actual[i]}', expected '{name}'"
+                )
+        raise ScoresFileError(
+            f"{path}: header has {len(actual)} columns, expected {len(header)}"
+        )
+    if len(raw_rows) < 2:
+        raise ScoresFileError(f"{path}: need at least 2 data rows, found {len(raw_rows)}")
+    try:
+        data = np.array(raw_rows, dtype=float)
+    except ValueError:
+        data = None
+    if data is None or data.shape[1] != len(header) or not np.isfinite(data).all():
+        data = np.empty((len(raw_rows), len(header)))
+        for i, row in enumerate(raw_rows, start=1):
+            if len(row) != len(header):
+                raise ScoresFileError(
+                    f"{path}: row {i}: expected {len(header)} fields, found {len(row)}"
+                )
+            for j, (col, raw) in enumerate(zip(header, row)):
+                try:
+                    data[i - 1, j] = value = float(raw)
+                except ValueError:
+                    raise ScoresFileError(
+                        f"{path}: row {i}, column '{col}': non-numeric value '{raw}'"
+                    ) from None
+                if not math.isfinite(value):
+                    raise ScoresFileError(
+                        f"{path}: row {i}, column '{col}': non-finite value '{raw}'"
+                    )
+    t = data[:, 0]
+    if np.any(np.diff(t) <= 0.0):
+        bad = int(np.argmax(np.diff(t) <= 0.0)) + 2
+        raise ScoresFileError(f"{path}: row {bad}: t must be strictly increasing")
+    return data
+
+
+def _parse_outcome(parse):
+    """(shape, bytes) of the parsed array, or the error message."""
+    try:
+        data = parse()
+    except ScoresFileError as exc:
+        return "error", str(exc)
+    return "ok", data.shape, data.tobytes()
+
+
+_odd_cells = st.sampled_from([
+    "1_0", "nan", "NaN", "inf", "-inf", "1e400", "-1e400", "1e-400", "#1", "# 2",
+    '"1.5"', '"1,5"', "", " ", " 2 ", "\t3", "\xa04", "+3", "-0", ".5", "1.", "1e5 ",
+    "0x10", "1d5", "abc", "1 2", "\u0661\u0662", "infinity",
+])
+_numbers = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    # long mantissas and exponents near the double range
+    st.builds(
+        "{}.{}e{}".format,
+        st.integers(-10**20, 10**20),
+        st.integers(0, 10**20),
+        st.integers(-330, 330),
+    ),
+)
+_cells = st.one_of(_numbers, _odd_cells)
+
+
+@st.composite
+def _table_texts(draw, header):
+    """File text for a parser of ``header``: usually well formed, with
+    blank, whitespace-only and comment lines, CRLF endings, quoted and odd
+    cells, trailing commas, ragged rows or a damaged header mixed in."""
+    width = len(header)
+    head = draw(st.sampled_from([",".join(header)] * 12 + [
+        ",".join(header) + ",",
+        ",".join(f'"{h}"' for h in header),
+        ",".join(header[:-1]),
+        ",".join(header).replace("s_cop", "s_kop"),
+        "\n" + ",".join(header),
+    ]))
+    lines = [head]
+    for i in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row"] * 12 + ["odd", "blank", "space", "comment"]))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "space":
+            lines.append(draw(st.sampled_from([" ", "  ", "\t"])))
+        elif kind == "comment":
+            lines.append("#" + ",".join(["1"] * width))
+        else:
+            t = str(i + 1) if draw(st.booleans()) or kind == "row" else draw(_cells)
+            n_rest = width - 1 if kind == "row" else draw(st.integers(0, width + 1))
+            cells = [t] + [draw(_cells if kind == "odd" else _numbers) for _ in range(n_rest)]
+            lines.append(",".join(cells) + ("," if kind == "odd" and draw(st.booleans()) else ""))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+class TestParseEquivalence:
+    """The np.loadtxt parse with its csv-reader rescan gives exactly the
+    array or the error message of the parser it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), header=st.sampled_from([cli.SINGLE_MODEL_HEADER, cli.SCORES_HEADER]))
+    def test_same_array_or_same_error(self, data, header, tmp_path_factory):
+        text = data.draw(_table_texts(header))
+        path = tmp_path_factory.getbasetemp() / "parse_equivalence.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = _parse_outcome(lambda: reference_parse_table(path, header))
+        assert _parse_outcome(lambda: cli._parse_table(path, header)) == expected
+
+    @pytest.mark.parametrize("text", [
+        "t,s_marg,s_cop\n",
+        "t,s_marg,s_cop\n\n\n",
+        "t,s_marg,s_cop\n \n",
+        "t,s_marg,s_cop\r\n1,2,3\r\n\r\n2,4,5\r\n",
+        "t,s_marg,s_cop\n1,2,3\n2,1_0,5\n",
+        "t,s_marg,s_cop\n1,2,3\n2,1e400,5\n",
+        "t,s_marg,s_cop\n1,2,3,\n2,4,5,\n",
+        "t,s_marg,s_cop\n1,2,3\n#2,4,5\n",
+        't,s_marg,s_cop\n1,"2",3\n2,4,5\n',
+        "t,s_marg,s_cop\n1,2,3\n2,4\n",
+        "t,s_marg,s_cop\n1,2,3,4\n2,4,5,6\n",
+        "t,s_marg,s_cop\n1,2,3\n",
+        "",
+    ])
+    def test_listed_inputs(self, text, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_bytes(text.encode("utf-8"))
+        header = cli.SINGLE_MODEL_HEADER
+        expected = _parse_outcome(lambda: reference_parse_table(path, header))
+        assert _parse_outcome(lambda: cli._parse_table(path, header)) == expected
+
+    def test_well_formed_file_skips_the_cell_scan(self, tmp_path, monkeypatch):
+        path = tmp_path / "scores.csv"
+        path.write_text("t,s_marg,s_cop\n1,0.5,-2\n2,1e-3,4\n", encoding="utf-8")
+        monkeypatch.setattr(cli, "_parse_cells", lambda *a: pytest.fail("cell scan ran"))
+        _, scores = parse_single_model_scores(path)
+        np.testing.assert_array_equal(scores, [[0.5, -2.0], [1e-3, 4.0]])
+
+    def test_bad_cell_is_located_by_the_rescan(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("t,s_marg,s_cop\n1,0.5,-2\n2,1e-3,x\n", encoding="utf-8")
+        with pytest.raises(ScoresFileError, match=r"row 2, column 's_cop': non-numeric value 'x'"):
+            parse_single_model_scores(path)
 
 
 def simulated_scores_file(path, n, seed, widths1, widths2):
@@ -260,8 +423,8 @@ class TestCompareCommand:
     @pytest.mark.parametrize("name", ["synthetic_scores.csv", "synthetic_densities.csv"])
     def test_scores_file_read_once(self, name, monkeypatch, capsys):
         reads = []
-        read_rows = cli._read_rows
-        monkeypatch.setattr(cli, "_read_rows", lambda path: reads.append(path) or read_rows(path))
+        read_text = cli._read_text
+        monkeypatch.setattr(cli, "_read_text", lambda path: reads.append(path) or read_text(path))
         assert main(["compare", "--scores", str(FIXTURES / name)]) == 0
         assert len(reads) == 1
 
@@ -471,6 +634,76 @@ class TestMatrixMode:
         csv_lines = (tmp_path / "matrix.csv").read_text().strip().split("\n")
         assert csv_lines[0] == "model," + ",".join(payload["models"])
         assert len(csv_lines) == 8
+
+    @staticmethod
+    def _brute_force(directory, hypothesis):
+        """Every ordered pair through its own score_diffs and two_step_test."""
+        paths = sorted(Path(directory).glob("*.csv"))
+        tables = [parse_single_model_scores(p)[1] for p in paths]
+        k = len(tables)
+        return [
+            [
+                None
+                if i == j
+                else two_step_test(
+                    score_diffs(tables[i], tables[j]), HacConfig(), 0.05, hypothesis
+                ).attribution
+                for j in range(k)
+            ]
+            for i in range(k)
+        ]
+
+    @staticmethod
+    def _shared_marginals_dir(tmp_path):
+        """Four models in which c has a's marginal scores (fallback path) and
+        d has a's marginal scores plus a constant (sign decision)."""
+        rng = np.random.default_rng(5)
+        n = 40
+        t = np.arange(1, n + 1)
+        a, b = rng.normal(0.0, 1.0, (2, n, 2))
+        c = np.column_stack([a[:, 0], a[:, 1] + rng.normal(0.4, 0.5, n)])
+        d = np.column_stack([a[:, 0] + 0.5, rng.normal(0.0, 1.0, n)])
+        directory = tmp_path / "shared"
+        directory.mkdir()
+        for name, scores in zip("abcd", (a, b, c, d)):
+            rows = zip(t, scores[:, 0], scores[:, 1])
+            text = cli._csv_text(cli.SINGLE_MODEL_HEADER, rows)
+            (directory / f"{name}.csv").write_text(text, encoding="utf-8")
+        return directory
+
+    @pytest.mark.parametrize("hypothesis", list(Hypothesis))
+    @pytest.mark.parametrize("source", ["fixtures", "shared_marginals"])
+    def test_matrix_equals_every_ordered_pair_tested(self, source, hypothesis, tmp_path, capsys):
+        if source == "fixtures":
+            directory = FIXTURES / "synthetic_model_scores"
+        else:
+            directory = self._shared_marginals_dir(tmp_path)
+        argv = ["compare", "--matrix", str(directory), "--hypothesis", hypothesis.value]
+        assert main(argv) == 0
+        matrix = json.loads(capsys.readouterr().out)["attribution"]
+        assert matrix == self._brute_force(directory, hypothesis)
+
+    def test_shared_marginals_take_the_fallback_and_sign_paths(self, tmp_path):
+        directory = self._shared_marginals_dir(tmp_path)
+        tables = [parse_single_model_scores(directory / f"{m}.csv")[1] for m in "acd"]
+        a, c, d = tables
+        res = two_step_test(score_diffs(a, c), HacConfig(), 0.05, Hypothesis.EQUAL)
+        assert res.degenerate_fallback and res.c1 == math.inf
+        res = two_step_test(score_diffs(a, d), HacConfig(), 0.05, Hypothesis.EQUAL)
+        assert res.c1 == 0.0 and res.attribution == "M"
+
+    def test_identical_model_files_report_degenerate_series(self, tmp_path, capsys):
+        d = tmp_path / "same"
+        d.mkdir()
+        text = "t,s_marg,s_cop\n1,0.5,1\n2,1.5,0\n3,0.25,2\n"
+        (d / "a.csv").write_text("t,s_marg,s_cop\n1,0,1\n2,1,0\n3,2,2\n")
+        (d / "b.csv").write_text(text)
+        (d / "c.csv").write_text(text)
+        assert main(["compare", "--matrix", str(d)]) == 1
+        assert capsys.readouterr().err == (
+            "error: both score-difference components are degenerate; "
+            "the forecasts carry no ranking information\n"
+        )
 
     def test_needs_two_files(self, tmp_path, capsys):
         d = tmp_path / "one"

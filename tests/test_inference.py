@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 from conftest import quad_bvn_rect, step_probs
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from copulascore import inference
@@ -167,6 +167,12 @@ class TestHacCov:
     @pytest.mark.parametrize("lags", [2.5, math.nan, "3", -1])
     def test_lags_must_be_a_nonnegative_integer(self, lags):
         with pytest.raises(ValueError, match="lags"):
+            HacConfig(lags=lags)
+
+    @pytest.mark.parametrize("lags", [True, False])
+    def test_bool_lags_rejected(self, lags):
+        # bool is an int subclass: lags=True used to reach the report as true
+        with pytest.raises(ValueError, match="^lags must be an integer"):
             HacConfig(lags=lags)
 
     def test_numpy_integer_lags_accepted(self):
@@ -582,21 +588,33 @@ _psd_hac = st.builds(
 )
 
 
+_LEX, _EQUAL = Hypothesis.LEX_SUPERIORITY, Hypothesis.EQUAL
+
+
 @settings(max_examples=200, deadline=None)
-@given(rows=_grid_series, hac=_psd_hac)
-def test_swapping_models_negates_statistics(rows, hac):
-    """Under equality, swapping the two models negates both statistics and
-    leaves the long-run covariance, the critical values and the outcome
-    exactly unchanged."""
+@given(rows=_grid_series, hac=_psd_hac, hypothesis=st.sampled_from(list(Hypothesis)))
+# identical marginals (fallback), a constant copula advantage (sign decision)
+# and a one-sided copula rejection: under lex each flips to no rejection
+@example(rows=[(0, 900), (0, 1100), (0, 1000), (0, 950)], hac=HacConfig(), hypothesis=_LEX)
+@example(rows=[(4, 7), (-2, 7), (9, 7), (1, 7)], hac=HacConfig(), hypothesis=_LEX)
+@example(rows=[(4, 7), (-2, 7), (9, 7), (1, 7)], hac=HacConfig(), hypothesis=_EQUAL)
+@example(rows=[(3, 900), (-1, 1100), (2, 1000), (-4, 950)] * 4, hac=HacConfig(), hypothesis=_LEX)
+def test_swapping_models_negates_statistics(rows, hac, hypothesis):
+    """Swapping the two models negates every difference exactly: the test on
+    the negated series equals ``swapped()`` of the test on the series, field
+    for field, with the long-run covariance, the critical values and the
+    flags unchanged and the outcome decided again."""
     assume(len(rows) > hac.lags)
-    res = _grid_pair(rows, hac, Hypothesis.EQUAL)
-    swapped = _grid_pair(rows, hac, Hypothesis.EQUAL, factor=-1.0)
+    res = _grid_pair(rows, hac, hypothesis)
+    swapped = _grid_pair(rows, hac, hypothesis, factor=-1.0)
     if res is None:
         assert swapped is None
         return
-    assert (swapped.stat_m, swapped.stat_c) == (-res.stat_m, -res.stat_c)
-    assert swapped.omega == res.omega
-    assert (swapped.c1, swapped.c2, swapped.outcome) == (res.c1, res.c2, res.outcome)
+    assert swapped == res.swapped()
+    assert (swapped.omega, swapped.c1, swapped.c2) == (res.omega, res.c1, res.c2)
+    assert res.swapped().swapped() == res
+    if hypothesis is Hypothesis.EQUAL:
+        assert swapped.outcome is res.outcome
 
 
 @settings(max_examples=200, deadline=None)

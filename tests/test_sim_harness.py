@@ -51,6 +51,13 @@ class TestDgpSpec:
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             DgpSpec(**{"n": 100, field: value})
 
+    @pytest.mark.parametrize("field", ["n", "burn_in"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_length_named(self, field, value):
+        # bool is an int subclass: burn_in=True used to run one burn-in step
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            DgpSpec(**{"n": 100, field: value})
+
     def test_numpy_integer_lengths_accepted(self):
         spec = DgpSpec(n=np.int64(30), burn_in=np.int32(5))
         assert _experiment_diffs(spec, SETTINGS["i"], reps=1, seed=0)[0].shape == (1, 30)
@@ -360,6 +367,18 @@ class TestRunExperiment:
         bad = Setting("bad", ContaminationSpec(0.1, 1.5), ContaminationSpec(0.1, 0.1))
         with pytest.raises(ValueError):
             run_experiment(spec, bad, reps=2, alpha=0.05, seed=1)
+
+    @pytest.mark.parametrize("reps", [True, 2.0, 1.5, "3", np.float64(2.0)])
+    def test_non_integer_reps_named(self, reps):
+        # reps=True used to write True into the table's reps column
+        spec = DgpSpec(n=30, burn_in=5)
+        with pytest.raises(ValueError, match="^reps must be an integer"):
+            run_experiment(spec, SETTINGS["i"], reps=reps, alpha=0.05, seed=1)
+
+    def test_numpy_integer_reps_accepted(self):
+        spec = DgpSpec(n=30, burn_in=5)
+        rows = run_experiment(spec, SETTINGS["i"], reps=np.int64(2), alpha=0.05, seed=1)
+        assert rows == run_experiment(spec, SETTINGS["i"], reps=2, alpha=0.05, seed=1)
 
     def test_unknown_variance_mode_rejected_before_drawing(self, monkeypatch):
         def no_draws(seed, rep):
