@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist_math import EquiCorr, norm_cdf, norm_quantile
+from .dist_math import EquiCorr, _is_integer, norm_cdf, norm_quantile
 
 __all__ = [
     "Copula",
@@ -42,8 +42,8 @@ class Copula(abc.ABC):
     dim: int
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError("dim must be >= 2")
+        if not _is_integer(self.dim) or self.dim < 2:
+            raise ValueError(f"dim must be an integer >= 2, got {self.dim!r}")
 
     def cdf(self, u) -> float:
         u = np.asarray(u, dtype=float)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from scipy.special import ndtr, ndtri, owens_t
@@ -27,6 +28,12 @@ __all__ = [
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
+def _is_integer(value) -> bool:
+    """True for Python and numpy integers.  ``bool`` is an ``int`` subclass,
+    but ``True`` is no count."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class EquiCorr:
     """Equicorrelation matrix: ones on the diagonal, ``rho`` elsewhere.
@@ -38,8 +45,8 @@ class EquiCorr:
     rho: float
 
     def __post_init__(self) -> None:
-        if self.dim < 2:
-            raise ValueError(f"dim must be >= 2, got {self.dim}")
+        if not _is_integer(self.dim) or self.dim < 2:
+            raise ValueError(f"dim must be an integer >= 2, got {self.dim!r}")
         lo = -1.0 / (self.dim - 1)
         if not lo < self.rho < 1.0:
             raise ValueError(

@@ -13,12 +13,11 @@ import enum
 import math
 from dataclasses import dataclass, replace
 from itertools import chain
-from numbers import Integral
 from typing import Sequence
 
 import numpy as np
 
-from .dist_math import bvn_rect_prob, norm_cdf, norm_pdf, norm_quantile
+from .dist_math import _is_integer, bvn_rect_prob, norm_cdf, norm_pdf, norm_quantile
 from .scoring import BivariateScore
 
 __all__ = [
@@ -104,12 +103,6 @@ class ScoreDiffSeries:
     @property
     def n(self) -> int:
         return self.d_m.size
-
-
-def _is_integer(value) -> bool:
-    """True for Python and numpy integers.  ``bool`` is an ``int`` subclass,
-    but ``True`` is no count."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -212,7 +205,11 @@ def _score_pairs(scores) -> np.ndarray:
     else:
         # one flat pass over the pairs: several times faster than np.asarray
         # on a list of tuples
-        if set(map(len, scores)) - {2}:
+        try:
+            ragged = set(map(len, scores)) - {2}
+        except TypeError:  # an element without a length, such as a float
+            ragged = True
+        if ragged:
             raise ValueError("every score must be a (s_marg, s_cop) pair")
         a = np.fromiter(chain.from_iterable(scores), float, 2 * len(scores)).reshape(-1, 2)
     if a.ndim != 2 or a.shape[1] != 2:

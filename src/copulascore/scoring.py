@@ -23,13 +23,8 @@ from .copulas import gaussian_copula_logdensity  # noqa: F401
 __all__ = [
     "MarginalForecast",
     "BivariateScore",
-    "s_marg",
-    "pit",
-    "s_cop",
-    "s_joint",
     "bivariate_score",
     "score_arrays",
-    "lex_less",
 ]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -66,15 +61,6 @@ class BivariateScore(NamedTuple):
     s_cop: float
 
 
-def _check_obs(f: MarginalForecast, y) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    if y.shape != (f.dim,):
-        raise ValueError(f"y must have shape ({f.dim},), got {y.shape}")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("observation must be finite")
-    return y
-
-
 def _pit(z, out=None):
     return np.clip(ndtr(z, out=out), UNIT_CLAMP, 1.0 - UNIT_CLAMP, out=out)
 
@@ -97,7 +83,14 @@ def score_arrays(y, sigma, rho) -> tuple[np.ndarray, np.ndarray]:
 
 
 def bivariate_score(c: Copula, f: MarginalForecast, y) -> BivariateScore:
-    y = _check_obs(f, y)
+    """The (marginal, copula) score pair of the joint forecast ``(c, f)`` at
+    one observation ``y`` of shape (dim,); the joint log-score is their sum.
+    Validated per-observation form of :func:`score_arrays`."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (f.dim,):
+        raise ValueError(f"y must have shape ({f.dim},), got {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("observation must be finite")
     if c.dim != f.dim:
         raise ValueError("copula and marginal forecast dimensions differ")
     if isinstance(c, Independence):
@@ -111,36 +104,3 @@ def bivariate_score(c: Copula, f: MarginalForecast, y) -> BivariateScore:
         )
     s_m, s_c = score_arrays(y, f.sigma, rho)
     return BivariateScore(float(s_m), float(s_c))
-
-
-def s_marg(f: MarginalForecast, y) -> float:
-    """Sum of per-dimension negative log predictive densities."""
-    return float(score_arrays(_check_obs(f, y), f.sigma, 0.0)[0])
-
-
-def pit(f: MarginalForecast, y) -> np.ndarray:
-    """Probability transforms F_i(y_i), clamped away from the cube boundary."""
-    return _pit(_check_obs(f, y) / f.sigma)
-
-
-def s_cop(c: Copula, f: MarginalForecast, y) -> float:
-    """Negative log copula density at the probability transforms of ``y``."""
-    return bivariate_score(c, f, y).s_cop
-
-
-def s_joint(c: Copula, f: MarginalForecast, y) -> float:
-    """Log-score of the full predictive law: marginal plus copula component."""
-    s_m, s_c = bivariate_score(c, f, y)
-    return s_m + s_c
-
-
-def lex_less(a, b) -> bool:
-    """Strict lexicographic order on score pairs.
-
-    True iff a1 < b1, or a1 == b1 and a2 < b2.
-    """
-    a1, a2 = float(a[0]), float(a[1])
-    b1, b2 = float(b[0]), float(b[1])
-    if not all(map(np.isfinite, (a1, a2, b1, b2))):
-        raise ValueError("lex_less requires finite entries")
-    return a1 < b1 or (a1 == b1 and a2 < b2)

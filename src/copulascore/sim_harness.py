@@ -25,9 +25,9 @@ import numpy as np
 
 # Not called here; perfbench/child.py wraps this module attribute by name.
 from .copulas import gaussian_logdensity_from_scores  # noqa: F401
-from .dist_math import EquiCorr
+from .dist_math import EquiCorr, _is_integer
 from .inference import HacConfig, Hypothesis, ScoreDiffSeries, two_step_test
-from .inference import _check_lag_cutoff, _check_level, _is_integer
+from .inference import _check_lag_cutoff, _check_level
 from .scoring import score_arrays
 
 __all__ = [

@@ -296,13 +296,13 @@ def simulated_scores_file(path, n, seed, widths1, widths2):
 
     from copulascore.copulas import GaussianEquiCorr
     from copulascore.dist_math import EquiCorr
-    from copulascore.scoring import MarginalForecast, s_cop, s_marg
+    from copulascore.scoring import MarginalForecast, bivariate_score
     from copulascore.sim_harness import DgpSpec, simulate_path
 
     spec = DgpSpec(n=n)
     y, sigma = simulate_path(spec, seed=seed)
     rng = np.random.default_rng(seed + 1)
-    cols = {"sm1": [], "sc1": [], "sm2": [], "sc2": []}
+    scores = np.empty((n, 2, 2))
     dm1 = rng.uniform(1 - widths1[0], 1 + widths1[0], n)
     dc1 = rng.uniform(1 - widths1[1], 1 + widths1[1], n)
     dm2 = rng.uniform(1 - widths2[0], 1 + widths2[0], n)
@@ -312,12 +312,8 @@ def simulated_scores_file(path, n, seed, widths1, widths2):
         c1 = GaussianEquiCorr(EquiCorr(spec.dim, spec.rho * dc1[t]))
         f2 = MarginalForecast(_math.sqrt(dm2[t]) * sigma[t])
         c2 = GaussianEquiCorr(EquiCorr(spec.dim, spec.rho * dc2[t]))
-        cols["sm1"].append(s_marg(f1, y[t]))
-        cols["sc1"].append(s_cop(c1, f1, y[t]))
-        cols["sm2"].append(s_marg(f2, y[t]))
-        cols["sc2"].append(s_cop(c2, f2, y[t]))
-    # columns s_marg_1, s_cop_1, s_marg_2, s_cop_2 -> scores[:, model, component]
-    scores = np.array([cols["sm1"], cols["sc1"], cols["sm2"], cols["sc2"]]).T.reshape(n, 2, 2)
+        # scores[t, model, component]
+        scores[t] = bivariate_score(c1, f1, y[t]), bivariate_score(c2, f2, y[t])
     write_scores(path, np.arange(1.0, n + 1.0), scores)
     return path
 

@@ -17,6 +17,7 @@ from copulascore.copulas import (
     gaussian_copula_logdensity,
 )
 from copulascore.dist_math import EquiCorr
+from copulascore.sim_harness import DgpSpec
 
 GRID = np.linspace(0.0, 1.0, 101)
 
@@ -254,3 +255,16 @@ class TestConstruction:
     def test_negative_sample_count(self):
         with pytest.raises(ValueError):
             Independence(2).sample(-1, seed=0)
+
+    @pytest.mark.parametrize("dim", [2.5, math.nan, True])
+    @pytest.mark.parametrize(
+        "make",
+        [lambda dim: EquiCorr(dim, 0.3), Independence, Comonotone,
+         lambda dim: DgpSpec(n=50, dim=dim)],
+        ids=["EquiCorr", "Independence", "Comonotone", "DgpSpec"],
+    )
+    def test_non_integer_dim_named(self, make, dim):
+        # these used to construct, then fail in matrix(), sample() or the
+        # path generator with a TypeError that named no field
+        with pytest.raises(ValueError, match=r"^dim must be an integer >= 2"):
+            make(dim)

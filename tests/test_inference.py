@@ -95,9 +95,11 @@ class TestScoreDiffs:
             np.zeros((3, 3)),
             np.zeros((3, 1)),
             np.zeros(3),
+            [1.0, 2.0, 3.0],  # floats have no length
+            [(1.0, 2.0), 3.0, (4.0, 5.0)],
         ],
         ids=["ragged-same-total", "ragged", "list-width-3", "array-width-3",
-             "array-width-1", "array-1d"],
+             "array-width-1", "array-1d", "list-of-floats", "float-among-pairs"],
     )
     def test_pairs_of_wrong_width_rejected(self, bad):
         good = [BivariateScore(0.0, 0.0)] * 3

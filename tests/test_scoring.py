@@ -1,6 +1,7 @@
 """Tests for the score pair: marginal log-scores, copula log-score at the
-probability transforms, the additive decomposition, and the lexicographic
-comparator."""
+probability transforms, the joint log-score as their sum, the batched core
+against the per-observation scorer, and the Fréchet-class reduction from
+scores to the two-step test."""
 
 import math
 
@@ -8,36 +9,28 @@ import numpy as np
 import pytest
 
 from copulascore.copulas import GaussianEquiCorr, Independence
-from copulascore.dist_math import EquiCorr
-from copulascore.scoring import (
-    BivariateScore,
-    MarginalForecast,
-    bivariate_score,
-    lex_less,
-    pit,
-    s_cop,
-    s_joint,
-    s_marg,
-    score_arrays,
-)
+from copulascore.dist_math import EquiCorr, norm_cdf, norm_quantile
+from copulascore.inference import HacConfig, Hypothesis, Outcome, ScoreDiffSeries, two_step_test
+from copulascore.scoring import MarginalForecast, _pit, bivariate_score, score_arrays
 
 HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)  # 0.9189385332046727
 
 
 class TestMarginalScore:
     def test_standard_normal_at_mode(self):
-        f = MarginalForecast(np.array([1.0]))
-        assert s_marg(f, [0.0]) == pytest.approx(HALF_LOG_2PI, abs=1e-14)
+        s_m, _ = score_arrays([0.0], [1.0], 0.0)
+        assert float(s_m) == pytest.approx(HALF_LOG_2PI, abs=1e-14)
 
     def test_additivity(self):
         f = MarginalForecast(np.array([1.0, 1.0]))
-        assert s_marg(f, [0.0, 0.0]) == pytest.approx(2 * HALF_LOG_2PI, abs=1e-14)
+        pair = bivariate_score(Independence(2), f, [0.0, 0.0])
+        assert pair.s_marg == pytest.approx(2 * HALF_LOG_2PI, abs=1e-14)
 
     def test_scaled(self):
         # -log(phi(1)/2) = 0.5*log(2*pi) + log(2) + 0.5
-        f = MarginalForecast(np.array([2.0]))
+        s_m, _ = score_arrays([2.0], [2.0], 0.0)
         expected = HALF_LOG_2PI + math.log(2.0) + 0.5  # 2.112085713764618
-        assert s_marg(f, [2.0]) == pytest.approx(expected, abs=1e-14)
+        assert float(s_m) == pytest.approx(expected, abs=1e-14)
 
     def test_invalid_sigma(self):
         with pytest.raises(ValueError):
@@ -49,103 +42,80 @@ class TestMarginalScore:
             MarginalForecast(sigma)
 
     def test_nonfinite_observation(self):
-        f = MarginalForecast(np.array([1.0]))
-        with pytest.raises(ValueError):
-            s_marg(f, [math.inf])
+        f = MarginalForecast(np.ones(2))
+        with pytest.raises(ValueError, match="observation must be finite"):
+            bivariate_score(Independence(2), f, [math.inf, 0.0])
 
 
 class TestPit:
     def test_center(self):
-        f = MarginalForecast(np.array([1.0]))
-        assert pit(f, [0.0])[0] == 0.5
+        assert _pit(np.zeros(1))[0] == 0.5
 
     def test_scaled(self):
-        from copulascore.dist_math import norm_cdf
-
-        f = MarginalForecast(np.array([2.0]))
-        assert pit(f, [2.0])[0] == pytest.approx(norm_cdf(1.0), abs=1e-15)
+        """The transforms standardize by the forecast scale: the copula score
+        at y under scales sigma is the one at y / sigma under unit scales."""
+        rng = np.random.default_rng(3)
+        sigma = rng.uniform(0.3, 3.0, (20, 3))
+        y = rng.standard_normal((20, 3)) * sigma
+        _, s_c = score_arrays(y, sigma, 0.4)
+        np.testing.assert_array_equal(s_c, score_arrays(y / sigma, np.ones(3), 0.4)[1])
+        assert _pit(np.array([1.0]))[0] == pytest.approx(norm_cdf(1.0), abs=1e-15)
 
     def test_reflection(self):
-        f = MarginalForecast(np.array([1.3, 0.4, 2.2]))
-        y = np.array([0.5, -1.0, 3.0])
-        np.testing.assert_allclose(pit(f, -y), 1.0 - pit(f, y), atol=1e-15)
+        z = np.array([0.5, -1.0, 3.0]) / np.array([1.3, 0.4, 2.2])
+        np.testing.assert_allclose(_pit(-z), 1.0 - _pit(z), atol=1e-15)
 
     def test_clamped_interior(self):
-        f = MarginalForecast(np.array([1.0]))
-        u = pit(f, [50.0])
-        assert 0.0 < u[0] < 1.0
+        u = _pit(np.array([-50.0, 50.0]))
+        assert np.all((0.0 < u) & (u < 1.0))
+        f = MarginalForecast(np.ones(3))
+        c = GaussianEquiCorr(EquiCorr(3, 0.5))
+        assert math.isfinite(bivariate_score(c, f, [50.0, -50.0, 0.0]).s_cop)
 
 
 class TestCopulaScore:
     def test_independence_is_zero(self):
         f = MarginalForecast(np.ones(3))
-        assert s_cop(Independence(3), f, [0.3, -1.0, 7.0]) == 0.0
+        assert bivariate_score(Independence(3), f, [0.3, -1.0, 7.0]).s_cop == 0.0
 
     def test_gaussian_at_center(self):
         # all PITs 0.5 when y = 0; negated density example from the copula
         # module oracle
         f = MarginalForecast(np.ones(5))
         g = GaussianEquiCorr(EquiCorr(5, 0.5))
-        assert s_cop(g, f, np.zeros(5)) == pytest.approx(-0.8369882167858824, abs=1e-10)
+        s_c = bivariate_score(g, f, np.zeros(5)).s_cop
+        assert s_c == pytest.approx(-0.8369882167858824, abs=1e-10)
 
     def test_exchangeable_under_permutation(self):
         f = MarginalForecast(np.full(4, 1.7))
         g = GaussianEquiCorr(EquiCorr(4, 0.4))
         y = np.array([0.3, -0.6, 1.1, 0.0])
-        base = s_cop(g, f, y)
+        base = bivariate_score(g, f, y).s_cop
         rng = np.random.default_rng(0)
         for _ in range(5):
             perm = rng.permutation(4)
-            assert s_cop(g, f, y[perm]) == pytest.approx(base, abs=1e-12)
+            assert bivariate_score(g, f, y[perm]).s_cop == pytest.approx(base, abs=1e-12)
 
     def test_independence_dimension_must_match(self):
         f = MarginalForecast(sigma=[1.0, 1.0])
-        with pytest.raises(ValueError, match="dimensions differ"):
-            bivariate_score(Independence(3), f, [0.3, -0.2])
-        with pytest.raises(ValueError, match="dimensions differ"):
-            s_cop(Independence(4), f, [0.3, -0.2])
+        for dim in (3, 4):
+            with pytest.raises(ValueError, match="dimensions differ"):
+                bivariate_score(Independence(dim), f, [0.3, -0.2])
 
     def test_unsupported_copula_type(self):
         from copulascore.copulas import Comonotone
 
         f = MarginalForecast(np.ones(2))
         with pytest.raises(TypeError):
-            s_cop(Comonotone(2), f, [0.0, 0.0])
+            bivariate_score(Comonotone(2), f, [0.0, 0.0])
 
 
 class TestJointScore:
-    def test_independence_reduces_to_marginal(self):
-        f = MarginalForecast(np.array([1.0, 2.0]))
-        y = [0.4, -0.9]
-        assert s_joint(Independence(2), f, y) == s_marg(f, y)
-
-    def test_decomposition_identity(self):
-        rng = np.random.default_rng(42)
-        for _ in range(10**4):
-            dim = int(rng.integers(2, 6))
-            sigma = rng.uniform(0.2, 3.0, dim)
-            rho = rng.uniform(-1.0 / (dim - 1) + 0.05, 0.95)
-            y = rng.standard_normal(dim) * sigma
-            f = MarginalForecast(sigma)
-            c = GaussianEquiCorr(EquiCorr(dim, rho))
-            total = s_joint(c, f, y)
-            parts = s_marg(f, y) + s_cop(c, f, y)
-            assert abs(total - parts) <= 1e-12
-
     def test_dim5_value(self):
         f = MarginalForecast(np.ones(5))
         c = GaussianEquiCorr(EquiCorr(5, 0.5))
         expected = 5 * HALF_LOG_2PI - 0.8369882167858824
-        assert s_joint(c, f, np.zeros(5)) == pytest.approx(expected, abs=1e-10)
-
-    def test_pair_bundles_both_components(self):
-        rng = np.random.default_rng(7)
-        f = MarginalForecast(rng.uniform(0.5, 2.0, 3))
-        c = GaussianEquiCorr(EquiCorr(3, 0.3))
-        y = rng.standard_normal(3)
-        pair = bivariate_score(c, f, y)
-        assert pair.s_marg == s_marg(f, y)
-        assert pair.s_cop == s_cop(c, f, y)
+        assert sum(bivariate_score(c, f, np.zeros(5))) == pytest.approx(expected, abs=1e-10)
 
 
 class TestScoreArrays:
@@ -168,46 +138,39 @@ class TestScoreArrays:
 
 
 class TestFrechetReduction:
-    def test_shared_marginals_cancel(self):
-        """With identical marginals the joint-score ranking equals the
-        copula-score ranking, termwise."""
+    """Two forecasts that share their marginals and differ in the copula:
+    the paper's Fréchet class, on which copula scores are comparable."""
+
+    @staticmethod
+    def _shared_marginal_scores():
         rng = np.random.default_rng(21)
-        f = MarginalForecast(rng.uniform(0.5, 2.0, 5))
-        c1 = GaussianEquiCorr(EquiCorr(5, 0.5))
-        c2 = GaussianEquiCorr(EquiCorr(5, 0.2))
+        sigma = rng.uniform(0.5, 2.0, 5)
         y = rng.standard_normal((200, 5))
-        joint_diff = np.array([s_joint(c1, f, row) - s_joint(c2, f, row) for row in y])
-        cop_diff = np.array([s_cop(c1, f, row) - s_cop(c2, f, row) for row in y])
-        np.testing.assert_allclose(joint_diff, cop_diff, atol=1e-12)
+        return score_arrays(y, sigma, 0.5), score_arrays(y, sigma, 0.2)
 
+    def test_shared_marginals_cancel(self):
+        """With identical marginals the marginal differences are exactly
+        zero and the joint-score differences are the copula differences,
+        termwise."""
+        (s_m1, s_c1), (s_m2, s_c2) = self._shared_marginal_scores()
+        np.testing.assert_array_equal(s_m1 - s_m2, 0.0)
+        np.testing.assert_allclose((s_m1 + s_c1) - (s_m2 + s_c2), s_c1 - s_c2, atol=1e-12)
 
-class TestLexOrder:
-    def test_cross_example(self):
-        assert lex_less((3.0, 5.0), (5.0, 3.0))
-
-    def test_irreflexive(self):
-        assert not lex_less((1.0, 2.0), (1.0, 2.0))
-
-    def test_tie_on_first(self):
-        assert lex_less((1.0, 5.0), (1.0, 7.0))
-
-    def test_strict_total_order(self):
-        rng = np.random.default_rng(17)
-        pairs = rng.integers(-3, 4, size=(500, 4)).astype(float)
-        for a1, a2, b1, b2 in pairs:
-            a, b = (a1, a2), (b1, b2)
-            holds = [lex_less(a, b), lex_less(b, a), a == b]
-            assert sum(holds) == 1
-
-    def test_requires_finite(self):
-        with pytest.raises(ValueError):
-            lex_less((math.nan, 0.0), (0.0, 0.0))
-
-    def test_accepts_score_pairs(self):
-        a = BivariateScore(1.0, 2.0)
-        b = BivariateScore(1.0, 3.0)
-        assert lex_less(a, b)
-        assert not lex_less(b, a)
+    @pytest.mark.parametrize("hypothesis", list(Hypothesis))
+    def test_shared_marginals_take_the_copula_only_test(self, hypothesis):
+        """From the scores the two-step test skips the marginal step and
+        tests the copula differences alone at the full level.  The
+        observations are independent, so the forecast with correlation 0.2
+        scores better."""
+        (s_m1, s_c1), (s_m2, s_c2) = self._shared_marginal_scores()
+        d = ScoreDiffSeries(s_m1 - s_m2, s_c1 - s_c2)
+        res = two_step_test(d, HacConfig(), 0.05, hypothesis)
+        sides = 2 if hypothesis is Hypothesis.EQUAL else 1
+        assert res.degenerate_fallback
+        assert res.c1 == math.inf
+        assert res.stat_m == 0.0
+        assert res.c2 == math.sqrt(res.omega.s_cc) * norm_quantile(1.0 - 0.05 / sides)
+        assert res.outcome is Outcome.REJECTED_AT_COPULA_STEP
 
 
 PROPRIETY_N = 10**6
@@ -248,8 +211,9 @@ class TestProprietyDeskScale:
         sm = self._marginal_scores(draws[:100], 1.0)
         sc = self._copula_scores(draws[:100], 1.0, 0.5)
         for k in range(100):
-            assert sm[k] == pytest.approx(s_marg(f, draws[k]), abs=1e-12)
-            assert sc[k] == pytest.approx(s_cop(c, f, draws[k]), abs=1e-12)
+            pair = bivariate_score(c, f, draws[k])
+            assert sm[k] == pytest.approx(pair.s_marg, abs=1e-12)
+            assert sc[k] == pytest.approx(pair.s_cop, abs=1e-12)
 
     @pytest.mark.parametrize("bad_scale", [0.8, 1.25])
     def test_marginal_propriety(self, draws, bad_scale):

@@ -11,7 +11,7 @@ from copulascore import sim_harness
 from copulascore.copulas import GaussianEquiCorr
 from copulascore.dist_math import EquiCorr
 from copulascore.inference import HacConfig, Hypothesis, ScoreDiffSeries, two_step_test
-from copulascore.scoring import MarginalForecast, s_cop, s_marg, score_arrays
+from copulascore.scoring import MarginalForecast, bivariate_score, score_arrays
 from copulascore.sim_harness import (
     SETTINGS,
     VARIANCE_MODES,
@@ -211,8 +211,9 @@ class TestExperimentDiffs:
                 c1 = GaussianEquiCorr(EquiCorr(spec.dim, spec.rho * draws["dc1"][t]))
                 f2 = MarginalForecast(math.sqrt(draws["dm2"][t]) * sigma[t])
                 c2 = GaussianEquiCorr(EquiCorr(spec.dim, spec.rho * draws["dc2"][t]))
-                dm_ref = s_marg(f1, y[t]) - s_marg(f2, y[t])
-                dc_ref = s_cop(c1, f1, y[t]) - s_cop(c2, f2, y[t])
+                s1, s2 = bivariate_score(c1, f1, y[t]), bivariate_score(c2, f2, y[t])
+                dm_ref = s1.s_marg - s2.s_marg
+                dc_ref = s1.s_cop - s2.s_cop
                 assert d_m[r, t] == pytest.approx(dm_ref, abs=1e-10)
                 assert d_c[r, t] == pytest.approx(dc_ref, abs=1e-10)
 
