@@ -36,20 +36,26 @@ LOWER_RIGHT = "lower-right"
 _DIRECTIONS = (UPPER_RIGHT, LOWER_RIGHT)
 
 
+def _check_count(n) -> None:
+    if not _is_integer(n) or n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+
+
 class Copula(abc.ABC):
     """A d-dimensional copula: cdf on [0,1]^d with uniform marginals."""
 
     dim: int
 
     def __post_init__(self):
-        if not _is_integer(self.dim) or self.dim < 2:
-            raise ValueError(f"dim must be an integer >= 2, got {self.dim!r}")
+        dim = self.dim
+        if not _is_integer(dim) or dim < 2:
+            raise ValueError(f"dim must be an integer >= 2, got {dim!r}")
 
     def cdf(self, u) -> float:
         u = np.asarray(u, dtype=float)
         if u.shape != (self.dim,):
             raise ValueError(f"u must have shape ({self.dim},), got {u.shape}")
-        if not np.all((u >= 0.0) & (u <= 1.0)):  # written so that NaN fails it
+        if not ((u >= 0.0) & (u <= 1.0)).all():  # written so that NaN fails it
             raise ValueError("u must lie in the unit cube")
         return self._cdf(u)
 
@@ -61,8 +67,7 @@ class Copula(abc.ABC):
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         """Draw ``n`` i.i.d. points in [0,1]^dim, deterministic given ``seed``."""
-        if n < 0:
-            raise ValueError("n must be nonnegative")
+        _check_count(n)
         return self._sample(n, np.random.default_rng(seed))
 
 
@@ -183,8 +188,7 @@ class Mixture2D(Copula):
 
     def sample_labeled(self, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
         """Sample points together with the index of the block each came from."""
-        if n < 0:
-            raise ValueError("n must be nonnegative")
+        _check_count(n)
         return self._sample_labeled(n, np.random.default_rng(seed))
 
 
@@ -197,9 +201,11 @@ def gaussian_logdensity_from_scores(dim: int, rho, z):
     inverse of the equicorrelation matrix.
     """
     z = np.asarray(z, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    ssq = np.sum(z * z, axis=-1)
-    tot = np.sum(z, axis=-1)
+    # [()] turns a scalar rho into a numpy scalar, whose arithmetic skips the
+    # ufunc machinery and rounds the same; an array rho stays an array
+    rho = np.asarray(rho, dtype=float)[()]
+    ssq = np.add.reduce(z * z, axis=-1)
+    tot = np.add.reduce(z, axis=-1)
     logdet = (dim - 1) * np.log1p(-rho) + np.log1p((dim - 1) * rho)
     quad = (ssq - rho * (tot * tot) / (1.0 + (dim - 1) * rho)) / (1.0 - rho)
     return -0.5 * logdet - 0.5 * (quad - ssq)
@@ -213,7 +219,7 @@ def gaussian_copula_logdensity(ec: EquiCorr, u) -> float:
     u = np.asarray(u, dtype=float)
     if u.shape != (ec.dim,):
         raise ValueError(f"u must have shape ({ec.dim},), got {u.shape}")
-    if np.any(u <= 0.0) or np.any(u >= 1.0):
+    if (u <= 0.0).any() or (u >= 1.0).any():
         raise ValueError("u must lie strictly inside the open unit cube")
     z = norm_quantile(u)
     return float(gaussian_logdensity_from_scores(ec.dim, ec.rho, z))

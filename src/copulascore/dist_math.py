@@ -31,7 +31,8 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 def _is_integer(value) -> bool:
     """True for Python and numpy integers.  ``bool`` is an ``int`` subclass,
     but ``True`` is no count."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
+    # the exact-type test skips the slower abstract-class check for plain ints
+    return type(value) is int or (isinstance(value, Integral) and not isinstance(value, bool))
 
 
 @dataclass(frozen=True)

@@ -95,7 +95,7 @@ class ScoreDiffSeries:
             raise ValueError("d_m and d_c must be one-dimensional and equally long")
         if d_m.size < 2:
             raise ValueError("need at least 2 periods")
-        if not (np.all(np.isfinite(d_m)) and np.all(np.isfinite(d_c))):
+        if not (np.isfinite(d_m).all() and np.isfinite(d_c).all()):
             raise ValueError("score differences must be finite")
         object.__setattr__(self, "d_m", d_m)
         object.__setattr__(self, "d_c", d_c)

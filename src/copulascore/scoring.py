@@ -42,10 +42,12 @@ class MarginalForecast:
     sigma: np.ndarray
 
     def __post_init__(self):
-        sigma = np.atleast_1d(np.asarray(self.sigma, dtype=float))
+        sigma = np.asarray(self.sigma, dtype=float)
+        if sigma.ndim == 0:
+            sigma = sigma.reshape(1)
         if sigma.ndim != 1 or sigma.size == 0:
             raise ValueError("sigma must be a nonempty vector")
-        if not np.all(np.isfinite(sigma) & (sigma > 0.0)):
+        if not (np.isfinite(sigma) & (sigma > 0.0)).all():
             raise ValueError(f"sigma must be finite and strictly positive, got {sigma}")
         object.__setattr__(self, "sigma", sigma)
 
@@ -61,8 +63,11 @@ class BivariateScore(NamedTuple):
     s_cop: float
 
 
+# np.clip, np.sum and np.all go through Python-level wrappers on every call;
+# the ufuncs and array methods used here run the same loops without them.
 def _pit(z, out=None):
-    return np.clip(ndtr(z, out=out), UNIT_CLAMP, 1.0 - UNIT_CLAMP, out=out)
+    u = ndtr(z, out=out)
+    return np.minimum(np.maximum(u, UNIT_CLAMP, out=out), 1.0 - UNIT_CLAMP, out=out)
 
 
 def score_arrays(y, sigma, rho) -> tuple[np.ndarray, np.ndarray]:
@@ -76,7 +81,7 @@ def score_arrays(y, sigma, rho) -> tuple[np.ndarray, np.ndarray]:
     """
     y = np.asarray(y, dtype=float)
     z = y / sigma
-    s_m = np.sum(0.5 * _LOG_2PI + np.log(sigma) + 0.5 * z**2, axis=-1)
+    s_m = np.add.reduce(0.5 * _LOG_2PI + np.log(sigma) + 0.5 * z**2, axis=-1)
     # z is not needed again: the round trip to normal scores reuses its buffer
     s_c = -gaussian_logdensity_from_scores(y.shape[-1], rho, ndtri(_pit(z, out=z), out=z))
     return s_m, s_c
@@ -87,16 +92,18 @@ def bivariate_score(c: Copula, f: MarginalForecast, y) -> BivariateScore:
     one observation ``y`` of shape (dim,); the joint log-score is their sum.
     Validated per-observation form of :func:`score_arrays`."""
     y = np.asarray(y, dtype=float)
-    if y.shape != (f.dim,):
-        raise ValueError(f"y must have shape ({f.dim},), got {y.shape}")
-    if not np.all(np.isfinite(y)):
+    dim = f.dim
+    if y.shape != (dim,):
+        raise ValueError(f"y must have shape ({dim},), got {y.shape}")
+    if not np.isfinite(y).all():
         raise ValueError("observation must be finite")
-    if c.dim != f.dim:
+    if c.dim != dim:
         raise ValueError("copula and marginal forecast dimensions differ")
-    if isinstance(c, Independence):
-        rho = 0.0
-    elif isinstance(c, GaussianEquiCorr):
+    # an exact-type match, the common case first, skips the ABC instance check
+    if isinstance(c, GaussianEquiCorr):
         rho = c.rho
+    elif isinstance(c, Independence):
+        rho = 0.0
     else:
         raise TypeError(
             "copula forecasts must be GaussianEquiCorr or Independence, "

@@ -256,6 +256,24 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Independence(2).sample(-1, seed=0)
 
+    @pytest.mark.parametrize("n", [2.5, math.nan, True])
+    @pytest.mark.parametrize(
+        "draw",
+        [lambda n: Independence(2).sample(n, seed=0),
+         lambda n: Mixture2D(Independence(2), UPPER_RIGHT).sample_labeled(n, seed=0)],
+        ids=["sample", "sample_labeled"],
+    )
+    def test_non_integer_sample_count_named(self, draw, n):
+        with pytest.raises(ValueError, match=r"^n must be a nonnegative integer"):
+            draw(n)
+
+    def test_numpy_integer_sample_count(self):
+        mixture = Mixture2D(Independence(2), UPPER_RIGHT)
+        u, block = mixture.sample_labeled(np.int64(3), seed=0)
+        assert u.shape == (3, 2) and block.shape == (3,)
+        np.testing.assert_array_equal(u, mixture.sample_labeled(3, seed=0)[0])
+        assert Independence(2).sample(np.int64(3), seed=0).shape == (3, 2)
+
     @pytest.mark.parametrize("dim", [2.5, math.nan, True])
     @pytest.mark.parametrize(
         "make",

@@ -114,6 +114,14 @@ class TestScoreDiffs:
         with pytest.raises(ValueError):
             ScoreDiffSeries(np.array([1.0, math.nan]), np.array([0.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("component", ["d_m", "d_c"])
+    def test_non_finite_difference_in_either_series(self, component, bad):
+        series = {"d_m": np.zeros(4), "d_c": np.ones(4)}
+        series[component][2] = bad
+        with pytest.raises(ValueError, match="score differences must be finite"):
+            ScoreDiffSeries(**series)
+
 
 class TestHacCov:
     def test_zero_lags_is_sample_covariance(self):

@@ -4,9 +4,11 @@ against the per-observation scorer, and the Fréchet-class reduction from
 scores to the two-step test."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from copulascore.copulas import GaussianEquiCorr, Independence
 from copulascore.dist_math import EquiCorr, norm_cdf, norm_quantile
@@ -135,6 +137,79 @@ class TestScoreArrays:
                 f = MarginalForecast(sigma[r, t])
                 c = Independence(dim) if r == 0 else GaussianEquiCorr(EquiCorr(dim, rho[r, t]))
                 assert (s_m[r, t], s_c[r, t]) == bivariate_score(c, f, y[r, t])
+
+
+# Tail grid of standardized observations: the center, one standard deviation,
+# either side of the clamp at about 7.9, and far beyond it.
+TAIL_Z = np.array([0.0, 1.0, -1.0, 7.9, -7.9, 8.5, -8.5, 50.0, -50.0])
+
+
+class TestTailBitIdentity:
+    def test_pit_equals_clip(self):
+        expected = np.clip(ndtr(TAIL_Z), 1e-15, 1 - 1e-15)
+        assert _pit(TAIL_Z).tobytes() == expected.tobytes()
+        z = TAIL_Z.copy()
+        assert _pit(z, out=z).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 5, 9])
+    def test_per_observation_equals_batch_row(self, dim):
+        """Every cyclic window of the tail grid, under power-of-two scales so
+        that the standardized values are exact, scores the same bits one
+        observation at a time as in one batched call."""
+        rows = len(TAIL_Z)
+        z = np.array([np.resize(np.roll(TAIL_Z, -k), dim) for k in range(rows)])
+        sigma = 2.0 ** np.resize(np.arange(-2, 3), (rows, dim))
+        y = z * sigma
+        rho = np.resize([0.0, 0.5, 0.9, -0.5 / (dim - 1)], rows)
+        s_m, s_c = score_arrays(y, sigma, rho)
+        for t in range(rows):
+            f = MarginalForecast(sigma[t])
+            c = Independence(dim) if rho[t] == 0.0 else GaussianEquiCorr(EquiCorr(dim, rho[t]))
+            assert bivariate_score(c, f, y[t]) == (s_m[t], s_c[t])
+
+
+def _python_calls(fn) -> int:
+    """Python-level function calls made while running ``fn``, not counting
+    ``fn`` itself."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls - 1
+
+
+class TestDispatchCount:
+    """The per-observation path calls numpy's ufuncs and array methods, not
+    the Python-level np.* wrappers around them, so each observation costs a
+    fixed, small number of Python calls.  Counted, not timed."""
+
+    SIGMA = np.array([1.0, 1.2, 0.8, 1.1, 0.9])
+
+    def test_bivariate_score(self):
+        f = MarginalForecast(self.SIGMA)
+        c = GaussianEquiCorr(EquiCorr(5, 0.3))
+        y = np.array([0.1, -0.2, 0.3, 0.5, -1.0])
+        bivariate_score(c, f, y)
+        # bivariate_score, score_arrays, _pit, gaussian_logdensity_from_scores,
+        # the dim and rho properties, BivariateScore.__new__ and ndarray.all
+        assert _python_calls(lambda: bivariate_score(c, f, y)) <= 9
+
+    def test_forecast_construction(self):
+        def construct():
+            MarginalForecast(self.SIGMA)
+            GaussianEquiCorr(EquiCorr(5, 0.3))
+
+        construct()
+        # three dataclass __init__ and __post_init__ pairs, two integer checks
+        # of dim, the dim property and ndarray.all
+        assert _python_calls(construct) <= 10
 
 
 class TestFrechetReduction:
