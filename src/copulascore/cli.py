@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import math
 import sys
@@ -43,6 +42,8 @@ from .inference import (
     HacConfig,
     Hypothesis,
     TwoStepResult,
+    _LABELS,
+    _two_step_batch,
     score_diffs,
     two_step_test,
 )
@@ -289,13 +290,16 @@ def _matrix_compare(args, hypothesis: Hypothesis, hac: HacConfig) -> int:
     models = [p.stem for p in paths]
     k = len(models)
     labels: list[list[str | None]] = [[None] * k for _ in range(k)]
-    # one test per unordered pair: the pair in the other order has the
-    # negated differences, so its result follows exactly by swapped()
-    for i, j in itertools.combinations(range(k), 2):
-        d = score_diffs(scores[:, i], scores[:, j])
-        r = two_step_test(d, hac, args.alpha, hypothesis)
-        labels[i][j] = r.attribution
-        labels[j][i] = r.swapped().attribution
+    d_m, d_c = np.ascontiguousarray(scores.transpose(2, 1, 0))  # (k, n) each
+    # One test per unordered pair, batched by first model in the order of
+    # itertools.combinations: at most k - 1 series per batch keeps the
+    # stacked differences small.  The pair in the other order has the
+    # negated differences, so its result follows exactly by swapped().
+    for i in range(k - 1):
+        batch = _two_step_batch(d_m[i] - d_m[i + 1:], d_c[i] - d_c[i + 1:], hac,
+                                args.alpha, (hypothesis,))
+        for j, ij, ji in zip(range(i + 1, k), batch.outcome[0], batch.swapped().outcome[0]):
+            labels[i][j], labels[j][i] = _LABELS[ij], _LABELS[ji]
 
     payload = {
         "config": {

@@ -12,8 +12,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import chain
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,6 +67,14 @@ class Outcome(str, enum.Enum):
     NO_REJECTION = "no_rejection"
     REJECTED_AT_MARGINAL_STEP = "rejected_at_marginal_step"
     REJECTED_AT_COPULA_STEP = "rejected_at_copula_step"
+
+
+# The batched core works with outcome codes, indices into _OUTCOMES, whose
+# table-style labels are the characters of _LABELS.
+_OUTCOMES = tuple(Outcome)
+_LABELS = "0MC"
+# second-step sides: two-sided under equal, one-sided under lex
+_SIDES = {Hypothesis.EQUAL: 2, Hypothesis.LEX_SUPERIORITY: 1}
 
 
 class DegenerateSeriesError(ValueError):
@@ -162,11 +171,7 @@ class TwoStepResult:
     @property
     def attribution(self) -> str:
         """Table-style label: '0' none, 'M' marginal step, 'C' copula step."""
-        return {
-            Outcome.NO_REJECTION: "0",
-            Outcome.REJECTED_AT_MARGINAL_STEP: "M",
-            Outcome.REJECTED_AT_COPULA_STEP: "C",
-        }[self.outcome]
+        return _LABELS[_OUTCOMES.index(self.outcome)]
 
     def swapped(self) -> TwoStepResult:
         """The result for the two models in the other order.
@@ -176,25 +181,17 @@ class TwoStepResult:
         values and the fallback flags stay bit-identical; only the outcome
         is decided again, by the rule of :func:`two_step_test`."""
         stat_m, stat_c = -self.stat_m, -self.stat_c
-        return replace(
-            self,
-            stat_m=stat_m,
-            stat_c=stat_c,
-            outcome=_decide(stat_m, stat_c, self.c1, self.c2, self.hypothesis),
-        )
+        code = _decide(stat_m, stat_c, self.c1, self.c2, _SIDES[self.hypothesis])
+        return replace(self, stat_m=stat_m, stat_c=stat_c, outcome=_OUTCOMES[int(code)])
 
 
-def _decide(
-    stat_m: float, stat_c: float, c1: float, c2: float, hypothesis: Hypothesis
-) -> Outcome:
-    """The stepwise decision: the marginal step rejects on |stat_m| > c1;
-    otherwise the copula step on |stat_c| > c2 under ``equal`` and on
-    stat_c > c2 under ``lex``."""
-    if abs(stat_m) > c1:
-        return Outcome.REJECTED_AT_MARGINAL_STEP
-    if (abs(stat_c) if hypothesis is Hypothesis.EQUAL else stat_c) > c2:
-        return Outcome.REJECTED_AT_COPULA_STEP
-    return Outcome.NO_REJECTION
+def _decide(stat_m, stat_c, c1, c2, sides):
+    """The stepwise decision as outcome codes, elementwise: the marginal
+    step rejects on |stat_m| > c1; otherwise the copula step on
+    |stat_c| > c2 where ``sides`` is 2 (``equal``) and on stat_c > c2 where
+    it is 1 (``lex``)."""
+    copula = np.where(sides == 2, np.abs(stat_c), stat_c) > c2
+    return np.where(np.abs(stat_m) > c1, 1, 2 * copula)
 
 
 def _score_pairs(scores) -> np.ndarray:
@@ -230,20 +227,39 @@ def score_diffs(
     return ScoreDiffSeries(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1])
 
 
+def _long_run_cov(x: np.ndarray, cfg: HacConfig) -> np.ndarray:
+    """Long-run covariances of a stack of series, ``x`` of shape (R, n, 2),
+    as an (R, 2, 2) array: the lag-0 outer-product average (divisor n) plus
+    weighted symmetrized cross-lag sums up to the cutoff, one stacked
+    ``matmul`` per lag; ``x`` is demeaned in place.  An overflow leaves a
+    non-finite entry, which the test reports as a ``LongRunCovError``."""
+    n = x.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # np.add.reduce / n is x.mean without its Python-level wrapper
+        x -= np.add.reduce(x, axis=1, keepdims=True) / n
+        xt = x.transpose(0, 2, 1)
+        cov = xt @ x / n
+        for h in range(1, cfg.lags + 1):
+            w = cfg.weight(h)
+            if w == 0.0:
+                continue
+            gamma = xt[:, :, h:] @ x[:, :-h] / n
+            cov = cov + w * (gamma + gamma.transpose(0, 2, 1))
+    return cov
+
+
+def _stack(d_m: np.ndarray, d_c: np.ndarray) -> np.ndarray:
+    """The (R, n, 2) stack of the (R, n) components."""
+    x = np.empty((*d_m.shape, 2))
+    x[..., 0], x[..., 1] = d_m, d_c
+    return x
+
+
 def hac_cov(d: ScoreDiffSeries, cfg: HacConfig) -> LongRunCov:
-    """Long-run covariance: lag-0 outer-product average (divisor n) plus
-    weighted symmetrized cross-lag sums up to the cutoff."""
-    n = d.n
-    _check_lag_cutoff(n, cfg)
-    x = np.column_stack([d.d_m, d.d_c])
-    x = x - x.mean(axis=0)
-    cov = x.T @ x / n
-    for h in range(1, cfg.lags + 1):
-        w = cfg.weight(h)
-        if w == 0.0:
-            continue
-        gamma = x[h:].T @ x[:-h] / n
-        cov = cov + w * (gamma + gamma.T)
+    """Long-run covariance of one series: the R = 1 case of the stacked
+    estimator that the batched test uses."""
+    _check_lag_cutoff(d.n, cfg)
+    cov = _long_run_cov(_stack(d.d_m[None], d.d_c[None]), cfg)[0]
     return LongRunCov(s_mm=float(cov[0, 0]), s_mc=float(cov[0, 1]), s_cc=float(cov[1, 1]))
 
 
@@ -257,51 +273,92 @@ def _check_lag_cutoff(n: int, cfg: HacConfig) -> None:
         raise ValueError(f"series length {n} must exceed lag cutoff {cfg.lags}")
 
 
-def _solve_c2(rho: float, h: float, alpha2: float, sides: int) -> float:
+def _solve_c2(
+    rho: np.ndarray, h: float, alpha2: float, sides: np.ndarray
+) -> tuple[np.ndarray, dict[int, CalibrationError]]:
     """Safeguarded Newton iteration for the standardized second-step
-    critical value k = c2/sqrt(s_cc), given the correlation ``rho`` and the
-    standardized first-step value h = c1/sqrt(s_mm).
+    critical values k = c2/sqrt(s_cc), in lockstep over the rows of the
+    arrays ``rho`` (correlations) and ``sides``, given the standardized
+    first-step value h = c1/sqrt(s_mm).
 
-    Solves p(k) = sides * P(|Z1| <= h, Z2 > k) = alpha2, with ``sides`` 2
-    under ``equal`` and 1 under ``lex``.  The limit is centrally symmetric,
-    so for k >= 0 the two-sided P(|Z1| <= h, |Z2| > k) is the one-sided
-    strip doubled, and both hypotheses solve the same strip probability.
-    p is strictly decreasing in k.  The iteration starts from the closed
-    form under independence and uses the analytic derivative
+    Each row solves p(k) = sides * P(|Z1| <= h, Z2 > k) = alpha2, with
+    ``sides`` 2 under ``equal`` and 1 under ``lex``.  The limit is centrally
+    symmetric, so for k >= 0 the two-sided P(|Z1| <= h, |Z2| > k) is the
+    one-sided strip doubled, and both hypotheses solve the same strip
+    probability.  p is strictly decreasing in k.  The iteration starts from
+    the closed form under independence and uses the analytic derivative
     -sides * phi(k) * P(|Z1| <= h | Z2 = k).  Every evaluation narrows a
-    bracket around the root, and a Newton step that leaves the bracket is
-    replaced by bisection.  Raises ``CalibrationError`` when the probability
-    is not within ``_SOLVER_PROB_TOL`` of alpha2 after ``_SOLVER_MAX_ITER``
-    evaluations, or once the bracket has collapsed.
+    row's own bracket around its root, and a Newton step that leaves the
+    bracket is replaced by bisection.  One kernel call per iteration serves
+    every row still iterating.
+
+    Returns k, NaN in the rows that failed, and a ``CalibrationError`` per
+    failed row: the probability is not within ``_SOLVER_PROB_TOL`` of
+    alpha2 after ``_SOLVER_MAX_ITER`` evaluations, or the bracket has
+    collapsed.
     """
-    r = math.sqrt((1.0 - rho) * (1.0 + rho))
+    r = np.sqrt((1.0 - rho) * (1.0 + rho))
     p_band = norm_cdf(h) - norm_cdf(-h)
-    lo, hi = -10.0, 10.0
-    k = min(max(norm_quantile(1.0 - alpha2 / (sides * p_band)), lo), hi)
+    k = np.minimum(np.maximum(norm_quantile(1.0 - alpha2 / (sides * p_band)), -10.0), 10.0)
+    lo = np.full(k.shape, -10.0)
+    hi = np.full(k.shape, 10.0)
+    solved = np.full(k.shape, np.nan)
+    errors: dict[int, CalibrationError] = {}
+    rows = np.arange(k.size)
+    band = np.array([[h], [-h]])  # the strip's limits, for the slope
 
     for _ in range(_SOLVER_MAX_ITER):
         p = sides * bvn_rect_prob(rho, -h, h, k, math.inf)
-        if abs(p - alpha2) <= _SOLVER_PROB_TOL:
-            return k
-        if p > alpha2:
-            lo = k
-        else:
-            hi = k
-        # Collapsed: the bracket is only a few ulps wide.
-        if hi - lo <= 1e-15 * max(1.0, abs(lo), abs(hi)):
-            raise CalibrationError(
-                f"second-step solver bracket collapsed at k={k!r} with "
-                f"probability {p!r}, target {alpha2!r}"
-            )
-        slope = sides * norm_pdf(k) * (
-            norm_cdf((h - rho * k) / r) - norm_cdf((-h - rho * k) / r)
+        excess = p - alpha2
+        above = excess > 0.0  # p > alpha2, exactly
+        np.copyto(lo, k, where=above)
+        np.copyto(hi, k, where=~above)
+        done = np.abs(excess) <= _SOLVER_PROB_TOL
+        # Every bracket lies in [-10, 10], so one wider than 2e-14 cannot
+        # have collapsed to a few ulps.
+        narrow = hi - lo <= 2e-14
+        stop = done | narrow
+        if stop.any():
+            # Collapsed: the bracket is only a few ulps wide.
+            width = 1e-15 * np.maximum(np.maximum(1.0, np.abs(lo)), np.abs(hi))
+            collapsed = narrow & ~done & (hi - lo <= width)
+            stop = done | collapsed
+            solved[rows[done]] = k[done]
+            for i in np.flatnonzero(collapsed):
+                errors[int(rows[i])] = CalibrationError(
+                    f"second-step solver bracket collapsed at k={float(k[i])!r} with "
+                    f"probability {float(p[i])!r}, target {alpha2!r}"
+                )
+            if stop.all():
+                return solved, errors
+            go = ~stop
+            rows, rho, r, sides = rows[go], rho[go], r[go], sides[go]
+            lo, hi, k, excess = lo[go], hi[go], k[go], excess[go]
+        # P(|Z1| <= h | Z2 = k) = Phi((h - rho*k)/r) - Phi((-h - rho*k)/r)
+        given = norm_cdf((band - rho * k) / r)
+        slope = sides * norm_pdf(k) * (given[0] - given[1])
+        # A slope that is not positive gives no step (nan or inf), which the
+        # bracket test below replaces by bisection.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = k + excess / slope
+        k = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
+    for i in rows.tolist():
+        errors[i] = CalibrationError(
+            f"second-step solver did not reach {_SOLVER_PROB_TOL:g} in probability "
+            f"within {_SOLVER_MAX_ITER} iterations"
         )
-        step = k + (p - alpha2) / slope if slope > 0.0 else math.nan
-        k = step if lo < step < hi else 0.5 * (lo + hi)
-    raise CalibrationError(
-        f"second-step solver did not reach {_SOLVER_PROB_TOL:g} in probability "
-        f"within {_SOLVER_MAX_ITER} iterations"
-    )
+    return solved, errors
+
+
+def _calibrate(
+    alpha: float, s_mm: np.ndarray, s_mc: np.ndarray, s_cc: np.ndarray, sides: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, dict[int, CalibrationError]]:
+    """Critical values (c1, c2) of the rows of positive definite long-run
+    covariances, and the solver's error per failed row; see
+    ``critical_values``."""
+    h = norm_quantile(1.0 - alpha / 4.0)
+    k, errors = _solve_c2(s_mc / np.sqrt(s_mm * s_cc), h, alpha / 2.0, sides)
+    return np.sqrt(s_mm) * h, np.sqrt(s_cc) * k, errors
 
 
 def critical_values(
@@ -315,25 +372,20 @@ def critical_values(
     second-step rejection probability (two-sided under ``equal``, one-sided
     under ``lex``) equal alpha/2 to within 1e-12; see ``_solve_c2``.  Both
     depend on omega only through its correlation.  Raises
-    ``CalibrationError`` when the solver does not converge.
+    ``LongRunCovError`` for a non-finite omega and ``CalibrationError``
+    when the solver does not converge.
     """
+    entries = (omega.s_mm, omega.s_mc, omega.s_cc)
+    if not all(map(math.isfinite, entries)):
+        raise _overflow()
     if not omega.is_pd:
         raise ValueError("long-run covariance must be positive definite")
     _check_level(alpha)
-    sides = 2 if Hypothesis(hypothesis) is Hypothesis.EQUAL else 1
-    h = norm_quantile(1.0 - alpha / 4.0)
-    k = _solve_c2(omega.correlation(), h, alpha / 2.0, sides)
-    return math.sqrt(omega.s_mm) * h, math.sqrt(omega.s_cc) * k
-
-
-def _constant(variance: float, series: np.ndarray, cfg: HacConfig) -> bool:
-    """True when a long-run variance is zero up to rounding, measured against
-    the squared scale of the differences (scale-free detection of a constant
-    component).  A variance below that band is an indefinite estimate."""
-    band = _CONSTANT_REL_TOL * float(np.mean(np.abs(series))) ** 2
-    if variance < -band:
-        raise _indefinite(cfg, f"variance {variance!r}")
-    return variance <= band
+    sides = np.array([_SIDES[Hypothesis(hypothesis)]])
+    c1, c2, errors = _calibrate(alpha, *(np.array([v]) for v in entries), sides)
+    if errors:
+        raise errors[0]
+    return float(c1[0]), float(c2[0])
 
 
 def _indefinite(cfg: HacConfig, what: str) -> LongRunCovError:
@@ -344,12 +396,164 @@ def _indefinite(cfg: HacConfig, what: str) -> LongRunCovError:
     )
 
 
-def _shrink_if_singular(omega: LongRunCov) -> tuple[LongRunCov, bool]:
-    corr = omega.correlation()
-    if abs(corr) >= _CORR_SINGULAR:
-        shrunk = math.copysign(_CORR_SHRUNK, corr) * math.sqrt(omega.s_mm * omega.s_cc)
-        return LongRunCov(omega.s_mm, shrunk, omega.s_cc), True
-    return omega, False
+def _overflow() -> LongRunCovError:
+    return LongRunCovError(
+        "long-run covariance overflows: the score differences are too large "
+        "to square in floating point; rescale them"
+    )
+
+
+class _Batch(NamedTuple):
+    """Two-step tests of R series under H hypotheses.  ``sides`` has shape
+    (H, 1); ``c2`` and ``outcome`` (codes, indices into ``_OUTCOMES``) have
+    shape (H, R); every other field has shape (R,)."""
+
+    sides: np.ndarray
+    stat_m: np.ndarray
+    stat_c: np.ndarray
+    s_mm: np.ndarray
+    s_mc: np.ndarray
+    s_cc: np.ndarray
+    c1: np.ndarray
+    c2: np.ndarray
+    outcome: np.ndarray
+    fallback: np.ndarray
+    shrunk: np.ndarray
+
+    def swapped(self) -> _Batch:
+        """The tests with the two models of every series in the other order;
+        see ``TwoStepResult.swapped``."""
+        stat_m, stat_c = -self.stat_m, -self.stat_c
+        outcome = _decide(stat_m, stat_c, self.c1, self.c2, self.sides)
+        return self._replace(stat_m=stat_m, stat_c=stat_c, outcome=outcome)
+
+
+def _two_step(
+    d_m: np.ndarray,
+    d_c: np.ndarray,
+    omega: tuple[np.ndarray, np.ndarray, np.ndarray],
+    cfg: HacConfig,
+    alpha: float,
+    hypotheses: Sequence[Hypothesis],
+    calibrate: Callable,
+) -> _Batch:
+    """The two-step test of every row of ``d_m`` and ``d_c`` (R, n) under
+    each hypothesis, given the rows' long-run covariances ``omega`` =
+    (s_mm, s_mc, s_cc); see ``two_step_test`` for the rules.  Each rule is
+    a mask over the rows.  All hypotheses share the statistics, omega, the
+    masks and the first-step value; ``calibrate(s_mm, s_mc, s_cc, sides)``
+    returns (c1, c2, errors by row) of every calibrated row under every
+    hypothesis at once, as ``_calibrate`` does.
+
+    Raises the error that testing the rows one by one, each under every
+    hypothesis in turn, would raise first.
+    """
+    s_mm, s_mc, s_cc = omega
+    sides = np.array([_SIDES[h] for h in hypotheses])[:, None]
+    n = d_m.shape[1]
+    sqrt_n = math.sqrt(n)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # np.add.reduce / n is .mean without its Python-level wrapper
+        stat_m = sqrt_n * (np.add.reduce(d_m, axis=1) / n)
+        stat_c = sqrt_n * (np.add.reduce(d_c, axis=1) / n)
+        # A component counts as constant when its long-run variance is zero
+        # up to rounding, measured against the squared scale of the
+        # differences (scale-free); a variance below that band is an
+        # indefinite estimate.  The band overflows to inf exactly when the
+        # scale exceeds 1.3e154, and non-finite differences make it nan.
+        band_m = _CONSTANT_REL_TOL * (np.add.reduce(np.abs(d_m), axis=1) / n) ** 2
+        band_c = _CONSTANT_REL_TOL * (np.add.reduce(np.abs(d_c), axis=1) / n) ** 2
+        overflow = ~(
+            np.isfinite(band_m + band_c) & np.isfinite(s_mm) & np.isfinite(s_mc) & np.isfinite(s_cc)
+        )
+        corr = s_mc / np.sqrt(s_mm * s_cc)
+        flat_m, flat_c = s_mm <= band_m, s_cc <= band_c
+        zero_m = flat_m & ~d_m.any(axis=1)
+        zero_c = flat_c & ~d_c.any(axis=1)
+        negative = (s_mm < -band_m) | (s_cc < -band_c)
+        flat = flat_m | flat_c
+        indefinite = ~flat & (np.abs(corr) > _CORR_INDEFINITE)
+        bad = overflow | negative | (zero_m & zero_c) | indefinite
+        c1 = np.empty(stat_m.shape)
+        c2 = np.empty((sides.size, stat_m.size))
+        if flat.any():
+            # A constant component has no sampling variation.  When
+            # identically zero (identical forecasts) its step is skipped
+            # (critical value inf); otherwise it decides by sign (critical
+            # value 0, the limit of a vanishing variance).  The other
+            # component gets a one-step test at the full level alpha.
+            c1[:] = np.where(
+                flat_m, np.where(zero_m, math.inf, 0.0),
+                np.sqrt(s_mm) * norm_quantile(1.0 - alpha / 2.0),
+            )
+            c2[:] = np.where(
+                flat_c, np.where(zero_c, math.inf, 0.0),
+                np.sqrt(s_cc) * norm_quantile(1.0 - alpha / sides),
+            )
+        # Otherwise both steps are calibrated jointly, on a correlation
+        # shrunk away from the singular limit.
+        calibrated = ~(flat | bad)
+        shrunk = calibrated & (np.abs(corr) >= _CORR_SINGULAR)
+        if shrunk.any():
+            s_mc = np.where(shrunk, np.copysign(_CORR_SHRUNK, corr) * np.sqrt(s_mm * s_cc), s_mc)
+
+    errors = {}
+    if bad.any():
+        r = int(bad.argmax())
+        if not (np.isfinite(d_m[r]).all() and np.isfinite(d_c[r]).all()):
+            error = ValueError("score differences must be finite")
+        elif overflow[r]:
+            error = _overflow()
+        elif s_mm[r] < -band_m[r]:
+            error = _indefinite(cfg, f"variance {float(s_mm[r])!r}")
+        elif s_cc[r] < -band_c[r]:
+            error = _indefinite(cfg, f"variance {float(s_cc[r])!r}")
+        elif zero_m[r] and zero_c[r]:
+            error = DegenerateSeriesError(
+                "both score-difference components are degenerate; "
+                "the forecasts carry no ranking information"
+            )
+        else:
+            error = _indefinite(cfg, f"correlation {float(corr[r])!r}")
+        # a series' own checks precede its calibration under any hypothesis
+        errors[r, -1] = error
+    idx = np.flatnonzero(calibrated)
+    m = idx.size
+    if m:
+        # every hypothesis' rows in turn
+        rows = np.concatenate([idx] * sides.size)
+        cal_c1, cal_c2, failed = calibrate(
+            s_mm[rows], s_mc[rows], s_cc[rows], sides[:, 0].repeat(m)
+        )
+        c1[idx] = cal_c1[:m]
+        c2[:, idx] = cal_c2.reshape(-1, m)
+        errors.update(((int(rows[i]), i // m), e) for i, e in failed.items())
+    if errors:
+        raise errors[min(errors)]
+    outcome = _decide(stat_m, stat_c, c1, c2, sides)
+    return _Batch(sides, stat_m, stat_c, *omega, c1, c2, outcome, zero_m | zero_c, shrunk)
+
+
+def _two_step_batch(
+    d_m: np.ndarray,
+    d_c: np.ndarray,
+    cfg: HacConfig,
+    alpha: float,
+    hypotheses: Sequence[Hypothesis],
+) -> _Batch:
+    """Two-step tests of the R series in the rows of the C-contiguous
+    (R, n) arrays ``d_m`` and ``d_c`` under each of ``hypotheses``: one
+    stacked long-run covariance and one lockstep calibration for all of
+    them.  Row r equals ``two_step_test`` on (d_m[r], d_c[r]) bit for bit,
+    and an invalid row raises what that call would."""
+    n = d_m.shape[1]
+    if n < 2:
+        raise ValueError("need at least 2 periods")
+    _check_level(alpha)
+    _check_lag_cutoff(n, cfg)
+    cov = _long_run_cov(_stack(d_m, d_c), cfg)
+    omega = cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1]
+    return _two_step(d_m, d_c, omega, cfg, alpha, hypotheses, partial(_calibrate, alpha))
 
 
 def two_step_test(
@@ -368,46 +572,24 @@ def two_step_test(
     that is constant but not zero decides its step by sign (critical value
     0), and the other component is tested at the full level alpha.  A
     long-run covariance that is not positive semi-definite beyond rounding
-    (possible with truncated weights) raises ``LongRunCovError``.
+    (possible with truncated weights), or that overflows, raises
+    ``LongRunCovError``.
+
+    This is the R = 1 call of the batched core; it goes through
+    ``hac_cov`` and ``critical_values`` once each.
     """
     hypothesis = Hypothesis(hypothesis)
     _check_level(alpha)  # rejects bad levels on every path
-    sqrt_n = math.sqrt(d.n)
-    stat_m = sqrt_n * float(d.d_m.mean())
-    stat_c = sqrt_n * float(d.d_c.mean())
     omega = hac_cov(d, cfg)
 
-    flat_m = _constant(omega.s_mm, d.d_m, cfg)
-    flat_c = _constant(omega.s_cc, d.d_c, cfg)
-    zero_m = flat_m and not d.d_m.any()
-    zero_c = flat_c and not d.d_c.any()
-    if zero_m and zero_c:
-        raise DegenerateSeriesError(
-            "both score-difference components are degenerate; "
-            "the forecasts carry no ranking information"
-        )
-    sides = 2 if hypothesis is Hypothesis.EQUAL else 1
-    shrunk = False
-    if flat_m or flat_c:
-        # A constant component has no sampling variation.  When identically
-        # zero (identical forecasts) its step is skipped (critical value
-        # inf); otherwise it decides by sign (critical value 0, the limit of
-        # a vanishing variance).  The other component gets a one-step test
-        # at the full level alpha.
-        c1 = math.inf if zero_m else 0.0
-        c2 = math.inf if zero_c else 0.0
-        if not flat_m:
-            c1 = math.sqrt(omega.s_mm) * norm_quantile(1.0 - alpha / 2.0)
-        if not flat_c:
-            c2 = math.sqrt(omega.s_cc) * norm_quantile(1.0 - alpha / sides)
-    else:
-        if abs(omega.correlation()) > _CORR_INDEFINITE:
-            raise _indefinite(cfg, f"correlation {omega.correlation()!r}")
-        calib, shrunk = _shrink_if_singular(omega)
-        c1, c2 = critical_values(calib, alpha, hypothesis)
+    def calibrate(s_mm, s_mc, s_cc, sides):
+        c1, c2 = critical_values(LongRunCov(s_mm.item(), s_mc.item(), s_cc.item()), alpha, hypothesis)
+        return np.array([c1]), np.array([c2]), {}
 
-    outcome = _decide(stat_m, stat_c, c1, c2, hypothesis)
+    entries = tuple(np.array([v]) for v in (omega.s_mm, omega.s_mc, omega.s_cc))
+    b = _two_step(d.d_m[None], d.d_c[None], entries, cfg, alpha, (hypothesis,), calibrate)
     return TwoStepResult(
-        hypothesis, stat_m, stat_c, c1, c2, outcome, alpha, omega,
-        degenerate_fallback=zero_m or zero_c, correlation_shrunk=shrunk,
+        hypothesis, b.stat_m.item(), b.stat_c.item(), b.c1.item(), b.c2.item(),
+        _OUTCOMES[b.outcome.item()], alpha, omega,
+        degenerate_fallback=b.fallback.item(), correlation_shrunk=b.shrunk.item(),
     )

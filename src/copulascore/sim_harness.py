@@ -18,17 +18,17 @@ one block at a time.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-# Not called here; perfbench/child.py wraps this module attribute by name.
-from .copulas import gaussian_logdensity_from_scores  # noqa: F401
 from .dist_math import EquiCorr, _is_integer
-from .inference import HacConfig, Hypothesis, ScoreDiffSeries, two_step_test
-from .inference import _check_lag_cutoff, _check_level
+from .inference import HacConfig, Hypothesis, _check_lag_cutoff, _check_level, _two_step_batch
 from .scoring import score_arrays
+
+# Not called here; perfbench/child.py wraps these module attributes by name.
+from .copulas import gaussian_logdensity_from_scores  # noqa: F401
+from .inference import two_step_test  # noqa: F401
 
 __all__ = [
     "DgpSpec",
@@ -330,7 +330,8 @@ def run_experiment(
     index, draws in this order): innovations for burn-in plus window, then
     forecaster 1's volatility and correlation disturbances, then
     forecaster 2's.  Each forecaster is scored with its own contaminated
-    marginals and copula; the two-step tests run on the score differences.
+    marginals and copula; the two-step tests of all replications under both
+    hypotheses run as one batch on the score differences.
     """
     if not _is_integer(reps):
         raise ValueError(f"reps must be an integer, got {reps!r}")
@@ -344,16 +345,14 @@ def run_experiment(
 
     d_m, d_c = _experiment_diffs(spec, setting, reps, seed, variance_mode)
 
-    counts = {h: Counter() for h in Hypothesis}
-    for r in range(reps):
-        series = ScoreDiffSeries(d_m[r], d_c[r])
-        for h in Hypothesis:
-            counts[h][two_step_test(series, hac, alpha, h).attribution] += 1
+    # one batch for every replication under both hypotheses
+    outcomes = _two_step_batch(d_m, d_c, hac, alpha, tuple(Hypothesis)).outcome
 
     rows = []
-    for h in Hypothesis:
-        m_pct = 100.0 * counts[h]["M"] / reps
-        c_pct = 100.0 * counts[h]["C"] / reps
+    for h, codes in zip(Hypothesis, outcomes):
+        _, m_count, c_count = np.bincount(codes, minlength=3).tolist()
+        m_pct = 100.0 * m_count / reps
+        c_pct = 100.0 * c_count / reps
         rows.append(
             FreqRow(
                 hypothesis=h.value,

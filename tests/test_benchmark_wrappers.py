@@ -46,7 +46,10 @@ def test_traced_compare_invocation_counts_parsed_rows(argv, tmp_path):
     report = run_traced("cli", {"argv": argv}, tmp_path)
     assert report["error"] is None and report["rc"] == 0
     with open(tmp_path / "spans.pkl", "rb") as fh:
-        assert pickle.load(fh)["counts"]["parse_rows"] == 223
+        trace = pickle.load(fh)
+    assert trace["counts"]["parse_rows"] == 223
+    assert len(trace["samples"]) == 1
+    assert_python_scalar_samples(trace["samples"])
 
 
 def test_traced_library_invocation_succeeds(tmp_path):
@@ -64,3 +67,27 @@ def test_traced_library_invocation_succeeds(tmp_path):
     job = {"inputs": str(inputs), "out": str(out)}
     assert run_traced("library", job, tmp_path)["error"] is None
     assert len(json.loads((out / "tests.json").read_text(encoding="utf-8"))) == 2
+
+
+
+def assert_python_scalar_samples(samples) -> None:
+    # The trace records the arguments and result of every public
+    # critical_values call, and the benchmark's oracle does scalar math on
+    # them; batched calibrations never pass through that entry.
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import checks
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    for sample in samples:
+        assert all(v is None or type(v) in (int, float, str) for v in sample)
+        assert checks.calibration_residual(sample) <= checks.CALIBRATION_TOL
+
+
+def test_traced_simulate_invocation_succeeds(tmp_path):
+    argv = ["simulate", "--setting", "ii", "--n", "50", "--reps", "5", "--seed", "1",
+            "--out", str(tmp_path / "table")]
+    report = run_traced("cli", {"argv": argv}, tmp_path)
+    assert report["error"] is None and report["rc"] == 0
+    with open(tmp_path / "spans.pkl", "rb") as fh:
+        assert_python_scalar_samples(pickle.load(fh)["samples"])

@@ -171,6 +171,28 @@ class TestBvnRectProb:
         for rho in (1.0, -1.0, 1.5, math.nan):
             with pytest.raises(ValueError, match="correlation"):
                 bvn_rect_prob(rho, -1.0, 1.0, -1.0, 1.0)
+        with pytest.raises(ValueError, match=r"got 1\.5$"):
+            bvn_rect_prob(np.array([0.2, 1.5, -2.0]), -1.0, 1.0, -1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "limits",
+        [(math.nan, 1.0, 0.0, 1.0), (-1.0, 1.0, math.nan, math.inf), (-1.0, math.nan, 0.0, 1.0)],
+    )
+    def test_nan_limit_rejected(self, limits):
+        # a NaN limit used to give a NaN probability
+        with pytest.raises(ValueError, match="NaN"):
+            bvn_rect_prob(0.3, *limits)
+        a1, b1, a2, b2 = limits
+        with pytest.raises(ValueError, match="NaN"):
+            bvn_rect_prob(np.full(3, 0.3), np.array([-1.0, a1, -1.0]), b1, a2, b2)
+
+    def test_arrays_broadcast_elementwise(self):
+        rho = np.array([-0.5, 0.0, 0.7])
+        got = bvn_rect_prob(rho, -1.0, np.array([[0.5], [2.0]]), -math.inf, 0.3)
+        assert got.shape == (2, 3)
+        for i, b1 in enumerate((0.5, 2.0)):
+            for j, r in enumerate(rho.tolist()):
+                assert got[i, j] == bvn_rect_prob(r, -1.0, b1, -math.inf, 0.3)
 
 
 NEAR_SINGULAR = 1.0 - 1e-8

@@ -290,16 +290,22 @@ class TestSecondStepSolver:
     def test_equal_residual_in_two_sided_form(self, alpha):
         # The solver doubles the one-sided strip; the README's 1e-12 must
         # also hold for the two-sided probability P(|Z1| <= h, |Z2| > k).
+        # The 1000 calibrations run as one lockstep batch, the array path
+        # of which critical_values is the one-row call.
         rng = np.random.default_rng(74)
         rhos = np.concatenate([
             rng.uniform(-1.0, 1.0, 500) * (1.0 - 1e-8),
             np.copysign(1.0 - 10.0 ** rng.uniform(-8, -2, 500), rng.uniform(-1.0, 1.0, 500)),
         ])
-        for rho in rhos.tolist():
-            h, k = critical_values(LongRunCov(1.0, rho, 1.0), alpha, Hypothesis.EQUAL)
-            p_band = norm_cdf(h) - norm_cdf(-h)
-            p = p_band - bvn_rect_prob(rho, -h, h, -k, k)
-            assert abs(p - alpha / 2) <= 1e-12
+        ones = np.ones(rhos.size)
+        h, k, errors = inference._calibrate(alpha, ones, rhos, ones, np.full(rhos.size, 2))
+        assert not errors
+        p_band = norm_cdf(h) - norm_cdf(-h)
+        p = p_band - bvn_rect_prob(rhos, -h, h, -k, k)
+        assert np.abs(p - alpha / 2).max() <= 1e-12
+        for i in range(0, rhos.size, 97):
+            om = LongRunCov(1.0, float(rhos[i]), 1.0)
+            assert critical_values(om, alpha, Hypothesis.EQUAL) == (h[i], k[i])
 
     def test_kernel_calls_per_calibration(self, monkeypatch):
         calls = []
@@ -377,14 +383,15 @@ class TestTwoStepTest:
         5% with an even split across the steps."""
         rng = np.random.default_rng(12345)
         reps, n = 2000, 200
-        m_count = c_count = 0
-        for _ in range(reps):
-            d = ScoreDiffSeries(rng.standard_normal(n), rng.standard_normal(n))
-            res = two_step_test(d, HacConfig(), 0.05, Hypothesis.EQUAL)
-            if res.outcome is Outcome.REJECTED_AT_MARGINAL_STEP:
-                m_count += 1
-            elif res.outcome is Outcome.REJECTED_AT_COPULA_STEP:
-                c_count += 1
+        # the replications in one batch; each row is two_step_test on it
+        draws = rng.standard_normal((reps, 2, n))
+        d_m, d_c = np.ascontiguousarray(draws[:, 0]), np.ascontiguousarray(draws[:, 1])
+        batch = inference._two_step_batch(d_m, d_c, HacConfig(), 0.05, [Hypothesis.EQUAL])
+        outcomes = [inference._OUTCOMES[code] for code in batch.outcome[0]]
+        m_count = outcomes.count(Outcome.REJECTED_AT_MARGINAL_STEP)
+        c_count = outcomes.count(Outcome.REJECTED_AT_COPULA_STEP)
+        one = two_step_test(ScoreDiffSeries(d_m[7], d_c[7]), HacConfig(), 0.05, "equal")
+        assert one.outcome is outcomes[7]
         joint = (m_count + c_count) / reps
         assert abs(joint - 0.05) <= 0.015
         assert abs(m_count / reps - 0.025) <= 0.012
