@@ -77,7 +77,10 @@ def score_arrays(y, sigma, rho) -> tuple[np.ndarray, np.ndarray]:
     ``y`` and ``sigma`` have shape (..., dim); ``rho`` is a scalar or
     broadcasts against the leading axes, and ``rho = 0`` is the independence
     copula.  Inputs are not validated: pass finite ``y``, positive ``sigma``
-    and ``rho`` inside the equicorrelation range.
+    and ``rho`` inside the equicorrelation range.  Coordinates are summed
+    in numpy's order for the layout passed in: left to right when dim <= 7
+    or when the dimension is the outermost axis in memory, pairwise
+    otherwise.
     """
     y = np.asarray(y, dtype=float)
     z = y / sigma

@@ -2,17 +2,19 @@
 equicorrelation, noise-contaminated forecasters, and rejection-frequency
 tables for the two-step tests.
 
-Paths come from one innovation draw (:func:`_draw_noise`) and one GARCH
-recursion, forecaster disturbances from one draw (:func:`_draw_contamination`),
-and both forecasters are scored by :func:`copulascore.scoring.score_arrays`.
+Paths come from one innovation draw (:func:`_draw_noise`), forecaster
+disturbances from one draw (:func:`_draw_contamination`), and both
+forecasters are scored by :func:`copulascore.scoring.score_arrays`.
 Replication streams are split from the master seed by spawn key, so results
 are bit-identical regardless of batching or execution order.
 
-The recursions run time-major, over arrays of shape (steps, ..., dim).
-Burn-in steps advance the variance state but are not stored, and
+One variance recursion, :func:`_variance_steps`, runs time-major over a
+stacked state of shape (rows, ..., dim): row 0 is the true variance, and
+under ``recursive`` rows 1 and 2 are the two forecasters' own variances.
+Burn-in steps advance the true variance but are not stored, and
 :func:`_experiment_diffs` generates and scores the evaluation window in
-blocks of time steps, so that beyond the draws and its results it holds
-one block at a time.
+blocks of time steps, laid out with the dimension outermost, so that
+beyond the draws and its results it holds one block at a time.
 """
 
 from __future__ import annotations
@@ -171,28 +173,38 @@ def _draw_contamination(
     return dm, dc
 
 
-def _garch_steps(
-    spec: DgpSpec, eps: np.ndarray, s2: np.ndarray, y=None, sigma2=None
+def _variance_steps(
+    spec: DgpSpec, eps: np.ndarray, h: np.ndarray, y=None, var=None, dm=None
 ) -> np.ndarray:
-    """Advance the true variance state ``s2`` through the time-major
-    innovations ``eps`` and return the state after the last step.  When
-    ``y`` and ``sigma2`` are given, row t of each receives step t's
-    observation and the variance it was drawn with."""
+    """Advance the stacked variance state ``h`` through the time-major
+    innovations ``eps`` and return the state after the last step; ``h``
+    itself may be overwritten.
+
+    ``h`` has shape (rows, ..., dim).  Row 0 is the true variance: step t
+    draws the observation sqrt(h[0]) * eps[t], and every row then takes
+    one GARCH step on that observation.  Rows 1: are the forecasters'
+    recursive variances; with ``dm``, of shape (steps, rows - 1, ..., 1),
+    step t first scales them by the forecasters' disturbances dm[t].  When
+    ``y`` and ``var`` are given, row t of each receives step t's
+    observation and the variances of all rows it was drawn with."""
     for t, e in enumerate(eps):
-        y_t = np.sqrt(s2) * e
+        if dm is not None:
+            h[1:] *= dm[t]
+        y_t = np.sqrt(h[0]) * e
         if y is not None:
             y[t] = y_t
-            sigma2[t] = s2
-        s2 = spec.omega0 + spec.alpha0 * y_t**2 + spec.beta0 * s2
-    return s2
+            var[t] = h
+        h = spec.omega0 + spec.alpha0 * y_t**2 + spec.beta0 * h
+    return h
 
 
 def _burned_in_state(spec: DgpSpec, eps: np.ndarray) -> np.ndarray:
-    """Variance state at the start of the evaluation window: the recursion
-    starts at the stationary variance, and the first ``spec.burn_in`` steps
-    of the time-major ``eps`` only advance it."""
-    s2 = np.full(eps.shape[1:], spec.stationary_variance)
-    return _garch_steps(spec, eps[: spec.burn_in], s2)
+    """True variance state at the start of the evaluation window, one row
+    of shape (1, ..., dim): the recursion starts at the stationary
+    variance, and the first ``spec.burn_in`` steps of the time-major
+    ``eps`` only advance it."""
+    h = np.full((1, *eps.shape[1:]), spec.stationary_variance)
+    return _variance_steps(spec, eps[: spec.burn_in], h)
 
 
 def _garch_paths(spec: DgpSpec, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -204,9 +216,9 @@ def _garch_paths(spec: DgpSpec, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """
     window = eps[spec.burn_in :]
     y = np.empty(window.shape)
-    sigma2 = np.empty_like(y)
-    _garch_steps(spec, window, _burned_in_state(spec, eps), y, sigma2)
-    return y, sigma2
+    var = np.empty((len(window), 1, *window.shape[1:]))
+    _variance_steps(spec, window, _burned_in_state(spec, eps), y, var)
+    return y, var[:, 0]
 
 
 def simulate_path(spec: DgpSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -218,45 +230,14 @@ def simulate_path(spec: DgpSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return y, np.sqrt(sigma2, out=sigma2)
 
 
-def _forecast_variances(
-    spec: DgpSpec,
-    delta_marg: np.ndarray,
-    sigma2: np.ndarray,
-    y: np.ndarray,
-    mode: str,
-    prev: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
-    """Contaminated conditional variances over a block of time steps.
-
-    Time-major: ``sigma2`` and ``y`` have shape (steps, ..., dim) and
-    ``delta_marg`` has shape (steps, ...).
-
-    one-step: sigma2_tilde[t] = delta[t] * sigma2_true[t].
-    recursive: the forecaster's own variance state evolves under the
-    per-period contaminated parameters, seeded at delta[0]*sigma2_true[0]
-    at the window's first step.  ``prev`` is the forecaster's variance and
-    the observation of the step before the block, or None if the block
-    starts the window.
-    """
-    if mode == "one-step":
-        return delta_marg[..., None] * sigma2
-    out = np.empty_like(sigma2)
-    for t in range(sigma2.shape[0]):
-        if prev is None:
-            out[t] = delta_marg[t, ..., None] * sigma2[t]
-        else:
-            var, y_prev = prev
-            out[t] = delta_marg[t, ..., None] * (
-                spec.omega0 + spec.alpha0 * y_prev**2 + spec.beta0 * var
-            )
-        prev = out[t], y[t]
-    return out
-
-
-# Time steps per block of _experiment_diffs.  Every array of a block,
-# scoring temporaries included, stays far below one innovation array, so
-# the peak is set by the draws; longer blocks keep more temporaries alive
-# next to the innovations and buy no speed.
+# Time steps per block of _experiment_diffs.  Only the stacked variance
+# state, (rows, reps, dim), carries from one block to the next.  A block's
+# observations and variances are transposed views of buffers with the
+# dimension outermost, so the per-coordinate sums of scoring add whole
+# (steps, reps) planes.  Every array of a block, scoring temporaries
+# included, stays far below one innovation array, so the peak is set by
+# the draws; longer blocks keep more temporaries alive next to the
+# innovations and buy no speed.
 _BLOCK_STEPS = 16
 
 
@@ -273,11 +254,12 @@ def _experiment_diffs(
     Row r depends only on (seed, r); see :func:`_rep_rng`.  Each
     replication's innovations and disturbances are drawn up front into its
     own rows.  The evaluation window is then generated, forecast and scored
-    in blocks of ``_BLOCK_STEPS`` time steps, time-major, (steps, reps,
-    ...), so that one step of a recursion writes one contiguous block; the
-    GARCH state and, under ``recursive``, each forecaster's last variance
-    and observation carry over from block to block.  Beyond the draws and
-    the two outputs, memory holds one block at a time.
+    in blocks of ``_BLOCK_STEPS`` time steps by one recursion over a
+    stacked state: row 0 is the true variance and, under ``recursive``,
+    rows 1 and 2 are the two forecasters' own variances, seeded at
+    dm[0] * sigma2_true[0] on the window's first step.  Under ``one-step``
+    a forecaster's variance is dm[t] * sigma2_true[t].  Beyond the draws
+    and the two outputs, memory holds one block at a time.
     """
     if variance_mode not in VARIANCE_MODES:
         raise ValueError("variance mode must be " + " or ".join(map(repr, VARIANCE_MODES)))
@@ -291,23 +273,26 @@ def _experiment_diffs(
         for k, cspec in enumerate((setting.spec1, setting.spec2)):
             draws[k, :, r] = _draw_contamination(cspec, spec.n, rng)
 
-    # a time-major view, not a copy, so the innovations are held only once
+    # time-major views, not copies, so the draws are held only once
     eps = eps.transpose(1, 0, 2)
-    s2 = _burned_in_state(spec, eps)
+    recursive = variance_mode == "recursive"
+    h = _burned_in_state(spec, eps)
+    if recursive:
+        h = h.repeat(3, axis=0)
+        # (n, 2, reps, 1): both forecasters' disturbances at each step
+        dm_steps = draws[:, 0].transpose(2, 0, 1)[..., None]
     d_m = np.empty((reps, spec.n))
     d_c = np.empty_like(d_m)
-    prev = [None, None]
     for a in range(0, spec.n, _BLOCK_STEPS):
         b = min(a + _BLOCK_STEPS, spec.n)
-        y = np.empty((b - a, reps, spec.dim))
-        sigma2 = np.empty_like(y)
-        s2 = _garch_steps(spec, eps[spec.burn_in + a : spec.burn_in + b], s2, y, sigma2)
+        y = np.empty((spec.dim, b - a, reps)).transpose(1, 2, 0)
+        var = np.empty((len(h), spec.dim, b - a, reps)).transpose(2, 0, 3, 1)
+        window = eps[spec.burn_in + a : spec.burn_in + b]
+        h = _variance_steps(spec, window, h, y, var, dm_steps[a:b] if recursive else None)
         scores = []
         for k, (dm, dc) in enumerate(draws):
-            var = _forecast_variances(spec, dm[:, a:b].T, sigma2, y, variance_mode, prev[k])
-            # copies: the square root below overwrites var in place
-            prev[k] = var[-1].copy(), y[-1].copy()
-            scores.append(score_arrays(y, np.sqrt(var, out=var), spec.rho * dc[:, a:b].T))
+            v = var[:, 1 + k] if recursive else dm[:, a:b].T[..., None] * var[:, 0]
+            scores.append(score_arrays(y, np.sqrt(v, out=v), spec.rho * dc[:, a:b].T))
         (sm1, sc1), (sm2, sc2) = scores
         d_m[:, a:b] = (sm1 - sm2).T
         d_c[:, a:b] = (sc1 - sc2).T
