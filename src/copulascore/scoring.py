@@ -9,6 +9,7 @@ whose marginal components tie.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -47,8 +48,11 @@ class MarginalForecast:
             sigma = sigma.reshape(1)
         if sigma.ndim != 1 or sigma.size == 0:
             raise ValueError("sigma must be a nonempty vector")
-        if not (np.isfinite(sigma) & (sigma > 0.0)).all():
-            raise ValueError(f"sigma must be finite and strictly positive, got {sigma}")
+        # a loop over Python floats, not ndarray.all, which calls numpy's
+        # Python-level _methods._all; written so that NaN fails
+        for s in sigma.tolist():
+            if not (math.isfinite(s) and s > 0.0):
+                raise ValueError(f"sigma must be finite and strictly positive, got {sigma}")
         object.__setattr__(self, "sigma", sigma)
 
     @property
@@ -63,8 +67,9 @@ class BivariateScore(NamedTuple):
     s_cop: float
 
 
-# np.clip, np.sum and np.all go through Python-level wrappers on every call;
-# the ufuncs and array methods used here run the same loops without them.
+# np.clip, np.sum and np.all, and array methods such as ndarray.all, go
+# through Python-level wrappers on every call; the ufuncs used here run the
+# same loops without them.
 def _pit(z, out=None):
     u = ndtr(z, out=out)
     return np.minimum(np.maximum(u, UNIT_CLAMP, out=out), 1.0 - UNIT_CLAMP, out=out)
@@ -98,8 +103,9 @@ def bivariate_score(c: Copula, f: MarginalForecast, y) -> BivariateScore:
     dim = f.dim
     if y.shape != (dim,):
         raise ValueError(f"y must have shape ({dim},), got {y.shape}")
-    if not np.isfinite(y).all():
-        raise ValueError("observation must be finite")
+    for v in y.tolist():
+        if not math.isfinite(v):
+            raise ValueError("observation must be finite")
     if c.dim != dim:
         raise ValueError("copula and marginal forecast dimensions differ")
     # an exact-type match, the common case first, skips the ABC instance check

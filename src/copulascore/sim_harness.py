@@ -13,8 +13,11 @@ stacked state of shape (rows, ..., dim): row 0 is the true variance, and
 under ``recursive`` rows 1 and 2 are the two forecasters' own variances.
 Burn-in steps advance the true variance but are not stored, and
 :func:`_experiment_diffs` generates and scores the evaluation window in
-blocks of time steps, laid out with the dimension outermost, so that
-beyond the draws and its results it holds one block at a time.
+blocks of time steps, laid out with the dimension outermost, writing each
+block's score differences over disturbances it has consumed, so that
+beyond the draws it holds one block at a time.  :func:`run_experiment`
+draws and tests the replications in chunks of a fixed number of
+innovations, so its peak memory does not grow with the replication count.
 """
 
 from __future__ import annotations
@@ -235,10 +238,14 @@ def simulate_path(spec: DgpSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:
 # observations and variances are transposed views of buffers with the
 # dimension outermost, so the per-coordinate sums of scoring add whole
 # (steps, reps) planes.  Every array of a block, scoring temporaries
-# included, stays far below one innovation array, so the peak is set by
+# included, stays far below one chunk's innovations, so the peak is set by
 # the draws; longer blocks keep more temporaries alive next to the
 # innovations and buy no speed.
 _BLOCK_STEPS = 16
+
+# Innovations per chunk of run_experiment (float64, 32 MiB): a chunk holds
+# as many replications as fit, and at least one.
+_CHUNK_FLOATS = 1 << 22
 
 
 def _experiment_diffs(
@@ -247,19 +254,23 @@ def _experiment_diffs(
     reps: int,
     seed: int,
     variance_mode: str = VARIANCE_MODES[0],
+    first: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Score-difference series of all replications, contiguous arrays of
-    shape (reps, n) each.
+    """Score-difference series of replications first, ..., first + reps - 1,
+    contiguous arrays of shape (reps, n) each.
 
-    Row r depends only on (seed, r); see :func:`_rep_rng`.  Each
+    Row r depends only on (seed, first + r); see :func:`_rep_rng`.  Each
     replication's innovations and disturbances are drawn up front into its
     own rows.  The evaluation window is then generated, forecast and scored
     in blocks of ``_BLOCK_STEPS`` time steps by one recursion over a
     stacked state: row 0 is the true variance and, under ``recursive``,
     rows 1 and 2 are the two forecasters' own variances, seeded at
     dm[0] * sigma2_true[0] on the window's first step.  Under ``one-step``
-    a forecaster's variance is dm[t] * sigma2_true[t].  Beyond the draws
-    and the two outputs, memory holds one block at a time.
+    a forecaster's variance is dm[t] * sigma2_true[t].  Once both
+    forecasters of a block are scored, the block's differences overwrite
+    forecaster 1's (dm, dc) for those steps, which nothing reads again, and
+    those two arrays are the result.  Beyond the draws, memory holds one
+    block at a time.
     """
     if variance_mode not in VARIANCE_MODES:
         raise ValueError("variance mode must be " + " or ".join(map(repr, VARIANCE_MODES)))
@@ -268,7 +279,7 @@ def _experiment_diffs(
     # draws[k] holds forecaster k's (dm, dc), each of shape (reps, n)
     draws = np.empty((2, 2, reps, spec.n))
     for r in range(reps):
-        rng = _rep_rng(seed, r)
+        rng = _rep_rng(seed, first + r)
         eps[r] = _draw_noise(spec, chol, rng)
         for k, cspec in enumerate((setting.spec1, setting.spec2)):
             draws[k, :, r] = _draw_contamination(cspec, spec.n, rng)
@@ -279,10 +290,10 @@ def _experiment_diffs(
     h = _burned_in_state(spec, eps)
     if recursive:
         h = h.repeat(3, axis=0)
-        # (n, 2, reps, 1): both forecasters' disturbances at each step
+        # (n, 2, reps, 1): both forecasters' disturbances at each step, read
+        # by the recursion before the block's differences overwrite them
         dm_steps = draws[:, 0].transpose(2, 0, 1)[..., None]
-    d_m = np.empty((reps, spec.n))
-    d_c = np.empty_like(d_m)
+    d_m, d_c = draws[0]
     for a in range(0, spec.n, _BLOCK_STEPS):
         b = min(a + _BLOCK_STEPS, spec.n)
         y = np.empty((spec.dim, b - a, reps)).transpose(1, 2, 0)
@@ -294,8 +305,8 @@ def _experiment_diffs(
             v = var[:, 1 + k] if recursive else dm[:, a:b].T[..., None] * var[:, 0]
             scores.append(score_arrays(y, np.sqrt(v, out=v), spec.rho * dc[:, a:b].T))
         (sm1, sc1), (sm2, sc2) = scores
-        d_m[:, a:b] = (sm1 - sm2).T
-        d_c[:, a:b] = (sc1 - sc2).T
+        np.subtract(sm1, sm2, out=d_m[:, a:b].T)
+        np.subtract(sc1, sc2, out=d_c[:, a:b].T)
     return d_m, d_c
 
 
@@ -315,27 +326,40 @@ def run_experiment(
     index, draws in this order): innovations for burn-in plus window, then
     forecaster 1's volatility and correlation disturbances, then
     forecaster 2's.  Each forecaster is scored with its own contaminated
-    marginals and copula; the two-step tests of all replications under both
-    hypotheses run as one batch on the score differences.
+    marginals and copula.  Replications are generated and tested in
+    chunks, in order, of as many as fit ``_CHUNK_FLOATS`` innovations; the
+    two-step tests of a chunk under both hypotheses run as one batch on
+    its score differences.  Rows are independent, so the table does not
+    depend on the chunk size, and the first chunk that raises holds the
+    earliest bad replication.
     """
     if not _is_integer(reps):
         raise ValueError(f"reps must be an integer, got {reps!r}")
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    # here, not in numpy's seeding, whose error does not name the seed; True is no seed
+    if not (_is_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     # the level and lag checks of every test, before anything is drawn
     _check_level(alpha)
     _check_lag_cutoff(spec.n, hac)
     setting.spec1.check_against(spec)
     setting.spec2.check_against(spec)
 
-    d_m, d_c = _experiment_diffs(spec, setting, reps, seed, variance_mode)
-
-    # one batch for every replication under both hypotheses
-    outcomes = _two_step_batch(d_m, d_c, hac, alpha, tuple(Hypothesis)).outcome
+    chunk = max(1, _CHUNK_FLOATS // ((spec.burn_in + spec.n) * spec.dim))
+    counts = np.zeros((len(Hypothesis), 3), dtype=np.int64)
+    for first in range(0, reps, chunk):
+        size = min(chunk, reps - first)
+        # the differences are passed on unnamed, so the chunk's draws are
+        # freed before the next chunk is drawn
+        outcomes = _two_step_batch(
+            *_experiment_diffs(spec, setting, size, seed, variance_mode, first),
+            hac, alpha, tuple(Hypothesis),
+        ).outcome
+        counts += [np.bincount(codes, minlength=3) for codes in outcomes]
 
     rows = []
-    for h, codes in zip(Hypothesis, outcomes):
-        _, m_count, c_count = np.bincount(codes, minlength=3).tolist()
+    for h, (_, m_count, c_count) in zip(Hypothesis, counts.tolist()):
         m_pct = 100.0 * m_count / reps
         c_pct = 100.0 * c_count / reps
         rows.append(

@@ -778,6 +778,17 @@ class TestSimulateCommand:
         assert message in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    def test_negative_seed_exits_before_simulating(self, tmp_path, monkeypatch, capsys):
+        # used to exit with numpy's seeding error, which does not name the flag
+        monkeypatch.setattr(
+            sim_harness, "_experiment_diffs", lambda *a, **k: pytest.fail("simulated")
+        )
+        rc = main(["simulate", "--setting", "i", "--n", "50", "--reps", "2", "--seed", "-1",
+                   "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_invalid_setting_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["simulate", "--setting", "vi", "--n", "40", "--seed", "1",

@@ -38,7 +38,9 @@ class TestMarginalScore:
         with pytest.raises(ValueError):
             MarginalForecast(np.array([1.0, 0.0]))
 
-    @pytest.mark.parametrize("sigma", [[math.inf, 1.0], [1.0, math.nan]])
+    @pytest.mark.parametrize(
+        "sigma", [[math.inf, 1.0], [1.0, math.nan], [math.nan], [-math.inf, 1.0]]
+    )
     def test_non_finite_sigma_named(self, sigma):
         with pytest.raises(ValueError, match="sigma must be finite"):
             MarginalForecast(sigma)
@@ -47,6 +49,12 @@ class TestMarginalScore:
         f = MarginalForecast(np.ones(2))
         with pytest.raises(ValueError, match="observation must be finite"):
             bivariate_score(Independence(2), f, [math.inf, 0.0])
+
+    @pytest.mark.parametrize("y", [[0.0, math.nan], [math.nan, math.nan], [-math.inf, 1.0]])
+    def test_nan_or_negative_infinite_observation(self, y):
+        f = MarginalForecast(np.ones(2))
+        with pytest.raises(ValueError, match="observation must be finite"):
+            bivariate_score(Independence(2), f, y)
 
 
 class TestPit:
@@ -198,8 +206,9 @@ class TestDispatchCount:
         y = np.array([0.1, -0.2, 0.3, 0.5, -1.0])
         bivariate_score(c, f, y)
         # bivariate_score, score_arrays, _pit, gaussian_logdensity_from_scores,
-        # the dim and rho properties, BivariateScore.__new__ and ndarray.all
-        assert _python_calls(lambda: bivariate_score(c, f, y)) <= 9
+        # the dim and rho properties and BivariateScore.__new__; the finiteness
+        # check runs on Python floats, not through ndarray.all
+        assert _python_calls(lambda: bivariate_score(c, f, y)) <= 8
 
     def test_forecast_construction(self):
         def construct():
@@ -208,8 +217,8 @@ class TestDispatchCount:
 
         construct()
         # three dataclass __init__ and __post_init__ pairs, two integer checks
-        # of dim, the dim property and ndarray.all
-        assert _python_calls(construct) <= 10
+        # of dim and the dim property
+        assert _python_calls(construct) <= 9
 
 
 class TestFrechetReduction:

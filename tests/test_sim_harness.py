@@ -318,10 +318,10 @@ class TestExperimentDiffs:
 
     @pytest.mark.parametrize("mode", VARIANCE_MODES)
     def test_window_is_generated_in_blocks(self, mode):
-        """A long window with few replications: beyond the draws and the two
-        outputs, the peak holds one block of time steps, far below half a
-        window.  Generating the whole window at once holds Y and sigma2
-        alone, two windows."""
+        """A long window with few replications: beyond the draws, the peak
+        holds one block of time steps, far below half a window; the bound
+        also leaves room for two (reps, n) outputs.  Generating the whole
+        window at once holds Y and sigma2 alone, two windows."""
         spec = DgpSpec(n=2000, burn_in=10)
         reps = 20
         window = spec.n * reps * spec.dim * 8
@@ -335,6 +335,39 @@ class TestExperimentDiffs:
         finally:
             tracemalloc.stop()
         assert peak < innovations + contamination + outputs + window / 2, peak / window
+
+    @pytest.mark.parametrize("mode", VARIANCE_MODES)
+    def test_differences_overwrite_consumed_draws(self, mode):
+        """Beyond the draws, the peak holds one block and one replication's
+        draw temporaries: each block's differences are written over
+        forecaster 1's disturbances for those steps, so no output arrays
+        are allocated.  At dim 2 two (reps, n) outputs are a whole
+        window."""
+        spec = DgpSpec(n=2000, dim=2, burn_in=10)
+        reps = 20
+        window = spec.n * reps * spec.dim * 8
+        innovations = (spec.burn_in + spec.n) * reps * spec.dim * 8
+        contamination = 2 * 2 * reps * spec.n * 8  # (dm, dc) of both forecasters
+        tracemalloc.start()
+        try:
+            _experiment_diffs(spec, SETTINGS["ii"], reps=reps, seed=3, variance_mode=mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < innovations + contamination + window / 2, peak / window
+
+    @pytest.mark.parametrize("mode", VARIANCE_MODES)
+    @pytest.mark.parametrize("first", [1, 3, 7])
+    def test_offset_rows_equal_full_run_rows(self, first, mode):
+        """Bit for bit: replications first, first + 1, ... drawn on their
+        own are rows first, first + 1, ... of a run from replication 0."""
+        spec = DgpSpec(n=35, dim=3, rho=0.4, burn_in=9)
+        setting = SETTINGS["iii"]
+        ref_m, ref_c = _experiment_diffs(spec, setting, 10, 4, mode)
+        d_m, d_c = _experiment_diffs(spec, setting, 10 - first, 4, mode, first)
+        assert d_m.flags.c_contiguous and d_c.flags.c_contiguous
+        np.testing.assert_array_equal(d_m, ref_m[first:])
+        np.testing.assert_array_equal(d_c, ref_c[first:])
 
     def test_recursive_mode_differs(self):
         spec = DgpSpec(n=40, burn_in=20)
@@ -410,6 +443,22 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="variance mode"):
             run_experiment(spec, SETTINGS["i"], reps=2, alpha=0.05, seed=1, variance_mode="bogus")
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, "3", np.float64(1.0), math.nan])
+    def test_invalid_seed_named_before_drawing(self, seed, monkeypatch):
+        # seed=True used to run and write True into the table's seed column
+        def no_draws(seed, rep):
+            pytest.fail("a replication was drawn before the seed was checked")
+
+        monkeypatch.setattr(sim_harness, "_rep_rng", no_draws)
+        spec = DgpSpec(n=30, burn_in=5)
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
+            run_experiment(spec, SETTINGS["i"], reps=2, alpha=0.05, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        spec = DgpSpec(n=30, burn_in=5)
+        rows = run_experiment(spec, SETTINGS["i"], reps=2, alpha=0.05, seed=np.uint8(1))
+        assert rows == run_experiment(spec, SETTINGS["i"], reps=2, alpha=0.05, seed=1)
+
     def test_settings_table_matches_study_design(self):
         assert set(SETTINGS) == {"i", "ii", "iii", "iv", "v"}
         s = SETTINGS["iii"]
@@ -438,3 +487,56 @@ class TestAttributionProperties:
             row = freq("i", 150)[h]
             assert abs(row.marginal_pct - 2.5) <= 1.0
             assert abs(row.copula_pct - 2.5) <= 1.0
+
+
+class TestChunkedRuns:
+    """run_experiment draws and tests replications in chunks of
+    ``_CHUNK_FLOATS`` innovations; rows are independent, so the chunking
+    changes neither the table nor anything in it."""
+
+    SPEC = DgpSpec(n=50, dim=3, rho=0.4, burn_in=20)
+
+    def _chunk_reps(self, monkeypatch, reps_per_chunk):
+        """Set the chunk size in replications; return the list that records
+        (first, reps) of each _experiment_diffs call."""
+        monkeypatch.setattr(
+            sim_harness,
+            "_CHUNK_FLOATS",
+            reps_per_chunk * (self.SPEC.burn_in + self.SPEC.n) * self.SPEC.dim,
+        )
+        calls = []
+        diffs = sim_harness._experiment_diffs
+
+        def recorded(spec, setting, reps, seed, variance_mode, first):
+            calls.append((first, reps))
+            return diffs(spec, setting, reps, seed, variance_mode, first)
+
+        monkeypatch.setattr(sim_harness, "_experiment_diffs", recorded)
+        return calls
+
+    @pytest.mark.parametrize("mode", VARIANCE_MODES)
+    @pytest.mark.parametrize("reps_per_chunk", [1, 2, 7])
+    def test_chunked_table_equals_one_chunk(self, monkeypatch, reps_per_chunk, mode):
+        hac = HacConfig(lags=2, weights="bartlett")
+        args = (self.SPEC, SETTINGS["v"], 10, 0.2, 6, hac, mode)
+        whole = run_experiment(*args)
+        calls = self._chunk_reps(monkeypatch, reps_per_chunk)
+        assert run_experiment(*args) == whole
+        firsts = list(range(0, 10, reps_per_chunk))
+        assert calls == [(a, min(reps_per_chunk, 10 - a)) for a in firsts]
+        # the rows reject somewhere, so the comparison is not of all zeros
+        assert any(row.joint_pct > 0.0 for row in whole)
+
+    def test_peak_does_not_grow_with_reps(self, monkeypatch):
+        """Each chunk's draws are freed before the next is drawn: eight
+        chunks peak within 10% of one."""
+        self._chunk_reps(monkeypatch, 40)
+        peaks = []
+        for reps in (40, 320):
+            tracemalloc.start()
+            try:
+                run_experiment(self.SPEC, SETTINGS["ii"], reps=reps, alpha=0.05, seed=2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.1 * peaks[0], peaks
