@@ -2,8 +2,9 @@
 equicorrelation, noise-contaminated forecasters, and rejection-frequency
 tables for the two-step tests.
 
-Paths come from one innovation draw (:func:`_draw_noise`), forecaster
-disturbances from one draw (:func:`_draw_contamination`), and both
+Each stream draws a path's burn-in innovations and then its window
+innovations (:func:`_draw_noise`, whose two draws are the rows of one),
+then forecaster disturbances (:func:`_draw_contamination`), and both
 forecasters are scored by :func:`copulascore.scoring.score_arrays`.
 Replication streams are split from the master seed by spawn key, so results
 are bit-identical regardless of batching or execution order.
@@ -11,11 +12,12 @@ are bit-identical regardless of batching or execution order.
 One variance recursion, :func:`_variance_steps`, runs time-major over a
 stacked state of shape (rows, ..., dim): row 0 is the true variance, and
 under ``recursive`` rows 1 and 2 are the two forecasters' own variances.
-Burn-in steps advance the true variance but are not stored, and
-:func:`_experiment_diffs` generates and scores the evaluation window in
-blocks of time steps, laid out with the dimension outermost, writing each
-block's score differences over disturbances it has consumed, so that
-beyond the draws it holds one block at a time.  :func:`run_experiment`
+Burn-in steps advance the true variance but are not stored.
+:func:`_experiment_diffs` frees the burn-in innovations before it draws
+the window, then generates and scores the evaluation window in blocks of
+time steps, laid out with the dimension outermost, writing each block's
+score differences over disturbances it has consumed, so that beyond the
+window's draws it holds one block at a time.  :func:`run_experiment`
 draws and tests the replications in chunks of a fixed number of
 innovations, so its peak memory does not grow with the replication count.
 """
@@ -154,10 +156,19 @@ def _innovation_chol(spec: DgpSpec) -> np.ndarray:
     return np.linalg.cholesky(EquiCorr(spec.dim, spec.rho).matrix())
 
 
-def _draw_noise(spec: DgpSpec, chol: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Correlated Gaussian innovations for burn-in plus evaluation window;
-    ``chol`` is :func:`_innovation_chol` of ``spec``."""
-    return rng.standard_normal((spec.burn_in + spec.n, spec.dim)) @ chol.T
+def _draw_noise(chol: np.ndarray, rng: np.random.Generator, steps: int) -> np.ndarray:
+    """The next ``steps`` correlated Gaussian innovations of ``rng``'s
+    stream, shape (steps, dim); ``chol`` is :func:`_innovation_chol`.
+
+    The normals are filled in stream order, so the burn-in and the window
+    drawn by two calls are the rows of one draw of both.  A single row
+    would be multiplied on numpy's matrix-vector path, whose result can
+    differ in the last bit from the same row of a longer product, so it is
+    padded with a row of zeros."""
+    z = rng.standard_normal((steps, len(chol)))
+    if steps == 1:
+        return (np.vstack((z, np.zeros_like(z))) @ chol.T)[:1]
+    return z @ chol.T
 
 
 def _draw_contamination(
@@ -180,8 +191,8 @@ def _variance_steps(
     spec: DgpSpec, eps: np.ndarray, h: np.ndarray, y=None, var=None, dm=None
 ) -> np.ndarray:
     """Advance the stacked variance state ``h`` through the time-major
-    innovations ``eps`` and return the state after the last step; ``h``
-    itself may be overwritten.
+    innovations ``eps``: ``h`` is advanced in place, step by step, and
+    returned.
 
     ``h`` has shape (rows, ..., dim).  Row 0 is the true variance: step t
     draws the observation sqrt(h[0]) * eps[t], and every row then takes
@@ -190,37 +201,45 @@ def _variance_steps(
     step t first scales them by the forecasters' disturbances dm[t].  When
     ``y`` and ``var`` are given, row t of each receives step t's
     observation and the variances of all rows it was drawn with."""
+    # per-step temporaries, reused: sqrt(h[0]) * e and omega0 + alpha0 * y**2
+    y_t, shock = np.empty(h.shape[1:]), np.empty(h.shape[1:])
     for t, e in enumerate(eps):
         if dm is not None:
             h[1:] *= dm[t]
-        y_t = np.sqrt(h[0]) * e
+        np.multiply(np.sqrt(h[0], out=y_t), e, out=y_t)
         if y is not None:
             y[t] = y_t
             var[t] = h
-        h = spec.omega0 + spec.alpha0 * y_t**2 + spec.beta0 * h
+        np.square(y_t, out=shock)
+        shock *= spec.alpha0
+        shock += spec.omega0
+        h *= spec.beta0
+        h += shock
     return h
 
 
-def _burned_in_state(spec: DgpSpec, eps: np.ndarray) -> np.ndarray:
+def _burned_in_state(spec: DgpSpec, burn: np.ndarray) -> np.ndarray:
     """True variance state at the start of the evaluation window, one row
     of shape (1, ..., dim): the recursion starts at the stationary
-    variance, and the first ``spec.burn_in`` steps of the time-major
-    ``eps`` only advance it."""
-    h = np.full((1, *eps.shape[1:]), spec.stationary_variance)
-    return _variance_steps(spec, eps[: spec.burn_in], h)
+    variance, and the time-major burn-in innovations ``burn``, of shape
+    (burn_in, ..., dim), only advance it."""
+    h = np.full((1, *burn.shape[1:]), spec.stationary_variance)
+    return _variance_steps(spec, burn, h)
 
 
-def _garch_paths(spec: DgpSpec, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _garch_paths(
+    spec: DgpSpec, burn: np.ndarray, window: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Run the volatility recursion; returns (Y, sigma2) over the evaluation
     window only.
 
-    ``eps`` is time-major, shape (burn_in + n, ..., dim), and Y and sigma2
-    have shape (n, ..., dim); the burn-in steps are run but not stored.
+    ``burn`` and ``window`` are time-major innovations of shapes
+    (burn_in, ..., dim) and (n, ..., dim), and Y and sigma2 have the shape
+    of ``window``; the burn-in steps are run but not stored.
     """
-    window = eps[spec.burn_in :]
     y = np.empty(window.shape)
     var = np.empty((len(window), 1, *window.shape[1:]))
-    _variance_steps(spec, window, _burned_in_state(spec, eps), y, var)
+    _variance_steps(spec, window, _burned_in_state(spec, burn), y, var)
     return y, var[:, 0]
 
 
@@ -229,7 +248,9 @@ def simulate_path(spec: DgpSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:
     evaluation window, where sigma holds the true conditional volatilities.
     The burn-in steps are run but not returned."""
     rng = np.random.default_rng(seed)
-    y, sigma2 = _garch_paths(spec, _draw_noise(spec, _innovation_chol(spec), rng))
+    chol = _innovation_chol(spec)
+    burn = _draw_noise(chol, rng, spec.burn_in)
+    y, sigma2 = _garch_paths(spec, burn, _draw_noise(chol, rng, spec.n))
     return y, np.sqrt(sigma2, out=sigma2)
 
 
@@ -238,7 +259,7 @@ def simulate_path(spec: DgpSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:
 # observations and variances are transposed views of buffers with the
 # dimension outermost, so the per-coordinate sums of scoring add whole
 # (steps, reps) planes.  Every array of a block, scoring temporaries
-# included, stays far below one chunk's innovations, so the peak is set by
+# included, stays far below one chunk's window draws, so the peak is set by
 # the draws; longer blocks keep more temporaries alive next to the
 # innovations and buy no speed.
 _BLOCK_STEPS = 16
@@ -259,8 +280,11 @@ def _experiment_diffs(
     """Score-difference series of replications first, ..., first + reps - 1,
     contiguous arrays of shape (reps, n) each.
 
-    Row r depends only on (seed, first + r); see :func:`_rep_rng`.  Each
-    replication's innovations and disturbances are drawn up front into its
+    Row r depends only on (seed, first + r); see :func:`_rep_rng`.  Two
+    passes run over the replications' streams.  The first draws each
+    replication's burn-in innovations, runs the burn-in of the true
+    variances over all of them and frees them.  The second draws each
+    replication's window innovations and then its disturbances into its
     own rows.  The evaluation window is then generated, forecast and scored
     in blocks of ``_BLOCK_STEPS`` time steps by one recursion over a
     stacked state: row 0 is the true variance and, under ``recursive``,
@@ -269,25 +293,31 @@ def _experiment_diffs(
     a forecaster's variance is dm[t] * sigma2_true[t].  Once both
     forecasters of a block are scored, the block's differences overwrite
     forecaster 1's (dm, dc) for those steps, which nothing reads again, and
-    those two arrays are the result.  Beyond the draws, memory holds one
-    block at a time.
+    those two arrays are the result.  Memory holds the larger of the
+    burn-in innovations and the window's draws, plus one block at a time.
     """
     if variance_mode not in VARIANCE_MODES:
         raise ValueError("variance mode must be " + " or ".join(map(repr, VARIANCE_MODES)))
     chol = _innovation_chol(spec)
-    eps = np.empty((reps, spec.burn_in + spec.n, spec.dim))
+    rngs = [_rep_rng(seed, first + r) for r in range(reps)]
+    # Pass 1: the burn-in, freed once the true variances are burned in.
+    burn = np.empty((reps, spec.burn_in, spec.dim))
+    for r, rng in enumerate(rngs):
+        burn[r] = _draw_noise(chol, rng, spec.burn_in)
+    h = _burned_in_state(spec, burn.transpose(1, 0, 2))
+    del burn
+    # Pass 2: each stream goes on with the window, then the disturbances.
+    eps = np.empty((reps, spec.n, spec.dim))
     # draws[k] holds forecaster k's (dm, dc), each of shape (reps, n)
     draws = np.empty((2, 2, reps, spec.n))
-    for r in range(reps):
-        rng = _rep_rng(seed, first + r)
-        eps[r] = _draw_noise(spec, chol, rng)
+    for r, rng in enumerate(rngs):
+        eps[r] = _draw_noise(chol, rng, spec.n)
         for k, cspec in enumerate((setting.spec1, setting.spec2)):
             draws[k, :, r] = _draw_contamination(cspec, spec.n, rng)
 
     # time-major views, not copies, so the draws are held only once
     eps = eps.transpose(1, 0, 2)
     recursive = variance_mode == "recursive"
-    h = _burned_in_state(spec, eps)
     if recursive:
         h = h.repeat(3, axis=0)
         # (n, 2, reps, 1): both forecasters' disturbances at each step, read
@@ -298,8 +328,7 @@ def _experiment_diffs(
         b = min(a + _BLOCK_STEPS, spec.n)
         y = np.empty((spec.dim, b - a, reps)).transpose(1, 2, 0)
         var = np.empty((len(h), spec.dim, b - a, reps)).transpose(2, 0, 3, 1)
-        window = eps[spec.burn_in + a : spec.burn_in + b]
-        h = _variance_steps(spec, window, h, y, var, dm_steps[a:b] if recursive else None)
+        h = _variance_steps(spec, eps[a:b], h, y, var, dm_steps[a:b] if recursive else None)
         scores = []
         for k, (dm, dc) in enumerate(draws):
             v = var[:, 1 + k] if recursive else dm[:, a:b].T[..., None] * var[:, 0]
@@ -323,13 +352,15 @@ def run_experiment(
     replications of the scenario: one row per hypothesis.
 
     Per replication (stream split from the master seed by replication
-    index, draws in this order): innovations for burn-in plus window, then
-    forecaster 1's volatility and correlation disturbances, then
-    forecaster 2's.  Each forecaster is scored with its own contaminated
-    marginals and copula.  Replications are generated and tested in
-    chunks, in order, of as many as fit ``_CHUNK_FLOATS`` innovations; the
-    two-step tests of a chunk under both hypotheses run as one batch on
-    its score differences.  Rows are independent, so the table does not
+    index, draws in this order): innovations for the burn-in, then for the
+    window, then forecaster 1's volatility and correlation disturbances,
+    then forecaster 2's.  Each forecaster is scored with its own
+    contaminated marginals and copula.  Replications are generated and
+    tested in chunks, in order, of as many as fit ``_CHUNK_FLOATS`` burn-in
+    and window innovations; within a chunk the burn-in is run and freed
+    before the window is drawn (see :func:`_experiment_diffs`).  The
+    two-step tests of a chunk under both hypotheses run as one batch on its
+    score differences.  Rows are independent, so the table does not
     depend on the chunk size, and the first chunk that raises holds the
     earliest bad replication.
     """
