@@ -105,7 +105,7 @@ def _json_text(payload) -> str:
 def _read_text(path) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScoresFileError(f"cannot read {path}: {exc}") from exc
 
 
@@ -429,8 +429,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     test_options = argparse.ArgumentParser(add_help=False)
     test_options.add_argument("--alpha", type=float, default=0.05)
-    test_options.add_argument("--hac-lags", type=int, default=HacConfig.lags)
-    test_options.add_argument("--hac-weights", choices=HAC_WEIGHTS, default=HacConfig.weights)
+    test_options.add_argument(
+        "--hac-lags", type=int, default=HacConfig.lags,
+        help="lag cutoff of the long-run covariance; the series must be longer. "
+        "Under the default zero weights no lag enters the estimate",
+    )
+    test_options.add_argument(
+        "--hac-weights", choices=HAC_WEIGHTS, default=HacConfig.weights,
+        help="lag weights: zero (lag-0 covariance only, whatever --hac-lags), "
+        "bartlett (1 - h/(lags+1)) or truncated (1)",
+    )
 
     p = sub.add_parser(
         "compare", parents=[test_options], help="two-step test on a per-period scores file"

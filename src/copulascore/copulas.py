@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist_math import EquiCorr, _is_integer, norm_cdf, norm_quantile
+from .dist_math import EquiCorr, _check_seed, _is_integer, norm_cdf, norm_quantile
 
 __all__ = [
     "Copula",
@@ -68,6 +68,7 @@ class Copula(abc.ABC):
     def sample(self, n: int, seed: int) -> np.ndarray:
         """Draw ``n`` i.i.d. points in [0,1]^dim, deterministic given ``seed``."""
         _check_count(n)
+        _check_seed(seed)
         return self._sample(n, np.random.default_rng(seed))
 
 
@@ -189,6 +190,7 @@ class Mixture2D(Copula):
     def sample_labeled(self, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
         """Sample points together with the index of the block each came from."""
         _check_count(n)
+        _check_seed(seed)
         return self._sample_labeled(n, np.random.default_rng(seed))
 
 

@@ -35,6 +35,14 @@ def _is_integer(value) -> bool:
     return type(value) is int or (isinstance(value, Integral) and not isinstance(value, bool))
 
 
+def _check_seed(seed) -> None:
+    """Reject anything but a non-negative Python or numpy integer seed.
+    numpy's seeding takes ``None`` as fresh entropy and ``True`` as 1, and
+    its error for a float does not name the seed."""
+    if not (_is_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class EquiCorr:
     """Equicorrelation matrix: ones on the diagonal, ``rho`` elsewhere.

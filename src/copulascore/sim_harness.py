@@ -2,22 +2,24 @@
 equicorrelation, noise-contaminated forecasters, and rejection-frequency
 tables for the two-step tests.
 
-Each stream draws a path's burn-in innovations and then its window
-innovations (:func:`_draw_noise`, whose two draws are the rows of one),
-then forecaster disturbances (:func:`_draw_contamination`), and both
-forecasters are scored by :func:`copulascore.scoring.score_arrays`.
-Replication streams are split from the master seed by spawn key, so results
-are bit-identical regardless of batching or execution order.
+One path generator, :func:`_paths`, serves :func:`simulate_path` and the
+replications: it draws every stream's burn-in innovations, runs and frees
+them, then draws every stream's window (:func:`_draw_noise`).  Each
+replication stream then draws its forecaster disturbances
+(:func:`_draw_contamination`), so within a stream the order stays burn-in,
+window, forecaster 1's (dm, dc), forecaster 2's.  Both forecasters are
+scored by :func:`copulascore.scoring.score_arrays`.  Replication streams
+are split from the master seed by spawn key, so results are bit-identical
+regardless of batching or execution order.
 
 One variance recursion, :func:`_variance_steps`, runs time-major over a
 stacked state of shape (rows, ..., dim): row 0 is the true variance, and
 under ``recursive`` rows 1 and 2 are the two forecasters' own variances.
 Burn-in steps advance the true variance but are not stored.
-:func:`_experiment_diffs` frees the burn-in innovations before it draws
-the window, then generates and scores the evaluation window in blocks of
-time steps, laid out with the dimension outermost, writing each block's
-score differences over disturbances it has consumed, so that beyond the
-window's draws it holds one block at a time.  :func:`run_experiment`
+:func:`_experiment_diffs` generates and scores the evaluation window in
+blocks of time steps, laid out with the dimension outermost, writing each
+block's score differences over disturbances it has consumed, so that
+beyond the window's draws it holds one block at a time.  :func:`run_experiment`
 draws and tests the replications in chunks of a fixed number of
 innovations, so its peak memory does not grow with the replication count.
 """
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist_math import EquiCorr, _is_integer
+from .dist_math import EquiCorr, _check_seed, _is_integer
 from .inference import HacConfig, Hypothesis, _check_lag_cutoff, _check_level, _two_step_batch
 from .scoring import score_arrays
 
@@ -152,23 +154,24 @@ def _rep_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
 
 
-def _innovation_chol(spec: DgpSpec) -> np.ndarray:
-    return np.linalg.cholesky(EquiCorr(spec.dim, spec.rho).matrix())
-
-
-def _draw_noise(chol: np.ndarray, rng: np.random.Generator, steps: int) -> np.ndarray:
-    """The next ``steps`` correlated Gaussian innovations of ``rng``'s
-    stream, shape (steps, dim); ``chol`` is :func:`_innovation_chol`.
+def _draw_noise(chol: np.ndarray, rngs: list[np.random.Generator], steps: int) -> np.ndarray:
+    """The next ``steps`` correlated Gaussian innovations of each stream in
+    ``rngs``, time-major, shape (steps, len(rngs), dim); ``chol`` is the
+    Cholesky factor of the innovations' correlation matrix.
 
     The normals are filled in stream order, so the burn-in and the window
     drawn by two calls are the rows of one draw of both.  A single row
     would be multiplied on numpy's matrix-vector path, whose result can
     differ in the last bit from the same row of a longer product, so it is
     padded with a row of zeros."""
-    z = rng.standard_normal((steps, len(chol)))
-    if steps == 1:
-        return (np.vstack((z, np.zeros_like(z))) @ chol.T)[:1]
-    return z @ chol.T
+    # each stream fills its own contiguous rows; callers get a time-major view
+    eps = np.empty((len(rngs), steps, len(chol)))
+    for r, rng in enumerate(rngs):
+        z = rng.standard_normal((steps, len(chol)))
+        if steps == 1:
+            z = np.vstack((z, np.zeros_like(z)))
+        eps[r] = (z @ chol.T)[:steps]
+    return eps.transpose(1, 0, 2)
 
 
 def _draw_contamination(
@@ -218,40 +221,31 @@ def _variance_steps(
     return h
 
 
-def _burned_in_state(spec: DgpSpec, burn: np.ndarray) -> np.ndarray:
-    """True variance state at the start of the evaluation window, one row
-    of shape (1, ..., dim): the recursion starts at the stationary
-    variance, and the time-major burn-in innovations ``burn``, of shape
-    (burn_in, ..., dim), only advance it."""
-    h = np.full((1, *burn.shape[1:]), spec.stationary_variance)
-    return _variance_steps(spec, burn, h)
+def _paths(spec: DgpSpec, rngs: list[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
+    """The paths of the streams in ``rngs`` up to their evaluation window:
+    the burned-in true variances, shape (1, len(rngs), dim), and the window
+    innovations, time-major, shape (n, len(rngs), dim).
 
-
-def _garch_paths(
-    spec: DgpSpec, burn: np.ndarray, window: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run the volatility recursion; returns (Y, sigma2) over the evaluation
-    window only.
-
-    ``burn`` and ``window`` are time-major innovations of shapes
-    (burn_in, ..., dim) and (n, ..., dim), and Y and sigma2 have the shape
-    of ``window``; the burn-in steps are run but not stored.
-    """
-    y = np.empty(window.shape)
-    var = np.empty((len(window), 1, *window.shape[1:]))
-    _variance_steps(spec, window, _burned_in_state(spec, burn), y, var)
-    return y, var[:, 0]
+    Every stream's burn-in is drawn first, then every stream's window.  The
+    variance recursion starts at the stationary variance, and the burn-in
+    innovations only advance it; they are passed on unnamed, so they are
+    freed before the window is drawn."""
+    chol = np.linalg.cholesky(EquiCorr(spec.dim, spec.rho).matrix())
+    h = np.full((1, len(rngs), spec.dim), spec.stationary_variance)
+    h = _variance_steps(spec, _draw_noise(chol, rngs, spec.burn_in), h)
+    return h, _draw_noise(chol, rngs, spec.n)
 
 
 def simulate_path(spec: DgpSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Simulate one path; returns (Y, sigma) of shape (n, dim) over the
     evaluation window, where sigma holds the true conditional volatilities.
     The burn-in steps are run but not returned."""
-    rng = np.random.default_rng(seed)
-    chol = _innovation_chol(spec)
-    burn = _draw_noise(chol, rng, spec.burn_in)
-    y, sigma2 = _garch_paths(spec, burn, _draw_noise(chol, rng, spec.n))
-    return y, np.sqrt(sigma2, out=sigma2)
+    _check_seed(seed)
+    h, eps = _paths(spec, [np.random.default_rng(seed)])
+    y = np.empty(eps.shape)
+    var = np.empty((spec.n, 1, 1, spec.dim))
+    _variance_steps(spec, eps, h, y, var)
+    return y[:, 0], np.sqrt(var[:, 0, 0])
 
 
 # Time steps per block of _experiment_diffs.  Only the stacked variance
@@ -280,13 +274,11 @@ def _experiment_diffs(
     """Score-difference series of replications first, ..., first + reps - 1,
     contiguous arrays of shape (reps, n) each.
 
-    Row r depends only on (seed, first + r); see :func:`_rep_rng`.  Two
-    passes run over the replications' streams.  The first draws each
-    replication's burn-in innovations, runs the burn-in of the true
-    variances over all of them and frees them.  The second draws each
-    replication's window innovations and then its disturbances into its
-    own rows.  The evaluation window is then generated, forecast and scored
-    in blocks of ``_BLOCK_STEPS`` time steps by one recursion over a
+    Row r depends only on (seed, first + r); see :func:`_rep_rng`.  The
+    replications' streams give their burned-in variances and window
+    innovations (:func:`_paths`), then each stream draws its disturbances
+    into its own rows.  The evaluation window is generated, forecast and
+    scored in blocks of ``_BLOCK_STEPS`` time steps by one recursion over a
     stacked state: row 0 is the true variance and, under ``recursive``,
     rows 1 and 2 are the two forecasters' own variances, seeded at
     dm[0] * sigma2_true[0] on the window's first step.  Under ``one-step``
@@ -298,25 +290,15 @@ def _experiment_diffs(
     """
     if variance_mode not in VARIANCE_MODES:
         raise ValueError("variance mode must be " + " or ".join(map(repr, VARIANCE_MODES)))
-    chol = _innovation_chol(spec)
     rngs = [_rep_rng(seed, first + r) for r in range(reps)]
-    # Pass 1: the burn-in, freed once the true variances are burned in.
-    burn = np.empty((reps, spec.burn_in, spec.dim))
-    for r, rng in enumerate(rngs):
-        burn[r] = _draw_noise(chol, rng, spec.burn_in)
-    h = _burned_in_state(spec, burn.transpose(1, 0, 2))
-    del burn
-    # Pass 2: each stream goes on with the window, then the disturbances.
-    eps = np.empty((reps, spec.n, spec.dim))
-    # draws[k] holds forecaster k's (dm, dc), each of shape (reps, n)
+    h, eps = _paths(spec, rngs)
+    # each stream goes on with its disturbances; draws[k] holds forecaster
+    # k's (dm, dc), each of shape (reps, n)
     draws = np.empty((2, 2, reps, spec.n))
     for r, rng in enumerate(rngs):
-        eps[r] = _draw_noise(chol, rng, spec.n)
         for k, cspec in enumerate((setting.spec1, setting.spec2)):
             draws[k, :, r] = _draw_contamination(cspec, spec.n, rng)
 
-    # time-major views, not copies, so the draws are held only once
-    eps = eps.transpose(1, 0, 2)
     recursive = variance_mode == "recursive"
     if recursive:
         h = h.repeat(3, axis=0)
@@ -357,20 +339,16 @@ def run_experiment(
     then forecaster 2's.  Each forecaster is scored with its own
     contaminated marginals and copula.  Replications are generated and
     tested in chunks, in order, of as many as fit ``_CHUNK_FLOATS`` burn-in
-    and window innovations; within a chunk the burn-in is run and freed
-    before the window is drawn (see :func:`_experiment_diffs`).  The
-    two-step tests of a chunk under both hypotheses run as one batch on its
-    score differences.  Rows are independent, so the table does not
-    depend on the chunk size, and the first chunk that raises holds the
-    earliest bad replication.
+    and window innovations (see :func:`_paths`).  The two-step tests of a
+    chunk under both hypotheses run as one batch on its score differences.
+    Rows are independent, so the table does not depend on the chunk size,
+    and the first chunk that raises holds the earliest bad replication.
     """
     if not _is_integer(reps):
         raise ValueError(f"reps must be an integer, got {reps!r}")
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    # here, not in numpy's seeding, whose error does not name the seed; True is no seed
-    if not (_is_integer(seed) and seed >= 0):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    _check_seed(seed)
     # the level and lag checks of every test, before anything is drawn
     _check_level(alpha)
     _check_lag_cutoff(spec.n, hac)

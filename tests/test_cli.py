@@ -717,6 +717,20 @@ class TestMatrixMode:
         assert rc == 1
 
 
+class TestUnreadableText:
+    @pytest.mark.parametrize("source", ["--scores", "--matrix"])
+    def test_non_utf8_file_named(self, source, tmp_path, capsys):
+        # used to print only the codec's message, which names no file
+        good = "t,s_marg,s_cop\n1,0,1\n2,1,0\n3,2,2\n"
+        (tmp_path / "a.csv").write_text(good, encoding="utf-8")
+        bad = tmp_path / "b.csv"
+        bad.write_bytes(good.replace("t,", "t\xe9,").encode("latin-1"))
+        path = bad if source == "--scores" else tmp_path
+        assert main(["compare", source, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {bad}: ") and "utf-8" in err
+
+
 class TestSimulateCommand:
     def test_deterministic_outputs(self, tmp_path, capsys):
         args = [

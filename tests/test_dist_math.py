@@ -16,7 +16,12 @@ import numpy as np
 import pytest
 from conftest import dense_copula_logdensity, quad_bvn_rect
 
-from copulascore.copulas import gaussian_logdensity_from_scores
+from copulascore.copulas import (
+    UPPER_RIGHT,
+    Independence,
+    Mixture2D,
+    gaussian_logdensity_from_scores,
+)
 from copulascore.dist_math import (
     EquiCorr,
     bvn_rect_prob,
@@ -24,6 +29,7 @@ from copulascore.dist_math import (
     norm_pdf,
     norm_quantile,
 )
+from copulascore.sim_harness import DgpSpec, simulate_path
 
 
 def series_norm_cdf(x: float) -> float:
@@ -297,3 +303,27 @@ class TestEquiCorr:
                 expected = dense_copula_logdensity(EquiCorr(dim, rho), z)
                 got = gaussian_logdensity_from_scores(dim, rho, z)
                 assert got == pytest.approx(expected, rel=1e-10, abs=1e-10)
+
+
+# The entries that seed numpy directly, each on a small input; run_experiment's
+# seed check is tested in test_sim_harness, before anything is drawn.
+SEEDED_ENTRIES = {
+    "simulate_path": lambda seed: simulate_path(DgpSpec(n=5, burn_in=2), seed),
+    "sample": lambda seed: Independence(2).sample(3, seed),
+    "sample_labeled": lambda seed: Mixture2D(Independence(2), UPPER_RIGHT).sample_labeled(3, seed),
+}
+
+
+class TestSeedCheck:
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, None, "3", np.float64(1.0)])
+    @pytest.mark.parametrize("entry", SEEDED_ENTRIES)
+    def test_invalid_seed_named(self, entry, seed):
+        # True used to run as seed 1 and None as fresh entropy
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
+            SEEDED_ENTRIES[entry](seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(3), np.uint8(3)])
+    @pytest.mark.parametrize("entry", SEEDED_ENTRIES)
+    def test_numpy_integer_seed_accepted(self, entry, seed):
+        for a, b in zip(SEEDED_ENTRIES[entry](seed), SEEDED_ENTRIES[entry](3)):
+            np.testing.assert_array_equal(a, b)

@@ -21,13 +21,26 @@ from copulascore.sim_harness import (
     _draw_contamination,
     _draw_noise,
     _experiment_diffs,
-    _garch_paths,
     _rep_rng,
+    _variance_steps,
     run_experiment,
     simulate_path,
 )
 
 BLOCK = sim_harness._BLOCK_STEPS
+
+
+def _window_paths(spec, eps):
+    """(Y, sigma2) over the window of the time-major innovations ``eps``,
+    shape (burn_in + n, ..., dim), through the one variance recursion: the
+    burn-in only advances the state, which starts at the stationary
+    variance."""
+    h = np.full((1, *eps.shape[1:]), spec.stationary_variance)
+    _variance_steps(spec, eps[: spec.burn_in], h)
+    window = eps[spec.burn_in :]
+    y, var = np.empty(window.shape), np.empty((len(window), 1, *window.shape[1:]))
+    _variance_steps(spec, window, h, y, var)
+    return y, var[:, 0]
 
 
 class TestDgpSpec:
@@ -101,6 +114,25 @@ class TestSimulatePath:
         )
         np.testing.assert_allclose(sigma[1:], expected, rtol=1e-12)
 
+    @pytest.mark.parametrize("burn_in", [0, 1, 9])
+    @pytest.mark.parametrize("dim", range(2, 10))
+    def test_equals_per_step_loop(self, dim, burn_in):
+        """Bit for bit: one joint draw of the burn-in and the window, then a
+        plain loop over time steps from the stationary variance."""
+        spec = DgpSpec(n=30, dim=dim, rho=0.4, burn_in=burn_in)
+        chol = np.linalg.cholesky(EquiCorr(dim, spec.rho).matrix())
+        eps = np.random.default_rng(23).standard_normal((burn_in + spec.n, dim)) @ chol.T
+        y_ref, sigma_ref = np.empty((spec.n, dim)), np.empty((spec.n, dim))
+        s2 = np.full(dim, spec.stationary_variance)
+        for t in range(burn_in + spec.n):
+            y_t = np.sqrt(s2) * eps[t]
+            if t >= burn_in:
+                y_ref[t - burn_in], sigma_ref[t - burn_in] = y_t, np.sqrt(s2)
+            s2 = spec.omega0 + spec.alpha0 * y_t**2 + spec.beta0 * s2
+        y, sigma = simulate_path(spec, 23)
+        np.testing.assert_array_equal(y, y_ref)
+        np.testing.assert_array_equal(sigma, sigma_ref)
+
 
 MOMENT_BATCHES, MOMENT_STEPS = 50, 20_000
 
@@ -112,9 +144,8 @@ def pooled():
     chol = np.linalg.cholesky(EquiCorr(spec.dim, spec.rho).matrix())
     eps = rng.standard_normal((MOMENT_BATCHES, spec.burn_in + MOMENT_STEPS, spec.dim))
     eps = eps @ chol.T
-    # _garch_paths is time-major and returns the window: (steps, batches, dim)
-    eps = eps.transpose(1, 0, 2)
-    y, sigma2 = _garch_paths(spec, eps[: spec.burn_in], eps[spec.burn_in :])
+    # the recursion is time-major and returns the window: (steps, batches, dim)
+    y, sigma2 = _window_paths(spec, eps.transpose(1, 0, 2))
     return spec, y.transpose(1, 0, 2), sigma2.transpose(1, 0, 2)
 
 
@@ -153,11 +184,23 @@ class TestSplitDraw:
             # one joint draw, as _draw_noise makes it for burn_in + n >= 2 rows
             joint = _rep_rng(5, r).standard_normal((burn_in + n, dim)) @ chol.T
             rng = _rep_rng(5, r)
-            burn = _draw_noise(chol, rng, burn_in)
-            window = _draw_noise(chol, rng, n)
+            burn = _draw_noise(chol, [rng], burn_in)[:, 0]
+            window = _draw_noise(chol, [rng], n)[:, 0]
             assert burn.shape == (burn_in, dim) and window.shape == (n, dim)
             np.testing.assert_array_equal(burn, joint[:burn_in])
             np.testing.assert_array_equal(window, joint[burn_in:])
+
+    @pytest.mark.parametrize("steps", [0, 1, 2, 30])
+    @pytest.mark.parametrize("dim", [2, 5, 9])
+    def test_streams_equal_each_stream_drawn_alone(self, dim, steps):
+        """Bit for bit: drawing several streams at once gives each stream
+        the innovations it gives when drawn on its own, time-major."""
+        chol = np.linalg.cholesky(EquiCorr(dim, 0.4).matrix())
+        eps = _draw_noise(chol, [_rep_rng(5, r) for r in range(4)], steps)
+        assert eps.shape == (steps, 4, dim)
+        for r in range(4):
+            alone = _draw_noise(chol, [_rep_rng(5, r)], steps)[:, 0]
+            np.testing.assert_array_equal(eps[:, r], alone)
 
 
 class TestContamination:
@@ -229,7 +272,7 @@ class TestExperimentDiffs:
                 ("dc2", setting.spec2.delta_cop),
             ):
                 draws[name] = rng.uniform(1.0 - width, 1.0 + width, size=spec.n)
-            y, sigma2 = _garch_paths(spec, eps[: spec.burn_in], eps[spec.burn_in :])
+            y, sigma2 = _window_paths(spec, eps)
             sigma = np.sqrt(sigma2)
             for t in range(spec.n):
                 f1 = MarginalForecast(math.sqrt(draws["dm1"][t]) * sigma[t])
@@ -471,7 +514,7 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="variance mode"):
             run_experiment(spec, SETTINGS["i"], reps=2, alpha=0.05, seed=1, variance_mode="bogus")
 
-    @pytest.mark.parametrize("seed", [-1, 2.5, True, "3", np.float64(1.0), math.nan])
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, None, "3", np.float64(1.0), math.nan])
     def test_invalid_seed_named_before_drawing(self, seed, monkeypatch):
         # seed=True used to run and write True into the table's seed column
         def no_draws(seed, rep):
