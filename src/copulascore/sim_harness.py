@@ -7,10 +7,11 @@ replications: it draws every stream's burn-in innovations, runs and frees
 them, then draws every stream's window (:func:`_draw_noise`).  Each
 replication stream then draws its forecaster disturbances
 (:func:`_draw_contamination`), so within a stream the order stays burn-in,
-window, forecaster 1's (dm, dc), forecaster 2's.  Both forecasters are
-scored by :func:`copulascore.scoring.score_arrays`.  Replication streams
-are split from the master seed by spawn key, so results are bit-identical
-regardless of batching or execution order.
+window, forecaster 1's (dm, dc), forecaster 2's (drawn a superblock of
+time steps at a time, dc from an advanced copy of the stream).  Both
+forecasters are scored by :func:`copulascore.scoring.score_arrays`.
+Replication streams are split from the master seed by spawn key, so
+results are bit-identical regardless of batching or execution order.
 
 One variance recursion, :func:`_variance_steps`, runs time-major over a
 stacked state of shape (rows, ..., dim): row 0 is the true variance, and
@@ -19,9 +20,10 @@ Burn-in steps advance the true variance but are not stored.
 :func:`_experiment_diffs` generates and scores the evaluation window in
 blocks of time steps, laid out with the dimension outermost, writing each
 block's score differences over disturbances it has consumed, so that
-beyond the window's draws it holds one block at a time.  :func:`run_experiment`
-draws and tests the replications in chunks of a fixed number of
-innovations, so its peak memory does not grow with the replication count.
+beyond the window's innovations and forecaster 1's (dm, dc) it holds one
+superblock and one block at a time.  :func:`run_experiment` draws and
+tests the replications in chunks of a fixed number of innovations, so
+its peak memory does not grow with the replication count.
 """
 
 from __future__ import annotations
@@ -175,18 +177,18 @@ def _draw_noise(chol: np.ndarray, rngs: list[np.random.Generator], steps: int) -
 
 
 def _draw_contamination(
-    cspec: ContaminationSpec, n: int, rng: np.random.Generator
+    cspec: ContaminationSpec, n: int, rng: np.random.Generator, dc_rng=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """One forecaster's per-period multiplicative disturbances (dm, dc) of
     the volatility and correlation parameters, uniform on 1 +/- the
-    half-widths, drawn in that order.
+    half-widths, drawn in that order, dc from ``dc_rng`` when given.
 
     Scaling all volatility parameters by a common factor scales the one-step
     conditional variance by that factor, so forecast standard deviations are
     sqrt(dm) times the true ones; the forecast equicorrelation is rho * dc.
     """
     dm = rng.uniform(1.0 - cspec.delta_marg, 1.0 + cspec.delta_marg, size=n)
-    dc = rng.uniform(1.0 - cspec.delta_cop, 1.0 + cspec.delta_cop, size=n)
+    dc = (dc_rng or rng).uniform(1.0 - cspec.delta_cop, 1.0 + cspec.delta_cop, size=n)
     return dm, dc
 
 
@@ -253,10 +255,13 @@ def simulate_path(spec: DgpSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:
 # observations and variances are transposed views of buffers with the
 # dimension outermost, so the per-coordinate sums of scoring add whole
 # (steps, reps) planes.  Every array of a block, scoring temporaries
-# included, stays far below one chunk's window draws, so the peak is set by
-# the draws; longer blocks keep more temporaries alive next to the
-# innovations and buy no speed.
+# included, stays far below one chunk's window innovations, so the peak is
+# set by the draws; longer blocks keep more temporaries alive next to the
+# innovations and buy no speed.  Forecaster 2's (dm, dc) are drawn one
+# superblock at a time (1 MB at 120 replications), a whole number of
+# blocks, and a block ends at the end of its superblock.
 _BLOCK_STEPS = 16
+_SUPERBLOCK_STEPS = 512
 
 # Innovations per chunk of run_experiment (float64, 32 MiB): a chunk holds
 # as many replications as fit, and at least one.
@@ -276,48 +281,58 @@ def _experiment_diffs(
 
     Row r depends only on (seed, first + r); see :func:`_rep_rng`.  The
     replications' streams give their burned-in variances and window
-    innovations (:func:`_paths`), then each stream draws its disturbances
-    into its own rows.  The evaluation window is generated, forecast and
-    scored in blocks of ``_BLOCK_STEPS`` time steps by one recursion over a
-    stacked state: row 0 is the true variance and, under ``recursive``,
-    rows 1 and 2 are the two forecasters' own variances, seeded at
-    dm[0] * sigma2_true[0] on the window's first step.  Under ``one-step``
-    a forecaster's variance is dm[t] * sigma2_true[t].  Once both
-    forecasters of a block are scored, the block's differences overwrite
-    forecaster 1's (dm, dc) for those steps, which nothing reads again, and
-    those two arrays are the result.  Memory holds the larger of the
-    burn-in innovations and the window's draws, plus one block at a time.
+    innovations (:func:`_paths`), then forecaster 1's disturbances whole
+    and forecaster 2's one superblock of ``_SUPERBLOCK_STEPS`` time steps at
+    a time.  The evaluation window is generated, forecast and scored in
+    blocks of ``_BLOCK_STEPS`` time steps by one recursion over a stacked
+    state: row 0 is the true variance and, under ``recursive``, rows 1 and 2
+    are the two forecasters' own variances, seeded at dm[0] * sigma2_true[0]
+    on the window's first step.  Under ``one-step`` a forecaster's variance
+    is dm[t] * sigma2_true[t].  Once both forecasters of a block are scored,
+    the block's differences overwrite forecaster 1's (dm, dc) for those
+    steps, which nothing reads again, and those two arrays are the result.
+    Memory holds the larger of the burn-in innovations and the window's
+    innovations plus forecaster 1's disturbances, plus one superblock of
+    forecaster 2's and one block at a time.
     """
     if variance_mode not in VARIANCE_MODES:
         raise ValueError("variance mode must be " + " or ".join(map(repr, VARIANCE_MODES)))
     rngs = [_rep_rng(seed, first + r) for r in range(reps)]
     h, eps = _paths(spec, rngs)
-    # each stream goes on with its disturbances; draws[k] holds forecaster
-    # k's (dm, dc), each of shape (reps, n)
-    draws = np.empty((2, 2, reps, spec.n))
+    # each stream goes on with forecaster 1's (dm, dc), each of shape (reps, n)
+    d_m, d_c = draws = np.empty((2, reps, spec.n))
     for r, rng in enumerate(rngs):
-        for k, cspec in enumerate((setting.spec1, setting.spec2)):
-            draws[k, :, r] = _draw_contamination(cspec, spec.n, rng)
+        draws[:, r] = _draw_contamination(setting.spec1, spec.n, rng)
+    # forecaster 2's dm goes on from each stream; its dc, n words further on
+    # (a uniform takes one), from a copy advanced by n unless n fits one superblock
+    dc_rngs = rngs
+    if spec.n > _SUPERBLOCK_STEPS:
+        dc_rngs = [np.random.Generator(g.bit_generator.jumped(0).advance(spec.n)) for g in rngs]
+    draws2 = np.empty((2, reps, min(spec.n, _SUPERBLOCK_STEPS)))
 
     recursive = variance_mode == "recursive"
     if recursive:
         h = h.repeat(3, axis=0)
-        # (n, 2, reps, 1): both forecasters' disturbances at each step, read
-        # by the recursion before the block's differences overwrite them
-        dm_steps = draws[:, 0].transpose(2, 0, 1)[..., None]
-    d_m, d_c = draws[0]
-    for a in range(0, spec.n, _BLOCK_STEPS):
-        b = min(a + _BLOCK_STEPS, spec.n)
-        y = np.empty((spec.dim, b - a, reps)).transpose(1, 2, 0)
-        var = np.empty((len(h), spec.dim, b - a, reps)).transpose(2, 0, 3, 1)
-        h = _variance_steps(spec, eps[a:b], h, y, var, dm_steps[a:b] if recursive else None)
-        scores = []
-        for k, (dm, dc) in enumerate(draws):
-            v = var[:, 1 + k] if recursive else dm[:, a:b].T[..., None] * var[:, 0]
-            scores.append(score_arrays(y, np.sqrt(v, out=v), spec.rho * dc[:, a:b].T))
-        (sm1, sc1), (sm2, sc2) = scores
-        np.subtract(sm1, sm2, out=d_m[:, a:b].T)
-        np.subtract(sc1, sc2, out=d_c[:, a:b].T)
+    for s in range(0, spec.n, _SUPERBLOCK_STEPS):
+        steps = min(_SUPERBLOCK_STEPS, spec.n - s)
+        for r, rng in enumerate(rngs):
+            draws2[:, r, :steps] = _draw_contamination(setting.spec2, steps, rng, dc_rngs[r])
+        forecasters = (draws[..., s : s + steps], draws2[..., :steps])
+        for a in range(0, steps, _BLOCK_STEPS):
+            b = min(a + _BLOCK_STEPS, steps)
+            y = np.empty((spec.dim, b - a, reps)).transpose(1, 2, 0)
+            var = np.empty((len(h), spec.dim, b - a, reps)).transpose(2, 0, 3, 1)
+            dm_steps = None
+            if recursive:  # (steps, 2, reps, 1): both forecasters' dm at each step
+                dm_steps = np.stack([f[0, :, a:b].T for f in forecasters], 1)[..., None]
+            h = _variance_steps(spec, eps[s + a : s + b], h, y, var, dm_steps)
+            scores = []
+            for k, (dm, dc) in enumerate(forecasters):
+                v = var[:, 1 + k] if recursive else dm[:, a:b].T[..., None] * var[:, 0]
+                scores.append(score_arrays(y, np.sqrt(v, out=v), spec.rho * dc[:, a:b].T))
+            (sm1, sc1), (sm2, sc2) = scores
+            np.subtract(sm1, sm2, out=d_m[:, s + a : s + b].T)
+            np.subtract(sc1, sc2, out=d_c[:, s + a : s + b].T)
     return d_m, d_c
 
 

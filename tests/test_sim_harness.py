@@ -218,6 +218,23 @@ class TestContamination:
         np.testing.assert_array_equal(dc, rng.uniform(0.8, 1.2, size=50))
         assert np.all(np.abs(dm - 1.0) <= 0.5) and np.all(np.abs(dc - 1.0) <= 0.2)
 
+    @pytest.mark.parametrize("width", [0.0, 0.3])
+    @pytest.mark.parametrize("k", [1, 7, 40])
+    def test_advanced_copy_continues_joint_uniform_draw(self, k, width):
+        """The RNG contract that lets forecaster 2's dc be drawn a
+        superblock at a time: every uniform takes one 64-bit word, whatever
+        the normals before it took, so uniforms drawn in pieces from a copy
+        of the stream advanced by k are entries k onward of one joint
+        uniform draw."""
+        lo, hi = 1.0 - width, 1.0 + width
+        for r in range(5):
+            rng = _rep_rng(11, r)
+            rng.standard_normal(7)
+            copy = np.random.Generator(rng.bit_generator.jumped(0).advance(k))
+            joint = rng.uniform(lo, hi, size=k + 30)
+            pieces = [copy.uniform(lo, hi, size=m) for m in (1, 4, 16, 9)]
+            np.testing.assert_array_equal(np.concatenate(pieces), joint[k:])
+
     def test_half_width_interval_stays_valid(self):
         spec = DgpSpec(n=10, dim=5, rho=0.5)
         ContaminationSpec(0.0, 0.5).check_against(spec)
@@ -357,12 +374,34 @@ class TestExperimentDiffs:
         np.testing.assert_array_equal(d_c, ref_c)
 
     @pytest.mark.parametrize("mode", VARIANCE_MODES)
+    @pytest.mark.parametrize("block", [BLOCK, 5])
+    @pytest.mark.parametrize("steps", ["one block", "short last", "n", "n + block"])
+    def test_superblock_size_does_not_change_results(self, monkeypatch, steps, block, mode):
+        """Bit for bit whatever the superblock length: forecaster 2's dm
+        drawn on from each stream and its dc from an advanced copy, one
+        superblock at a time, are the draws of one whole-window pass, and
+        the blocks end at each superblock's end."""
+        spec = DgpSpec(n=4 * BLOCK + 7, dim=3, rho=0.4, burn_in=6)
+        setting = SETTINGS["iii"]
+        ref_m, ref_c = _experiment_diffs(spec, setting, reps=3, seed=8, variance_mode=mode)
+        superblock = {"one block": BLOCK, "short last": 2 * BLOCK, "n": spec.n,
+                      "n + block": spec.n + BLOCK}[steps]
+        monkeypatch.setattr(sim_harness, "_SUPERBLOCK_STEPS", superblock)
+        monkeypatch.setattr(sim_harness, "_BLOCK_STEPS", block)
+        d_m, d_c = _experiment_diffs(spec, setting, reps=3, seed=8, variance_mode=mode)
+        np.testing.assert_array_equal(d_m, ref_m)
+        np.testing.assert_array_equal(d_c, ref_c)
+
+    @pytest.mark.parametrize("mode", VARIANCE_MODES)
     @pytest.mark.parametrize("burn_in", [0, 1, 9])
-    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
-    def test_block_boundaries_equal_per_replication_loop(self, n, burn_in, mode):
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 5 * BLOCK + 3])
+    def test_block_boundaries_equal_per_replication_loop(self, monkeypatch, n, burn_in, mode):
         """Bit for bit: the window split into blocks of time steps, with
         the GARCH state and the recursive forecasts carried across each
-        boundary, matches one uninterrupted loop."""
+        boundary, and into superblocks of two blocks, whose forecaster 2
+        draws come a superblock at a time, matches one uninterrupted loop
+        over one whole draw of each disturbance."""
+        monkeypatch.setattr(sim_harness, "_SUPERBLOCK_STEPS", 2 * BLOCK)
         spec = DgpSpec(n=n, dim=3, rho=0.4, burn_in=burn_in)
         self._assert_equals_per_replication_loop(spec, 3, mode)
 
@@ -426,6 +465,25 @@ class TestExperimentDiffs:
         finally:
             tracemalloc.stop()
         assert peak < innovations + contamination + window / 2, peak / window
+
+    @pytest.mark.parametrize("mode", VARIANCE_MODES)
+    def test_second_forecaster_drawn_a_superblock_at_a_time(self, mode):
+        """Beyond the innovations and forecaster 1's (dm, dc), which become
+        the outputs, the peak holds one superblock of forecaster 2's draws
+        and one block, far below half a window.  At dim 2, forecaster 2's
+        (dm, dc) drawn whole for the window are a whole window."""
+        spec = DgpSpec(n=8000, dim=2, burn_in=10)
+        reps = 10
+        window = spec.n * reps * spec.dim * 8
+        innovations = (spec.burn_in + spec.n) * reps * spec.dim * 8
+        forecaster1 = 2 * reps * spec.n * 8
+        tracemalloc.start()
+        try:
+            _experiment_diffs(spec, SETTINGS["ii"], reps=reps, seed=3, variance_mode=mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < innovations + forecaster1 + window / 2, peak / window
 
     @pytest.mark.parametrize("mode", VARIANCE_MODES)
     @pytest.mark.parametrize("first", [1, 3, 7])
