@@ -432,11 +432,11 @@ def _build_parser() -> argparse.ArgumentParser:
     test_options.add_argument(
         "--hac-lags", type=int, default=HacConfig.lags,
         help="lag cutoff of the long-run covariance; the series must be longer. "
-        "Under the default zero weights no lag enters the estimate",
+        "A cutoff above 0 needs bartlett or truncated --hac-weights",
     )
     test_options.add_argument(
         "--hac-weights", choices=HAC_WEIGHTS, default=HacConfig.weights,
-        help="lag weights: zero (lag-0 covariance only, whatever --hac-lags), "
+        help="lag weights: zero (lag-0 covariance only, --hac-lags 0), "
         "bartlett (1 - h/(lags+1)) or truncated (1)",
     )
 

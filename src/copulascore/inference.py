@@ -118,8 +118,8 @@ class ScoreDiffSeries:
 class HacConfig:
     """Lag cutoff and weight rule for the long-run covariance estimator.
 
-    ``zero`` ignores all cross-lag terms (plain sample covariance),
-    ``bartlett`` uses 1 - h/(lags+1), ``truncated`` uses weight 1.
+    ``zero`` ignores all cross-lag terms (plain sample covariance) and takes
+    lags 0 only, ``bartlett`` uses 1 - h/(lags+1), ``truncated`` weight 1.
     """
 
     lags: int = 0
@@ -130,10 +130,13 @@ class HacConfig:
             raise ValueError(f"lags must be an integer >= 0, got {self.lags!r}")
         if self.weights not in HAC_WEIGHTS:
             raise ValueError("weights must be one of " + ", ".join(map(repr, HAC_WEIGHTS)))
+        if self.weights == "zero" and self.lags > 0:
+            raise ValueError(
+                f"lag cutoff {self.lags} has no effect under weights 'zero'; "
+                "use 'bartlett' or 'truncated' weights, or lags 0"
+            )
 
     def weight(self, h: int) -> float:
-        if self.weights == "zero":
-            return 0.0
         if self.weights == "bartlett":
             return 1.0 - h / (self.lags + 1.0)
         return 1.0
@@ -240,11 +243,8 @@ def _long_run_cov(x: np.ndarray, cfg: HacConfig) -> np.ndarray:
         xt = x.transpose(0, 2, 1)
         cov = xt @ x / n
         for h in range(1, cfg.lags + 1):
-            w = cfg.weight(h)
-            if w == 0.0:
-                continue
             gamma = xt[:, :, h:] @ x[:, :-h] / n
-            cov = cov + w * (gamma + gamma.transpose(0, 2, 1))
+            cov = cov + cfg.weight(h) * (gamma + gamma.transpose(0, 2, 1))
     return cov
 
 

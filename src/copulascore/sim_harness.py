@@ -7,8 +7,8 @@ replications: it draws every stream's burn-in innovations, runs and frees
 them, then draws every stream's window (:func:`_draw_noise`).  Each
 replication stream then draws its forecaster disturbances
 (:func:`_draw_contamination`), so within a stream the order stays burn-in,
-window, forecaster 1's (dm, dc), forecaster 2's (drawn a superblock of
-time steps at a time, dc from an advanced copy of the stream).  Both
+window, forecaster 1's (dm, dc), forecaster 2's (a superblock of time
+steps at a time: its dm, its dc n words on, then a step back).  Both
 forecasters are scored by :func:`copulascore.scoring.score_arrays`.
 Replication streams are split from the master seed by spawn key, so
 results are bit-identical regardless of batching or execution order.
@@ -177,18 +177,19 @@ def _draw_noise(chol: np.ndarray, rngs: list[np.random.Generator], steps: int) -
 
 
 def _draw_contamination(
-    cspec: ContaminationSpec, n: int, rng: np.random.Generator, dc_rng=None
+    cspec: ContaminationSpec, n: int, rng: np.random.Generator, gap: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """One forecaster's per-period multiplicative disturbances (dm, dc) of
     the volatility and correlation parameters, uniform on 1 +/- the
-    half-widths, drawn in that order, dc from ``dc_rng`` when given.
+    half-widths, in that order and ``gap`` 64-bit words apart (one per uniform).
 
     Scaling all volatility parameters by a common factor scales the one-step
     conditional variance by that factor, so forecast standard deviations are
     sqrt(dm) times the true ones; the forecast equicorrelation is rho * dc.
     """
     dm = rng.uniform(1.0 - cspec.delta_marg, 1.0 + cspec.delta_marg, size=n)
-    dc = (dc_rng or rng).uniform(1.0 - cspec.delta_cop, 1.0 + cspec.delta_cop, size=n)
+    rng.bit_generator.advance(gap)
+    dc = rng.uniform(1.0 - cspec.delta_cop, 1.0 + cspec.delta_cop, size=n)
     return dm, dc
 
 
@@ -282,15 +283,16 @@ def _experiment_diffs(
     Row r depends only on (seed, first + r); see :func:`_rep_rng`.  The
     replications' streams give their burned-in variances and window
     innovations (:func:`_paths`), then forecaster 1's disturbances whole
-    and forecaster 2's one superblock of ``_SUPERBLOCK_STEPS`` time steps at
-    a time.  The evaluation window is generated, forecast and scored in
-    blocks of ``_BLOCK_STEPS`` time steps by one recursion over a stacked
-    state: row 0 is the true variance and, under ``recursive``, rows 1 and 2
-    are the two forecasters' own variances, seeded at dm[0] * sigma2_true[0]
-    on the window's first step.  Under ``one-step`` a forecaster's variance
-    is dm[t] * sigma2_true[t].  Once both forecasters of a block are scored,
-    the block's differences overwrite forecaster 1's (dm, dc) for those
-    steps, which nothing reads again, and those two arrays are the result.
+    and forecaster 2's a superblock of ``_SUPERBLOCK_STEPS`` steps at a
+    time: its dm, its dc n words on, then the stream steps back n.  The
+    window is generated, forecast and scored in blocks of ``_BLOCK_STEPS``
+    time steps by one recursion over a stacked state: row 0 is the true
+    variance and, under ``recursive``, rows 1 and 2 are the forecasters'
+    own variances, seeded at dm[0] * sigma2_true[0] on the window's first
+    step.  Under ``one-step`` a forecaster's variance is dm[t] *
+    sigma2_true[t].  Once both forecasters of a block are scored, the
+    block's differences overwrite forecaster 1's (dm, dc) for those steps,
+    which nothing reads again, and those two arrays are the result.
     Memory holds the larger of the burn-in innovations and the window's
     innovations plus forecaster 1's disturbances, plus one superblock of
     forecaster 2's and one block at a time.
@@ -299,24 +301,22 @@ def _experiment_diffs(
         raise ValueError("variance mode must be " + " or ".join(map(repr, VARIANCE_MODES)))
     rngs = [_rep_rng(seed, first + r) for r in range(reps)]
     h, eps = _paths(spec, rngs)
+    n = int(spec.n)  # advance overflows on a numpy integer
     # each stream goes on with forecaster 1's (dm, dc), each of shape (reps, n)
-    d_m, d_c = draws = np.empty((2, reps, spec.n))
+    d_m, d_c = draws = np.empty((2, reps, n))
     for r, rng in enumerate(rngs):
-        draws[:, r] = _draw_contamination(setting.spec1, spec.n, rng)
-    # forecaster 2's dm goes on from each stream; its dc, n words further on
-    # (a uniform takes one), from a copy advanced by n unless n fits one superblock
-    dc_rngs = rngs
-    if spec.n > _SUPERBLOCK_STEPS:
-        dc_rngs = [np.random.Generator(g.bit_generator.jumped(0).advance(spec.n)) for g in rngs]
-    draws2 = np.empty((2, reps, min(spec.n, _SUPERBLOCK_STEPS)))
+        draws[:, r] = _draw_contamination(setting.spec1, n, rng)
+    draws2 = np.empty((2, reps, min(n, _SUPERBLOCK_STEPS)))
 
     recursive = variance_mode == "recursive"
     if recursive:
         h = h.repeat(3, axis=0)
-    for s in range(0, spec.n, _SUPERBLOCK_STEPS):
-        steps = min(_SUPERBLOCK_STEPS, spec.n - s)
+    for s in range(0, n, _SUPERBLOCK_STEPS):
+        steps = min(_SUPERBLOCK_STEPS, n - s)
+        # forecaster 2's dm goes on, its dc n words on as in one whole-window draw
         for r, rng in enumerate(rngs):
-            draws2[:, r, :steps] = _draw_contamination(setting.spec2, steps, rng, dc_rngs[r])
+            draws2[:, r, :steps] = _draw_contamination(setting.spec2, steps, rng, n - steps)
+            rng.bit_generator.advance(-n)
         forecasters = (draws[..., s : s + steps], draws2[..., :steps])
         for a in range(0, steps, _BLOCK_STEPS):
             b = min(a + _BLOCK_STEPS, steps)

@@ -416,6 +416,17 @@ class TestCompareCommand:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "source, path", [("--scores", "synthetic_scores.csv"), ("--matrix", "synthetic_model_scores")]
+    )
+    def test_lags_under_zero_weights_exit_before_reading(self, source, path, monkeypatch, capsys):
+        # the default zero weights would ignore the cutoff that the report shows
+        monkeypatch.setattr(cli, "_read_text", lambda path: pytest.fail("read"))
+        monkeypatch.setattr(cli, "_matrix_compare", lambda *a: pytest.fail("read"))
+        rc = main(["compare", source, str(FIXTURES / path), "--hac-lags", "4"])
+        assert rc == 1
+        assert "lag cutoff 4 has no effect under weights 'zero'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("name", ["synthetic_scores.csv", "synthetic_densities.csv"])
     def test_scores_file_read_once(self, name, monkeypatch, capsys):
         reads = []
@@ -778,7 +789,9 @@ class TestSimulateCommand:
     @pytest.mark.parametrize(
         "flags, message",
         [(["--alpha", "1.5"], "alpha must lie in (0, 1)"),
-         (["--hac-lags", "400"], "series length 300 must exceed lag cutoff 400")],
+         (["--hac-lags", "400", "--hac-weights", "bartlett"],
+          "series length 300 must exceed lag cutoff 400"),
+         (["--hac-lags", "4"], "lag cutoff 4 has no effect under weights 'zero'")],
     )
     def test_bad_level_or_lag_cutoff_exits_before_simulating(
         self, flags, message, tmp_path, monkeypatch, capsys

@@ -190,6 +190,32 @@ class TestHacCov:
         cfg = HacConfig(lags=np.int64(2), weights="bartlett")
         assert hac_cov(d, cfg) == hac_cov(d, HacConfig(lags=2, weights="bartlett"))
 
+    @given(lags=st.integers(1, 10**6))
+    def test_lags_under_zero_weights_rejected(self, lags):
+        # zero weights would ignore the cutoff while a report still showed it
+        message = f"^lag cutoff {lags} has no effect under weights 'zero'"
+        with pytest.raises(ValueError, match=message):
+            HacConfig(lags=lags, weights="zero")
+
+    @staticmethod
+    def _ar1():
+        """200 periods of two AR(1) series with coefficient 0.5."""
+        x = np.random.default_rng(8).standard_normal((200, 2))
+        for t in range(1, 200):
+            x[t] += 0.5 * x[t - 1]
+        return ScoreDiffSeries(x[:, 0], x[:, 1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(lags=st.integers(1, 150), weights=st.sampled_from(["bartlett", "truncated"]))
+    def test_every_accepted_cutoff_has_an_effect(self, lags, weights):
+        d = self._ar1()
+        assert hac_cov(d, HacConfig(lags, weights)) != hac_cov(d, HacConfig())
+
+    @pytest.mark.parametrize("weights", ["bartlett", "truncated"])
+    def test_no_lags_is_the_sample_covariance(self, weights):
+        d = self._ar1()
+        assert hac_cov(d, HacConfig(0, weights)) == hac_cov(d, HacConfig())
+
 
 class TestCriticalValues:
     def test_identity_equal_closed_form(self):
@@ -547,8 +573,8 @@ class TestIndefiniteLongRunCov:
     def test_collinear_pair_still_shrunk(self, weights, factor):
         x = np.random.default_rng(5).standard_normal(40)
         d = ScoreDiffSeries(x, factor * x)
-        res = two_step_test(d, HacConfig(lags=2, weights=weights), 0.05, Hypothesis.EQUAL)
-        assert res.correlation_shrunk
+        hac = HacConfig(lags=0 if weights == "zero" else 2, weights=weights)
+        assert two_step_test(d, hac, 0.05, Hypothesis.EQUAL).correlation_shrunk
 
     def test_rounding_level_negative_variance_falls_back(self):
         # a constant difference leaves rounding noise of order 1e-31 in s_mm,
@@ -570,21 +596,22 @@ _grid_series = st.lists(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    rows=_grid_series,
-    lags=st.integers(0, 12),
-    weights=st.sampled_from(["zero", "bartlett"]),
-    hypothesis=st.sampled_from(list(Hypothesis)),
+# zero weights take no lags
+_psd_hac = st.just(HacConfig()) | st.builds(
+    HacConfig, lags=st.integers(0, 12), weights=st.just("bartlett")
 )
-def test_psd_weights_never_indefinite(rows, lags, weights, hypothesis):
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_grid_series, hac=_psd_hac, hypothesis=st.sampled_from(list(Hypothesis)))
+def test_psd_weights_never_indefinite(rows, hac, hypothesis):
     """Zero and Bartlett weights give a positive semi-definite estimate, so
     the indefiniteness check never fires on them."""
-    assume(len(rows) > lags)
+    assume(len(rows) > hac.lags)
     data = np.array(rows, dtype=float) / 1000.0
     d = ScoreDiffSeries(data[:, 0], data[:, 1])
     try:
-        two_step_test(d, HacConfig(lags=lags, weights=weights), 0.05, hypothesis)
+        two_step_test(d, hac, 0.05, hypothesis)
     except DegenerateSeriesError:
         pass
 
@@ -598,11 +625,6 @@ def _grid_pair(rows, hac, hypothesis, factor=1.0):
         return two_step_test(d, hac, 0.05, hypothesis)
     except DegenerateSeriesError:
         return None
-
-
-_psd_hac = st.builds(
-    HacConfig, lags=st.integers(0, 12), weights=st.sampled_from(["zero", "bartlett"])
-)
 
 
 _LEX, _EQUAL = Hypothesis.LEX_SUPERIORITY, Hypothesis.EQUAL

@@ -73,8 +73,13 @@ class TestDgpSpec:
             DgpSpec(**{"n": 100, field: value})
 
     def test_numpy_integer_lengths_accepted(self):
-        spec = DgpSpec(n=np.int64(30), burn_in=np.int32(5))
-        assert _experiment_diffs(spec, SETTINGS["i"], reps=1, seed=0)[0].shape == (1, 30)
+        # 600 steps span two superblocks, between which the streams step back
+        for n in (30, 600):
+            spec = DgpSpec(n=np.int64(n), burn_in=np.int32(5))
+            got = _experiment_diffs(spec, SETTINGS["i"], reps=1, seed=0)
+            assert got[0].shape == (1, n)
+            ref = _experiment_diffs(DgpSpec(n=n, burn_in=5), SETTINGS["i"], reps=1, seed=0)
+            np.testing.assert_array_equal(got, ref)
 
     def test_stationary_variance(self):
         spec = DgpSpec(n=10)
@@ -221,19 +226,26 @@ class TestContamination:
     @pytest.mark.parametrize("width", [0.0, 0.3])
     @pytest.mark.parametrize("k", [1, 7, 40])
     def test_advanced_copy_continues_joint_uniform_draw(self, k, width):
-        """The RNG contract that lets forecaster 2's dc be drawn a
-        superblock at a time: every uniform takes one 64-bit word, whatever
-        the normals before it took, so uniforms drawn in pieces from a copy
-        of the stream advanced by k are entries k onward of one joint
-        uniform draw."""
-        lo, hi = 1.0 - width, 1.0 + width
+        """The RNG contract that lets forecaster 2's (dm, dc) over k steps
+        be drawn from its stream a superblock at a time: every uniform takes
+        one 64-bit word, whatever the normals before it took, so pieces of
+        dm and dc drawn ``k`` minus the piece length apart, each pair
+        followed by a step back of k, are the matching slices of one joint
+        draw of 2k uniforms."""
+        cspec = ContaminationSpec(width, width)
         for r in range(5):
-            rng = _rep_rng(11, r)
+            rng, ref = _rep_rng(11, r), _rep_rng(11, r)
             rng.standard_normal(7)
-            copy = np.random.Generator(rng.bit_generator.jumped(0).advance(k))
-            joint = rng.uniform(lo, hi, size=k + 30)
-            pieces = [copy.uniform(lo, hi, size=m) for m in (1, 4, 16, 9)]
-            np.testing.assert_array_equal(np.concatenate(pieces), joint[k:])
+            ref.standard_normal(7)
+            joint = ref.uniform(1.0 - width, 1.0 + width, size=2 * k)
+            pieces = []
+            for s in range(0, k, 3):  # pieces of 3 steps, the last one shorter
+                steps = min(3, k - s)
+                pieces.append(_draw_contamination(cspec, steps, rng, k - steps))
+                rng.bit_generator.advance(-k)
+            dm, dc = np.concatenate(pieces, axis=1)
+            np.testing.assert_array_equal(dm, joint[:k])
+            np.testing.assert_array_equal(dc, joint[k:])
 
     def test_half_width_interval_stays_valid(self):
         spec = DgpSpec(n=10, dim=5, rho=0.5)
@@ -378,9 +390,9 @@ class TestExperimentDiffs:
     @pytest.mark.parametrize("steps", ["one block", "short last", "n", "n + block"])
     def test_superblock_size_does_not_change_results(self, monkeypatch, steps, block, mode):
         """Bit for bit whatever the superblock length: forecaster 2's dm
-        drawn on from each stream and its dc from an advanced copy, one
-        superblock at a time, are the draws of one whole-window pass, and
-        the blocks end at each superblock's end."""
+        drawn on from each stream and its dc n words further on, one
+        superblock at a time with a step back after each, are the draws of
+        one whole-window pass, and the blocks end at each superblock's end."""
         spec = DgpSpec(n=4 * BLOCK + 7, dim=3, rho=0.4, burn_in=6)
         setting = SETTINGS["iii"]
         ref_m, ref_c = _experiment_diffs(spec, setting, reps=3, seed=8, variance_mode=mode)
@@ -512,6 +524,22 @@ class TestExperimentDiffs:
 
 
 class TestRunExperiment:
+    def test_one_step_table_ignores_garch_parameters(self):
+        """Under ``one-step`` a forecaster's standard deviations are sqrt(dm)
+        times the true ones, so the true variance cancels from d_m and the
+        copula score sees only the innovations: the GARCH parameters move
+        the differences by rounding and the table not at all.  Under
+        ``recursive`` the forecasters run their own recursions."""
+        specs = DgpSpec(n=300), DgpSpec(n=300, omega0=0.05, alpha0=0.3, beta0=0.65)
+        setting = SETTINGS["ii"]
+        default, other = (_experiment_diffs(spec, setting, 200, 7) for spec in specs)
+        for a, b in zip(default, other):
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-10)
+        default, other = (run_experiment(spec, setting, 200, 0.05, 7) for spec in specs)
+        assert default == other
+        default, other = (_experiment_diffs(s, setting, 20, 7, "recursive")[0] for s in specs)
+        assert np.abs(default - other).max() > 0.1
+
     def test_reproducible_table(self):
         spec = DgpSpec(n=60, burn_in=50)
         t1 = run_experiment(spec, SETTINGS["ii"], reps=40, alpha=0.05, seed=11)
