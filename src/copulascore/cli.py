@@ -458,9 +458,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--setting", required=True, choices=sorted(SETTINGS))
     p.add_argument("--n", type=int, required=True)
+    garch = ("GARCH(1,1) parameter of the true variances; acts only under "
+             "--variance-mode recursive")
+    field_help = dict.fromkeys(("omega0", "alpha0", "beta0"), garch)
+    field_help["burn_in"] = "steps run before the window; shifts the streams in both variance modes"
     for f in fields(DgpSpec)[1:]:  # one flag per process parameter after n
         flag = "--" + f.name.replace("_", "-")
-        p.add_argument(flag, type=type(f.default), default=f.default)
+        p.add_argument(flag, type=type(f.default), default=f.default, help=field_help.get(f.name))
     p.add_argument("--reps", type=int, default=2000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="output path prefix (.csv/.json)")

@@ -79,13 +79,13 @@ def score_arrays(y, sigma, rho) -> tuple[np.ndarray, np.ndarray]:
     """(marginal, copula) scores of zero-mean Gaussian marginals joined by a
     Gaussian equicorrelation copula, vectorized over leading axes.
 
-    ``y`` and ``sigma`` have shape (..., dim); ``rho`` is a scalar or
-    broadcasts against the leading axes, and ``rho = 0`` is the independence
+    ``y`` has shape (..., dim) and ``sigma`` broadcasts against it: a
+    (..., 1) ``sigma`` is one scale for every coordinate.  ``rho`` is a
+    scalar or broadcasts against the leading axes; 0 is the independence
     copula.  Inputs are not validated: pass finite ``y``, positive ``sigma``
     and ``rho`` inside the equicorrelation range.  Coordinates are summed
     in numpy's order for the layout passed in: left to right when dim <= 7
-    or when the dimension is the outermost axis in memory, pairwise
-    otherwise.
+    or when the dimension is the outermost axis in memory, else pairwise.
     """
     y = np.asarray(y, dtype=float)
     z = y / sigma

@@ -17,13 +17,14 @@ One variance recursion, :func:`_variance_steps`, runs time-major over a
 stacked state of shape (rows, ..., dim): row 0 is the true variance, and
 under ``recursive`` rows 1 and 2 are the two forecasters' own variances.
 Burn-in steps advance the true variance but are not stored.
-:func:`_experiment_diffs` generates and scores the evaluation window in
-blocks of time steps, laid out with the dimension outermost, writing each
-block's score differences over disturbances it has consumed, so that
-beyond the window's innovations and forecaster 1's (dm, dc) it holds one
-superblock and one block at a time.  :func:`run_experiment` draws and
-tests the replications in chunks of a fixed number of innovations, so
-its peak memory does not grow with the replication count.
+:func:`_experiment_diffs` scores the window in blocks of time steps,
+dimension outermost, each forecaster on the innovations against its
+standard deviation over the true one: only ``recursive`` runs the
+recursion over the window.  Each block's differences overwrite spent
+disturbances, so beyond the window's innovations and forecaster 1's
+(dm, dc) it holds one superblock and one block.  :func:`run_experiment`
+draws and tests the replications in chunks of a fixed number of
+innovations, so its peak memory does not grow with the replication count.
 """
 
 from __future__ import annotations
@@ -194,7 +195,7 @@ def _draw_contamination(
 
 
 def _variance_steps(
-    spec: DgpSpec, eps: np.ndarray, h: np.ndarray, y=None, var=None, dm=None
+    spec: DgpSpec, eps: np.ndarray, h: np.ndarray, var=None, dm=None
 ) -> np.ndarray:
     """Advance the stacked variance state ``h`` through the time-major
     innovations ``eps``: ``h`` is advanced in place, step by step, and
@@ -205,16 +206,15 @@ def _variance_steps(
     one GARCH step on that observation.  Rows 1: are the forecasters'
     recursive variances; with ``dm``, of shape (steps, rows - 1, ..., 1),
     step t first scales them by the forecasters' disturbances dm[t].  When
-    ``y`` and ``var`` are given, row t of each receives step t's
-    observation and the variances of all rows it was drawn with."""
+    ``var`` is given, its row t receives the variances of all rows that
+    step t's observation was drawn with; the observations are not kept."""
     # per-step temporaries, reused: sqrt(h[0]) * e and omega0 + alpha0 * y**2
     y_t, shock = np.empty(h.shape[1:]), np.empty(h.shape[1:])
     for t, e in enumerate(eps):
         if dm is not None:
             h[1:] *= dm[t]
         np.multiply(np.sqrt(h[0], out=y_t), e, out=y_t)
-        if y is not None:
-            y[t] = y_t
+        if var is not None:
             var[t] = h
         np.square(y_t, out=shock)
         shock *= spec.alpha0
@@ -245,15 +245,15 @@ def simulate_path(spec: DgpSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:
     The burn-in steps are run but not returned."""
     _check_seed(seed)
     h, eps = _paths(spec, [np.random.default_rng(seed)])
-    y = np.empty(eps.shape)
     var = np.empty((spec.n, 1, 1, spec.dim))
-    _variance_steps(spec, eps, h, y, var)
-    return y[:, 0], np.sqrt(var[:, 0, 0])
+    _variance_steps(spec, eps, h, var)
+    sigma = np.sqrt(var[:, 0, 0])
+    return sigma * eps[:, 0], sigma
 
 
 # Time steps per block of _experiment_diffs.  Only the stacked variance
 # state, (rows, reps, dim), carries from one block to the next.  A block's
-# observations and variances are transposed views of buffers with the
+# innovations and variances are transposed views of buffers with the
 # dimension outermost, so the per-coordinate sums of scoring add whole
 # (steps, reps) planes.  Every array of a block, scoring temporaries
 # included, stays far below one chunk's window innovations, so the peak is
@@ -284,15 +284,16 @@ def _experiment_diffs(
     replications' streams give their burned-in variances and window
     innovations (:func:`_paths`), then forecaster 1's disturbances whole
     and forecaster 2's a superblock of ``_SUPERBLOCK_STEPS`` steps at a
-    time: its dm, its dc n words on, then the stream steps back n.  The
-    window is generated, forecast and scored in blocks of ``_BLOCK_STEPS``
-    time steps by one recursion over a stacked state: row 0 is the true
-    variance and, under ``recursive``, rows 1 and 2 are the forecasters'
-    own variances, seeded at dm[0] * sigma2_true[0] on the window's first
-    step.  Under ``one-step`` a forecaster's variance is dm[t] *
-    sigma2_true[t].  Once both forecasters of a block are scored, the
-    block's differences overwrite forecaster 1's (dm, dc) for those steps,
-    which nothing reads again, and those two arrays are the result.
+    time: its dm, its dc n words on, then the stream steps back n.  In
+    blocks of ``_BLOCK_STEPS`` time steps, each forecaster is scored on the
+    innovations against the square root of its variance over the true one,
+    the only way the true variance enters a difference.  Under ``one-step``
+    that ratio is dm[t] and the window runs no recursion; under
+    ``recursive`` one recursion runs the forecasters' own variances, from
+    dm[0] * sigma2_true[0], in rows 1 and 2 of a stacked state beside the
+    true variance in row 0.  Once both forecasters of a block are scored,
+    the block's differences overwrite forecaster 1's (dm, dc) for those
+    steps, which nothing reads again, and those two arrays are the result.
     Memory holds the larger of the burn-in innovations and the window's
     innovations plus forecaster 1's disturbances, plus one superblock of
     forecaster 2's and one block at a time.
@@ -307,7 +308,6 @@ def _experiment_diffs(
     for r, rng in enumerate(rngs):
         draws[:, r] = _draw_contamination(setting.spec1, n, rng)
     draws2 = np.empty((2, reps, min(n, _SUPERBLOCK_STEPS)))
-
     recursive = variance_mode == "recursive"
     if recursive:
         h = h.repeat(3, axis=0)
@@ -320,16 +320,16 @@ def _experiment_diffs(
         forecasters = (draws[..., s : s + steps], draws2[..., :steps])
         for a in range(0, steps, _BLOCK_STEPS):
             b = min(a + _BLOCK_STEPS, steps)
-            y = np.empty((spec.dim, b - a, reps)).transpose(1, 2, 0)
-            var = np.empty((len(h), spec.dim, b - a, reps)).transpose(2, 0, 3, 1)
-            dm_steps = None
-            if recursive:  # (steps, 2, reps, 1): both forecasters' dm at each step
-                dm_steps = np.stack([f[0, :, a:b].T for f in forecasters], 1)[..., None]
-            h = _variance_steps(spec, eps[s + a : s + b], h, y, var, dm_steps)
-            scores = []
-            for k, (dm, dc) in enumerate(forecasters):
-                v = var[:, 1 + k] if recursive else dm[:, a:b].T[..., None] * var[:, 0]
-                scores.append(score_arrays(y, np.sqrt(v, out=v), spec.rho * dc[:, a:b].T))
+            e = np.ascontiguousarray(eps[s + a : s + b].transpose(2, 0, 1)).transpose(1, 2, 0)
+            # both forecasters' variances over the true one, (steps, 2, reps, 1)
+            ratio = np.stack([f[0, :, a:b].T for f in forecasters], 1)[..., None]
+            if recursive:  # at each step dm scales the forecasters' own variances
+                var = np.empty((3, spec.dim, b - a, reps)).transpose(2, 0, 3, 1)
+                h = _variance_steps(spec, eps[s + a : s + b], h, var, ratio)
+                ratio = np.divide(var[:, 1:], var[:, :1], out=var[:, 1:])
+            sd = np.sqrt(ratio, out=ratio)
+            scores = [score_arrays(e, sd[:, k], spec.rho * dc[:, a:b].T)
+                      for k, (_, dc) in enumerate(forecasters)]
             (sm1, sc1), (sm2, sc2) = scores
             np.subtract(sm1, sm2, out=d_m[:, s + a : s + b].T)
             np.subtract(sc1, sc2, out=d_c[:, s + a : s + b].T)

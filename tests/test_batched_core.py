@@ -277,21 +277,28 @@ class TestJointCalibration:
 
     ALPHA, REPS, N = 0.05, 6000, 200
 
-    def rates(self, rho, seed, shift=0.0, hypotheses=BOTH):
-        """Share of rows rejected at the marginal step and at the copula
-        step, (H, 2), of ``REPS`` series with copula mean ``shift``."""
+    def batch(self, rho, seed, shift=0.0, hypotheses=BOTH):
+        """The batched tests of ``REPS`` series with copula mean ``shift``."""
         z = np.random.default_rng(seed).standard_normal((2, self.REPS, self.N))
         d_c = rho * z[0] + math.sqrt((1.0 - rho) * (1.0 + rho)) * z[1] + shift
-        outcome = _two_step_batch(z[0], d_c, HacConfig(), self.ALPHA, hypotheses).outcome
-        return np.stack([np.bincount(o, minlength=3)[1:] for o in outcome]) / self.REPS
+        return _two_step_batch(z[0], d_c, HacConfig(), self.ALPHA, hypotheses)
+
+    def rates(self, batch):
+        """Share of rows rejected at the marginal step and at the copula
+        step, (H, 2)."""
+        return np.stack([np.bincount(o, minlength=3)[1:] for o in batch.outcome]) / self.REPS
 
     def band(self, p):
         # four binomial standard errors around the rate p
         return 4.0 * math.sqrt(p * (1.0 - p) / self.REPS)
 
-    @pytest.mark.parametrize("rho", [-0.95, 0.0, 0.95, 0.999])
+    @pytest.mark.parametrize("rho", [-0.95, 0.0, 0.95, 0.999, -(1.0 - 1e-12), 1.0 - 1e-12])
     def test_size_and_step_split(self, rho):
-        rates = self.rates(rho, seed=4321)
+        batch = self.batch(rho, seed=4321)
+        if abs(rho) > 1.0 - 1e-10:
+            # inside the singular band every row is calibrated on the shrunk correlation
+            assert batch.shrunk.all()
+        rates = self.rates(batch)
         half = self.ALPHA / 2.0
         assert np.all(np.abs(rates - half) <= self.band(half))
         assert np.all(np.abs(rates.sum(axis=1) - self.ALPHA) <= self.band(self.ALPHA))
@@ -299,6 +306,8 @@ class TestJointCalibration:
     @pytest.mark.parametrize("rho", [-0.95, 0.0, 0.95])
     def test_lex_interior_of_the_null(self, rho):
         # a copula mean 0.05 below zero: the statistic centres near -0.7
-        rates = self.rates(rho, seed=4322, shift=-0.05, hypotheses=(Hypothesis.LEX_SUPERIORITY,))
+        rates = self.rates(
+            self.batch(rho, seed=4322, shift=-0.05, hypotheses=(Hypothesis.LEX_SUPERIORITY,))
+        )
         assert rates.sum() <= self.ALPHA
         assert rates[0, 1] < self.ALPHA / 2.0

@@ -917,6 +917,17 @@ class TestParser:
         assert exc.value.code == 0
         assert "--help" in capsys.readouterr().out
 
+    def test_simulate_help_says_where_process_parameters_act(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["simulate", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        garch = ("GARCH(1,1) parameter of the true variances; acts only under "
+                 "--variance-mode recursive")
+        for flag in ("--omega0 OMEGA0", "--alpha0 ALPHA0", "--beta0 BETA0"):
+            assert f"{flag} {garch}" in text
+        burn_in = "steps run before the window; shifts the streams in both variance modes"
+        assert f"--burn-in BURN_IN {burn_in}" in text
+
     def test_defaults_come_from_the_library(self):
         from copulascore.cli import _build_parser
         from copulascore.sim_harness import DgpSpec

@@ -3,6 +3,7 @@ probability transforms, the joint log-score as their sum, the batched core
 against the per-observation scorer, and the Fréchet-class reduction from
 scores to the two-step test."""
 
+import gc
 import math
 import sys
 
@@ -147,6 +148,24 @@ class TestScoreArrays:
                 assert (s_m[r, t], s_c[r, t]) == bivariate_score(c, f, y[r, t])
 
 
+    @pytest.mark.parametrize("outer", [False, True])
+    @pytest.mark.parametrize("dim", range(2, 8))
+    def test_one_scale_broadcasts_over_coordinates(self, dim, outer):
+        """A (..., 1) sigma is one scale for every coordinate: it scores the
+        same bits as that scale repeated along the last axis, with the
+        dimension innermost or outermost in memory."""
+        rng = np.random.default_rng(31)
+        steps, reps = 5, 4
+        y = rng.standard_normal((steps, reps, dim))
+        if outer:  # the dimension-outer layout of the Monte Carlo blocks
+            y = np.ascontiguousarray(y.transpose(2, 0, 1)).transpose(1, 2, 0)
+        sigma = rng.uniform(0.3, 2.0, (steps, reps, 1))
+        rho = rng.uniform(-0.1, 0.9, (steps, reps))
+        got = score_arrays(y, sigma, rho)
+        expected = score_arrays(y, np.broadcast_to(sigma, y.shape), rho)
+        for a, b in zip(got, expected):
+            assert a.shape == (steps, reps) and (a == b).all()
+
 # Tail grid of standardized observations: the center, one standard deviation,
 # either side of the clamp at about 7.9, and far beyond it.
 TAIL_Z = np.array([0.0, 1.0, -1.0, 7.9, -7.9, 8.5, -8.5, 50.0, -50.0])
@@ -178,19 +197,27 @@ class TestTailBitIdentity:
 
 def _python_calls(fn) -> int:
     """Python-level function calls made while running ``fn``, not counting
-    ``fn`` itself."""
-    calls = 0
+    ``fn`` itself: the fewest of three runs, each with the garbage collector
+    off after a collection, so that no finalizer or collection callback
+    fires inside ``fn`` and adds its calls to the count."""
+    counts = []
+    for _ in range(3):
+        calls = 0
 
-    def profile(frame, event, arg):
-        nonlocal calls
-        calls += event == "call"
+        def profile(frame, event, arg):
+            nonlocal calls
+            calls += event == "call"
 
-    sys.setprofile(profile)
-    try:
-        fn()
-    finally:
-        sys.setprofile(None)
-    return calls - 1
+        gc.collect()
+        gc.disable()
+        sys.setprofile(profile)
+        try:
+            fn()
+        finally:
+            sys.setprofile(None)
+            gc.enable()
+        counts.append(calls - 1)
+    return min(counts)
 
 
 class TestDispatchCount:

@@ -34,13 +34,13 @@ def _window_paths(spec, eps):
     """(Y, sigma2) over the window of the time-major innovations ``eps``,
     shape (burn_in + n, ..., dim), through the one variance recursion: the
     burn-in only advances the state, which starts at the stationary
-    variance."""
+    variance, and Y is sqrt(sigma2) times the window's innovations."""
     h = np.full((1, *eps.shape[1:]), spec.stationary_variance)
     _variance_steps(spec, eps[: spec.burn_in], h)
     window = eps[spec.burn_in :]
-    y, var = np.empty(window.shape), np.empty((len(window), 1, *window.shape[1:]))
-    _variance_steps(spec, window, h, y, var)
-    return y, var[:, 0]
+    var = np.empty((len(window), 1, *window.shape[1:]))
+    _variance_steps(spec, window, h, var)
+    return np.sqrt(var[:, 0]) * window, var[:, 0]
 
 
 class TestDgpSpec:
@@ -315,9 +315,12 @@ class TestExperimentDiffs:
                 assert d_c[r, t] == pytest.approx(dc_ref, abs=1e-10)
 
     @staticmethod
-    def _replication_by_steps(spec, setting, seed, r, mode):
+    def _replication_by_steps(spec, setting, seed, r, mode, standardized=True):
         """Replication r rebuilt on its own: one (steps, dim) path drawn in
-        the documented order, then a plain loop over time steps."""
+        the documented order, then a plain loop over time steps.  Each
+        forecaster is scored on the innovations against the square root of
+        its variance over the true one or, unstandardized, on the
+        observations against the square root of its variance."""
         rng = _rep_rng(seed, r)
         chol = np.linalg.cholesky(EquiCorr(spec.dim, spec.rho).matrix())
         eps = rng.standard_normal((spec.burn_in + spec.n, spec.dim)) @ chol.T
@@ -341,7 +344,12 @@ class TestExperimentDiffs:
                     var = dm[t] * sigma2[t]
                 else:
                     var = dm[t] * (spec.omega0 + spec.alpha0 * y[t - 1] ** 2 + spec.beta0 * var)
-                s_m, s_c = score_arrays(y[t], np.sqrt(var), spec.rho * dc[t])
+                if standardized:  # under one-step the ratio is dm itself
+                    ratio = dm[t] if mode == "one-step" else var / sigma2[t]
+                    x, sd = eps[spec.burn_in + t], np.sqrt(ratio)
+                else:
+                    x, sd = y[t], np.sqrt(var)
+                s_m, s_c = score_arrays(x, sd, spec.rho * dc[t])
                 d_m[t] += sign * s_m
                 d_c[t] += sign * s_c
         return d_m, d_c
@@ -416,6 +424,25 @@ class TestExperimentDiffs:
         monkeypatch.setattr(sim_harness, "_SUPERBLOCK_STEPS", 2 * BLOCK)
         spec = DgpSpec(n=n, dim=3, rho=0.4, burn_in=burn_in)
         self._assert_equals_per_replication_loop(spec, 3, mode)
+
+    @pytest.mark.parametrize("garch", [(0.001, 0.1, 0.5), (0.05, 0.3, 0.65)])
+    @pytest.mark.parametrize("mode", VARIANCE_MODES)
+    @pytest.mark.parametrize("dim", [2, 5, 9])
+    def test_standardized_equals_unstandardized_scoring(self, dim, mode, garch):
+        """Scoring the innovations against the square root of each
+        forecaster's variance over the true one gives the differences of
+        scoring the observations against the forecasters' own standard
+        deviations up to rounding: the true variance cancels from d_m, and
+        the copula score sees the same standardized observations."""
+        omega0, alpha0, beta0 = garch
+        spec = DgpSpec(n=40, dim=dim, omega0=omega0, alpha0=alpha0, beta0=beta0, rho=0.4,
+                       burn_in=9)
+        setting = Setting("x", ContaminationSpec(0.3, 0.4), ContaminationSpec(0.1, 0.2))
+        d_m, d_c = _experiment_diffs(spec, setting, reps=3, seed=17, variance_mode=mode)
+        for r in range(3):
+            ref_m, ref_c = self._replication_by_steps(spec, setting, 17, r, mode, False)
+            np.testing.assert_allclose(d_m[r], ref_m, rtol=0.0, atol=1e-11)
+            np.testing.assert_allclose(d_c[r], ref_c, rtol=0.0, atol=1e-11)
 
     @pytest.mark.parametrize("mode", VARIANCE_MODES)
     def test_burn_in_is_not_stored(self, mode):
@@ -526,15 +553,15 @@ class TestExperimentDiffs:
 class TestRunExperiment:
     def test_one_step_table_ignores_garch_parameters(self):
         """Under ``one-step`` a forecaster's standard deviations are sqrt(dm)
-        times the true ones, so the true variance cancels from d_m and the
-        copula score sees only the innovations: the GARCH parameters move
-        the differences by rounding and the table not at all.  Under
-        ``recursive`` the forecasters run their own recursions."""
+        times the true ones, so each forecaster is scored on the innovations
+        against sqrt(dm): the GARCH parameters move neither the differences
+        nor the table.  Under ``recursive`` the forecasters run their own
+        recursions."""
         specs = DgpSpec(n=300), DgpSpec(n=300, omega0=0.05, alpha0=0.3, beta0=0.65)
         setting = SETTINGS["ii"]
         default, other = (_experiment_diffs(spec, setting, 200, 7) for spec in specs)
         for a, b in zip(default, other):
-            np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-10)
+            np.testing.assert_array_equal(a, b)
         default, other = (run_experiment(spec, setting, 200, 0.05, 7) for spec in specs)
         assert default == other
         default, other = (_experiment_diffs(s, setting, 20, 7, "recursive")[0] for s in specs)
