@@ -16,7 +16,9 @@ comma-delimited UTF-8 with LF line endings and mandatory headers.
 from __future__ import annotations
 
 import argparse
+import atexit
 import csv
+import gc
 import io
 import json
 import math
@@ -482,6 +484,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # one exit hook per process; outputs are closed by then (see README, CLI)
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "compare":

@@ -4,8 +4,9 @@ tables for the two-step tests.
 
 One path generator, :func:`_paths`, serves :func:`simulate_path` and the
 replications: it draws every stream's burn-in innovations, runs and frees
-them, then draws every stream's window (:func:`_draw_noise`).  Each
-replication stream then draws its forecaster disturbances
+them, then draws every stream's window (:func:`_draw_noise`), or under
+``one-step`` drops each stream's burn-in normals from its window's draw.
+Each replication stream then draws its forecaster disturbances
 (:func:`_draw_contamination`), so within a stream the order stays burn-in,
 window, forecaster 1's (dm, dc), forecaster 2's (a superblock of time
 steps at a time: its dm, its dc n words on, then a step back).  Both
@@ -157,20 +158,22 @@ def _rep_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
 
 
-def _draw_noise(chol: np.ndarray, rngs: list[np.random.Generator], steps: int) -> np.ndarray:
+def _draw_noise(
+    chol: np.ndarray, rngs: list[np.random.Generator], steps: int, skip: int = 0
+) -> np.ndarray:
     """The next ``steps`` correlated Gaussian innovations of each stream in
-    ``rngs``, time-major, shape (steps, len(rngs), dim); ``chol`` is the
-    Cholesky factor of the innovations' correlation matrix.
+    ``rngs`` after ``skip`` dropped steps, time-major, shape (steps,
+    len(rngs), dim); ``chol`` is the Cholesky factor of their correlation.
 
     The normals are filled in stream order, so the burn-in and the window
-    drawn by two calls are the rows of one draw of both.  A single row
-    would be multiplied on numpy's matrix-vector path, whose result can
-    differ in the last bit from the same row of a longer product, so it is
-    padded with a row of zeros."""
+    drawn by two calls, or by one that skips the burn-in, are the rows of
+    one draw of both.  A single row would be multiplied on numpy's
+    matrix-vector path, whose result can differ in the last bit from the
+    same row of a longer product, so it is padded with a row of zeros."""
     # each stream fills its own contiguous rows; callers get a time-major view
     eps = np.empty((len(rngs), steps, len(chol)))
     for r, rng in enumerate(rngs):
-        z = rng.standard_normal((steps, len(chol)))
+        z = rng.standard_normal((skip + steps, len(chol)))[skip:]
         if steps == 1:
             z = np.vstack((z, np.zeros_like(z)))
         eps[r] = (z @ chol.T)[:steps]
@@ -189,7 +192,8 @@ def _draw_contamination(
     sqrt(dm) times the true ones; the forecast equicorrelation is rho * dc.
     """
     dm = rng.uniform(1.0 - cspec.delta_marg, 1.0 + cspec.delta_marg, size=n)
-    rng.bit_generator.advance(gap)
+    if gap:
+        rng.bit_generator.advance(gap)
     dc = rng.uniform(1.0 - cspec.delta_cop, 1.0 + cspec.delta_cop, size=n)
     return dm, dc
 
@@ -224,7 +228,9 @@ def _variance_steps(
     return h
 
 
-def _paths(spec: DgpSpec, rngs: list[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
+def _paths(
+    spec: DgpSpec, rngs: list[np.random.Generator], variances: bool = True
+) -> tuple[np.ndarray | None, np.ndarray]:
     """The paths of the streams in ``rngs`` up to their evaluation window:
     the burned-in true variances, shape (1, len(rngs), dim), and the window
     innovations, time-major, shape (n, len(rngs), dim).
@@ -232,8 +238,11 @@ def _paths(spec: DgpSpec, rngs: list[np.random.Generator]) -> tuple[np.ndarray, 
     Every stream's burn-in is drawn first, then every stream's window.  The
     variance recursion starts at the stationary variance, and the burn-in
     innovations only advance it; they are passed on unnamed, so they are
-    freed before the window is drawn."""
+    freed before the window is drawn.  Without ``variances``, the
+    variances are None and the burn-in is skipped in the window's draw."""
     chol = np.linalg.cholesky(EquiCorr(spec.dim, spec.rho).matrix())
+    if not variances:
+        return None, _draw_noise(chol, rngs, spec.n, spec.burn_in)
     h = np.full((1, len(rngs), spec.dim), spec.stationary_variance)
     h = _variance_steps(spec, _draw_noise(chol, rngs, spec.burn_in), h)
     return h, _draw_noise(chol, rngs, spec.n)
@@ -281,11 +290,11 @@ def _experiment_diffs(
     contiguous arrays of shape (reps, n) each.
 
     Row r depends only on (seed, first + r); see :func:`_rep_rng`.  The
-    replications' streams give their burned-in variances and window
-    innovations (:func:`_paths`), then forecaster 1's disturbances whole
-    and forecaster 2's a superblock of ``_SUPERBLOCK_STEPS`` steps at a
-    time: its dm, its dc n words on, then the stream steps back n.  In
-    blocks of ``_BLOCK_STEPS`` time steps, each forecaster is scored on the
+    replications' streams give their window innovations (:func:`_paths`),
+    then forecaster 1's disturbances whole and forecaster 2's a superblock
+    of ``_SUPERBLOCK_STEPS`` steps at a time: its dm, its dc n words on,
+    then a step back of n if more follow.  In blocks of ``_BLOCK_STEPS``
+    time steps, each forecaster is scored on the
     innovations against the square root of its variance over the true one,
     the only way the true variance enters a difference.  Under ``one-step``
     that ratio is dm[t] and the window runs no recursion; under
@@ -294,21 +303,21 @@ def _experiment_diffs(
     true variance in row 0.  Once both forecasters of a block are scored,
     the block's differences overwrite forecaster 1's (dm, dc) for those
     steps, which nothing reads again, and those two arrays are the result.
-    Memory holds the larger of the burn-in innovations and the window's
-    innovations plus forecaster 1's disturbances, plus one superblock of
-    forecaster 2's and one block at a time.
+    Memory holds the window's innovations plus forecaster 1's disturbances,
+    one superblock of forecaster 2's and one block at a time; ``recursive``
+    first holds the burn-in's, ``one-step`` one stream's normals at a time.
     """
     if variance_mode not in VARIANCE_MODES:
         raise ValueError("variance mode must be " + " or ".join(map(repr, VARIANCE_MODES)))
     rngs = [_rep_rng(seed, first + r) for r in range(reps)]
-    h, eps = _paths(spec, rngs)
+    recursive = variance_mode == "recursive"
+    h, eps = _paths(spec, rngs, recursive)
     n = int(spec.n)  # advance overflows on a numpy integer
     # each stream goes on with forecaster 1's (dm, dc), each of shape (reps, n)
     d_m, d_c = draws = np.empty((2, reps, n))
     for r, rng in enumerate(rngs):
         draws[:, r] = _draw_contamination(setting.spec1, n, rng)
     draws2 = np.empty((2, reps, min(n, _SUPERBLOCK_STEPS)))
-    recursive = variance_mode == "recursive"
     if recursive:
         h = h.repeat(3, axis=0)
     for s in range(0, n, _SUPERBLOCK_STEPS):
@@ -316,7 +325,8 @@ def _experiment_diffs(
         # forecaster 2's dm goes on, its dc n words on as in one whole-window draw
         for r, rng in enumerate(rngs):
             draws2[:, r, :steps] = _draw_contamination(setting.spec2, steps, rng, n - steps)
-            rng.bit_generator.advance(-n)
+            if s + steps < n:
+                rng.bit_generator.advance(-n)
         forecasters = (draws[..., s : s + steps], draws2[..., :steps])
         for a in range(0, steps, _BLOCK_STEPS):
             b = min(a + _BLOCK_STEPS, steps)

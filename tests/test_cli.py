@@ -908,6 +908,38 @@ class TestEntryPoint:
         payload = json.loads(proc.stdout)
         assert payload["result"]["attribution"] in ("0", "M", "C")
 
+    def test_exit_hook_freezes_the_heap_once_and_keeps_outputs(self, tmp_path):
+        """main registers gc.freeze to run at exit, once however often it
+        is called.  A probe registered before main runs after the hook,
+        since atexit handlers run last in, first out, and sees one freeze
+        and a frozen heap.  The files of ``python -m copulascore.cli
+        simulate`` equal those of in-process main runs byte for byte."""
+        import subprocess
+        import sys
+        import textwrap
+
+        argv = ["simulate", "--setting", "ii", "--n", "40", "--reps", "8", "--seed", "3"]
+        script = textwrap.dedent(f"""
+            import atexit, gc, sys
+            from copulascore.cli import main
+            freeze, calls = gc.freeze, []
+            gc.freeze = lambda: calls.append(freeze())  # main looks it up per call
+            atexit.register(lambda: print("frozen", len(calls), gc.get_freeze_count()))
+            for name in ("a", "b"):
+                assert main({argv!r} + ["--out", sys.argv[1] + "/" + name]) == 0
+        """)
+        probe = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                               capture_output=True, text=True, check=True)
+        label, calls, count = probe.stdout.splitlines()[-1].split()
+        assert (label, calls) == ("frozen", "1") and int(count) > 0
+        subprocess.run([sys.executable, "-m", "copulascore.cli", *argv, "--out",
+                        str(tmp_path / "m")], capture_output=True, check=True)
+        assert main([*argv, "--out", str(tmp_path / "p")]) == 0
+        for suffix in (".csv", ".json"):
+            module = (tmp_path / f"m{suffix}").read_bytes()
+            for name in "abp":
+                assert (tmp_path / f"{name}{suffix}").read_bytes() == module
+
 
 class TestParser:
     @pytest.mark.parametrize("command", ["compare", "simulate", "cxls-demo"])

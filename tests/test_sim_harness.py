@@ -179,21 +179,28 @@ class TestSplitDraw:
     @pytest.mark.parametrize("dim", range(2, 10))
     def test_split_innovations_equal_joint_product(self, dim, burn_in, n):
         """Bit for bit: the burn-in and the window drawn by two calls on
-        one stream are the rows of one joint draw of both.  A one-row
-        burn-in multiplied on numpy's matrix-vector path differs from its
-        row of the joint product in the last bit for most draws, and the
-        GARCH recursion can absorb that, so the innovations themselves are
-        compared."""
+        one stream are the rows of one joint draw of both, and so is the
+        window drawn by one call that skips the burn-in; either way the
+        stream's next draw is the same.  A one-row burn-in multiplied on
+        numpy's matrix-vector path differs from its row of the joint
+        product in the last bit for most draws, and the GARCH recursion can
+        absorb that, so the innovations themselves are compared."""
         chol = np.linalg.cholesky(EquiCorr(dim, 0.4).matrix())
         for r in range(20):
             # one joint draw, as _draw_noise makes it for burn_in + n >= 2 rows
-            joint = _rep_rng(5, r).standard_normal((burn_in + n, dim)) @ chol.T
-            rng = _rep_rng(5, r)
+            ref = _rep_rng(5, r)
+            joint = ref.standard_normal((burn_in + n, dim)) @ chol.T
+            rng, skipping = _rep_rng(5, r), _rep_rng(5, r)
             burn = _draw_noise(chol, [rng], burn_in)[:, 0]
             window = _draw_noise(chol, [rng], n)[:, 0]
-            assert burn.shape == (burn_in, dim) and window.shape == (n, dim)
+            skipped = _draw_noise(chol, [skipping], n, burn_in)[:, 0]
+            assert burn.shape == (burn_in, dim) and window.shape == skipped.shape == (n, dim)
             np.testing.assert_array_equal(burn, joint[:burn_in])
             np.testing.assert_array_equal(window, joint[burn_in:])
+            np.testing.assert_array_equal(skipped, joint[burn_in:])
+            after = ref.random(3)
+            np.testing.assert_array_equal(rng.random(3), after)
+            np.testing.assert_array_equal(skipping.random(3), after)
 
     @pytest.mark.parametrize("steps", [0, 1, 2, 30])
     @pytest.mark.parametrize("dim", [2, 5, 9])
@@ -464,6 +471,37 @@ class TestExperimentDiffs:
             finally:
                 tracemalloc.stop()
             assert peak < max(burn, window + contamination) + blocks, (spec, peak / window)
+
+    def test_one_step_runs_no_variance_recursion(self, monkeypatch):
+        """Under ``one-step`` no variance is read, so neither the burn-in
+        nor the window runs the recursion; ``recursive`` still does."""
+        def no_recursion(*args, **kwargs):
+            raise AssertionError("variance recursion ran")
+
+        monkeypatch.setattr(sim_harness, "_variance_steps", no_recursion)
+        spec = DgpSpec(n=40, burn_in=30)
+        d_m, d_c = _experiment_diffs(spec, SETTINGS["ii"], reps=3, seed=5)
+        assert d_m.shape == d_c.shape == (3, 40)
+        with pytest.raises(AssertionError, match="recursion ran"):
+            _experiment_diffs(spec, SETTINGS["ii"], reps=3, seed=5, variance_mode="recursive")
+
+    def test_one_step_holds_no_burn_in_innovations(self):
+        """Under ``one-step`` a long burn-in costs one stream's burn-in and
+        window normals at a time: the peak holds the window, the
+        disturbances, a few blocks and that one stream's scratch, far below
+        the burn-in innovations of all replications (1.6 MB here)."""
+        spec, reps = DgpSpec(n=40, burn_in=800), 50
+        window = spec.n * reps * spec.dim * 8
+        contamination = 2 * 2 * reps * spec.n * 8  # (dm, dc) of both forecasters
+        blocks = 12 * BLOCK * reps * spec.dim * 8
+        scratch = (spec.burn_in + spec.n) * spec.dim * 8
+        tracemalloc.start()
+        try:
+            _experiment_diffs(spec, SETTINGS["ii"], reps=reps, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < window + contamination + blocks + scratch, peak
 
     @pytest.mark.parametrize("mode", VARIANCE_MODES)
     def test_window_is_generated_in_blocks(self, mode):
