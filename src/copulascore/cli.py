@@ -298,8 +298,13 @@ def _matrix_compare(args, hypothesis: Hypothesis, hac: HacConfig) -> int:
     # stacked differences small.  The pair in the other order has the
     # negated differences, so its result follows exactly by swapped().
     for i in range(k - 1):
-        batch = _two_step_batch(d_m[i] - d_m[i + 1:], d_c[i] - d_c[i + 1:], hac,
-                                args.alpha, (hypothesis,))
+        try:
+            batch = _two_step_batch(d_m[i] - d_m[i + 1:], d_c[i] - d_c[i + 1:], hac,
+                                    args.alpha, (hypothesis,))
+        except ValueError as exc:
+            if hasattr(exc, "row"):  # a failed series: row r is the pair (i, i + 1 + r)
+                exc.args = (f"{models[i]} vs {models[i + 1 + exc.row]}: {exc}",)
+            raise
         for j, ij, ji in zip(range(i + 1, k), batch.outcome[0], batch.swapped().outcome[0]):
             labels[i][j], labels[j][i] = _LABELS[ij], _LABELS[ji]
 
@@ -390,12 +395,10 @@ def cmd_simulate(args) -> int:
 
 
 def _parse_base(text: str) -> Copula:
-    if text == "independence":
-        return Independence(2)
-    if text == "comonotone":
-        return Comonotone(2)
-    if text == "countermonotone":
-        return Countermonotone()
+    named = {"independence": Independence, "comonotone": Comonotone,
+             "countermonotone": Countermonotone}
+    if text in named:
+        return named[text]()  # each in dimension 2
     if text.startswith("gaussian:"):
         value = text.split(":", 1)[1]
         try:

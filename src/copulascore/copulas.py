@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist_math import EquiCorr, _check_seed, _is_integer, norm_cdf, norm_quantile
+from .dist_math import EquiCorr, _check_count, norm_cdf, norm_quantile
 
 __all__ = [
     "Copula",
@@ -36,20 +36,13 @@ LOWER_RIGHT = "lower-right"
 _DIRECTIONS = (UPPER_RIGHT, LOWER_RIGHT)
 
 
-def _check_count(n) -> None:
-    if not _is_integer(n) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-
-
 class Copula(abc.ABC):
     """A d-dimensional copula: cdf on [0,1]^d with uniform marginals."""
 
     dim: int
 
     def __post_init__(self):
-        dim = self.dim
-        if not _is_integer(dim) or dim < 2:
-            raise ValueError(f"dim must be an integer >= 2, got {dim!r}")
+        _check_count("dim", self.dim, 2)
 
     def cdf(self, u) -> float:
         u = np.asarray(u, dtype=float)
@@ -67,8 +60,8 @@ class Copula(abc.ABC):
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         """Draw ``n`` i.i.d. points in [0,1]^dim, deterministic given ``seed``."""
-        _check_count(n)
-        _check_seed(seed)
+        _check_count("n", n, 0)
+        _check_count("seed", seed, 0)
         return self._sample(n, np.random.default_rng(seed))
 
 
@@ -189,8 +182,8 @@ class Mixture2D(Copula):
 
     def sample_labeled(self, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
         """Sample points together with the index of the block each came from."""
-        _check_count(n)
-        _check_seed(seed)
+        _check_count("n", n, 0)
+        _check_count("seed", seed, 0)
         return self._sample_labeled(n, np.random.default_rng(seed))
 
 

@@ -28,19 +28,14 @@ __all__ = [
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def _is_integer(value) -> bool:
-    """True for Python and numpy integers.  ``bool`` is an ``int`` subclass,
-    but ``True`` is no count."""
+def _check_count(name: str, value, least: int) -> None:
+    """Refuse all but Python and numpy integers >= ``least``.  ``bool`` is an
+    ``int`` subclass, but ``True`` is no count, and numpy's seeding would take
+    ``None`` as fresh entropy."""
     # the exact-type test skips the slower abstract-class check for plain ints
-    return type(value) is int or (isinstance(value, Integral) and not isinstance(value, bool))
-
-
-def _check_seed(seed) -> None:
-    """Reject anything but a non-negative Python or numpy integer seed.
-    numpy's seeding takes ``None`` as fresh entropy and ``True`` as 1, and
-    its error for a float does not name the seed."""
-    if not (_is_integer(seed) and seed >= 0):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    integer = type(value) is int or (isinstance(value, Integral) and not isinstance(value, bool))
+    if not (integer and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -54,8 +49,7 @@ class EquiCorr:
     rho: float
 
     def __post_init__(self) -> None:
-        if not _is_integer(self.dim) or self.dim < 2:
-            raise ValueError(f"dim must be an integer >= 2, got {self.dim!r}")
+        _check_count("dim", self.dim, 2)
         lo = -1.0 / (self.dim - 1)
         if not lo < self.rho < 1.0:
             raise ValueError(

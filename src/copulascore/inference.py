@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .dist_math import _is_integer, bvn_rect_prob, norm_cdf, norm_pdf, norm_quantile
+from .dist_math import _check_count, bvn_rect_prob, norm_cdf, norm_pdf, norm_quantile
 from .scoring import BivariateScore
 
 __all__ = [
@@ -126,8 +126,7 @@ class HacConfig:
     weights: str = "zero"
 
     def __post_init__(self):
-        if not _is_integer(self.lags) or self.lags < 0:
-            raise ValueError(f"lags must be an integer >= 0, got {self.lags!r}")
+        _check_count("lags", self.lags, 0)
         if self.weights not in HAC_WEIGHTS:
             raise ValueError("weights must be one of " + ", ".join(map(repr, HAC_WEIGHTS)))
         if self.weights == "zero" and self.lags > 0:
@@ -230,13 +229,15 @@ def score_diffs(
     return ScoreDiffSeries(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1])
 
 
-def _long_run_cov(x: np.ndarray, cfg: HacConfig) -> np.ndarray:
-    """Long-run covariances of a stack of series, ``x`` of shape (R, n, 2),
-    as an (R, 2, 2) array: the lag-0 outer-product average (divisor n) plus
+def _long_run_cov(d_m: np.ndarray, d_c: np.ndarray, cfg: HacConfig) -> np.ndarray:
+    """Long-run covariances of the rows of ``d_m`` and ``d_c`` (R, n) as an
+    (R, 2, 2) array: the lag-0 outer-product average (divisor n) plus
     weighted symmetrized cross-lag sums up to the cutoff, one stacked
-    ``matmul`` per lag; ``x`` is demeaned in place.  An overflow leaves a
-    non-finite entry, which the test reports as a ``LongRunCovError``."""
-    n = x.shape[1]
+    ``matmul`` per lag.  An overflow leaves a non-finite entry, which the
+    test reports as a ``LongRunCovError``."""
+    n = d_m.shape[1]
+    # np.stack would add a Python-level wrapper to this concatenation
+    x = np.concatenate((d_m[..., None], d_c[..., None]), axis=-1)
     with np.errstate(over="ignore", invalid="ignore"):
         # np.add.reduce / n is x.mean without its Python-level wrapper
         x -= np.add.reduce(x, axis=1, keepdims=True) / n
@@ -248,24 +249,18 @@ def _long_run_cov(x: np.ndarray, cfg: HacConfig) -> np.ndarray:
     return cov
 
 
-def _stack(d_m: np.ndarray, d_c: np.ndarray) -> np.ndarray:
-    """The (R, n, 2) stack of the (R, n) components."""
-    x = np.empty((*d_m.shape, 2))
-    x[..., 0], x[..., 1] = d_m, d_c
-    return x
-
-
 def hac_cov(d: ScoreDiffSeries, cfg: HacConfig) -> LongRunCov:
     """Long-run covariance of one series: the R = 1 case of the stacked
     estimator that the batched test uses."""
     _check_lag_cutoff(d.n, cfg)
-    cov = _long_run_cov(_stack(d.d_m[None], d.d_c[None]), cfg)[0]
+    cov = _long_run_cov(d.d_m[None], d.d_c[None], cfg)[0]
     return LongRunCov(s_mm=float(cov[0, 0]), s_mc=float(cov[0, 1]), s_cc=float(cov[1, 1]))
 
 
 def _check_level(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    # at alpha <= 2**-52, 1 - alpha/4 rounds to 1: no first-step critical value
+    if not (0.0 < alpha < 1.0 and 1.0 - alpha / 4.0 < 1.0):
+        raise ValueError(f"alpha must lie in (0, 1) and exceed 2**-52 = 2.2e-16, got {alpha!r}")
 
 
 def _check_lag_cutoff(n: int, cfg: HacConfig) -> None:
@@ -446,7 +441,7 @@ def _two_step(
     hypothesis at once, as ``_calibrate`` does.
 
     Raises the error that testing the rows one by one, each under every
-    hypothesis in turn, would raise first.
+    hypothesis in turn, would raise first, with its row index as ``row``.
     """
     s_mm, s_mc, s_cc = omega
     sides = np.array([_SIDES[h] for h in hypotheses])[:, None]
@@ -529,7 +524,9 @@ def _two_step(
         c2[:, idx] = cal_c2.reshape(-1, m)
         errors.update(((int(rows[i]), i // m), e) for i, e in failed.items())
     if errors:
-        raise errors[min(errors)]
+        first = min(errors)
+        errors[first].row = first[0]
+        raise errors[first]
     outcome = _decide(stat_m, stat_c, c1, c2, sides)
     return _Batch(sides, stat_m, stat_c, *omega, c1, c2, outcome, zero_m | zero_c, shrunk)
 
@@ -551,7 +548,7 @@ def _two_step_batch(
         raise ValueError("need at least 2 periods")
     _check_level(alpha)
     _check_lag_cutoff(n, cfg)
-    cov = _long_run_cov(_stack(d_m, d_c), cfg)
+    cov = _long_run_cov(d_m, d_c, cfg)
     omega = cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1]
     return _two_step(d_m, d_c, omega, cfg, alpha, hypotheses, partial(_calibrate, alpha))
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist_math import EquiCorr, _check_seed, _is_integer
+from .dist_math import EquiCorr, _check_count
 from .inference import HacConfig, Hypothesis, _check_lag_cutoff, _check_level, _two_step_batch
 from .scoring import score_arrays
 
@@ -72,13 +72,9 @@ class DgpSpec:
     burn_in: int = 500
 
     def __post_init__(self):
-        for name in ("n", "burn_in"):
-            value = getattr(self, name)
-            # NaN, floats such as 300.0 and bools fail here, not in the array shapes
-            if not _is_integer(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.n < 2:
-            raise ValueError("n must be >= 2")
+        # NaN, floats such as 300.0 and bools fail here, not in the array shapes
+        _check_count("n", self.n, 2)
+        _check_count("burn_in", self.burn_in, 0)
         # Each check is written so that NaN fails it.
         if not (math.isfinite(self.omega0) and self.omega0 > 0.0):
             raise ValueError(f"omega0 must be finite and > 0, got {self.omega0!r}")
@@ -87,8 +83,6 @@ class DgpSpec:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         if self.alpha0 + self.beta0 >= 1.0:
             raise ValueError("alpha0 + beta0 < 1 required for covariance stationarity")
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be >= 0")
         EquiCorr(self.dim, self.rho)  # validates rho against the dimension
 
     @property
@@ -252,7 +246,7 @@ def simulate_path(spec: DgpSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Simulate one path; returns (Y, sigma) of shape (n, dim) over the
     evaluation window, where sigma holds the true conditional volatilities.
     The burn-in steps are run but not returned."""
-    _check_seed(seed)
+    _check_count("seed", seed, 0)
     h, eps = _paths(spec, [np.random.default_rng(seed)])
     var = np.empty((spec.n, 1, 1, spec.dim))
     _variance_steps(spec, eps, h, var)
@@ -369,11 +363,8 @@ def run_experiment(
     Rows are independent, so the table does not depend on the chunk size,
     and the first chunk that raises holds the earliest bad replication.
     """
-    if not _is_integer(reps):
-        raise ValueError(f"reps must be an integer, got {reps!r}")
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    _check_seed(seed)
+    _check_count("reps", reps, 1)
+    _check_count("seed", seed, 0)
     # the level and lag checks of every test, before anything is drawn
     _check_level(alpha)
     _check_lag_cutoff(spec.n, hac)

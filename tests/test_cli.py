@@ -435,6 +435,17 @@ class TestCompareCommand:
         assert main(["compare", "--scores", str(FIXTURES / name)]) == 0
         assert len(reads) == 1
 
+    @pytest.mark.parametrize(
+        "source, path", [("--scores", "synthetic_scores.csv"), ("--matrix", "synthetic_model_scores")]
+    )
+    def test_level_below_resolution_named(self, source, path, capsys):
+        # 1 - alpha/4 rounds to 1: this used to exit with the error of
+        # norm_quantile, which does not name alpha
+        rc = main(["compare", source, str(FIXTURES / path), "--alpha", "1e-17"])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        assert err == "error: alpha must lie in (0, 1) and exceed 2**-52 = 2.2e-16, got 1e-17\n"
+
     def test_calibration_failure_exit_nonzero(self, monkeypatch, capsys):
         monkeypatch.setattr(inference, "_SOLVER_MAX_ITER", 1)
         rc = main(["compare", "--scores", str(FIXTURES / "synthetic_scores.csv")])
@@ -708,9 +719,21 @@ class TestMatrixMode:
         (d / "c.csv").write_text(text)
         assert main(["compare", "--matrix", str(d)]) == 1
         assert capsys.readouterr().err == (
-            "error: both score-difference components are degenerate; "
+            "error: b vs c: both score-difference components are degenerate; "
             "the forecasts carry no ranking information\n"
         )
+
+    def test_failing_pair_named(self, tmp_path, capsys):
+        # model_h copies model_c: row 4 of the batch of model_c (index 2)
+        d = tmp_path / "dup"
+        d.mkdir()
+        for p in (FIXTURES / "synthetic_model_scores").glob("*.csv"):
+            (d / p.name).write_bytes(p.read_bytes())
+        (d / "model_h.csv").write_bytes((d / "model_c.csv").read_bytes())
+        assert main(["compare", "--matrix", str(d)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: model_c vs model_h: both score-difference components")
 
     def test_needs_two_files(self, tmp_path, capsys):
         d = tmp_path / "one"
@@ -789,6 +812,8 @@ class TestSimulateCommand:
     @pytest.mark.parametrize(
         "flags, message",
         [(["--alpha", "1.5"], "alpha must lie in (0, 1)"),
+         # 1 - alpha/4 rounds to 1; this used to draw a chunk, then fail
+         (["--alpha", "1e-17"], "alpha must lie in (0, 1) and exceed 2**-52 = 2.2e-16, got 1e-17"),
          (["--hac-lags", "400", "--hac-weights", "bartlett"],
           "series length 300 must exceed lag cutoff 400"),
          (["--hac-lags", "4"], "lag cutoff 4 has no effect under weights 'zero'")],
@@ -813,7 +838,7 @@ class TestSimulateCommand:
         rc = main(["simulate", "--setting", "i", "--n", "50", "--reps", "2", "--seed", "-1",
                    "--out", str(tmp_path / "x")])
         assert rc == 1
-        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     def test_invalid_setting_rejected(self, tmp_path):

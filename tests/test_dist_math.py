@@ -319,7 +319,7 @@ class TestSeedCheck:
     @pytest.mark.parametrize("entry", SEEDED_ENTRIES)
     def test_invalid_seed_named(self, entry, seed):
         # True used to run as seed 1 and None as fresh entropy
-        with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0, got "):
             SEEDED_ENTRIES[entry](seed)
 
     @pytest.mark.parametrize("seed", [np.int64(3), np.uint8(3)])

@@ -176,13 +176,13 @@ class TestHacCov:
 
     @pytest.mark.parametrize("lags", [2.5, math.nan, "3", -1])
     def test_lags_must_be_a_nonnegative_integer(self, lags):
-        with pytest.raises(ValueError, match="lags"):
+        with pytest.raises(ValueError, match="^lags must be an integer >= 0, got "):
             HacConfig(lags=lags)
 
     @pytest.mark.parametrize("lags", [True, False])
     def test_bool_lags_rejected(self, lags):
         # bool is an int subclass: lags=True used to reach the report as true
-        with pytest.raises(ValueError, match="^lags must be an integer"):
+        with pytest.raises(ValueError, match="^lags must be an integer >= 0, got "):
             HacConfig(lags=lags)
 
     def test_numpy_integer_lags_accepted(self):
@@ -448,6 +448,33 @@ class TestTwoStepTest:
         d = ScoreDiffSeries(np.arange(10.0), np.arange(10.0) % 3)
         with pytest.raises(ValueError):
             two_step_test(d, HacConfig(), 0.0, Hypothesis.EQUAL)
+
+    # a calibrated series and one with a zero component, which takes the
+    # fallback and used to pass at 2**-52; at 2**-52, 1 - alpha/4 rounds to
+    # 1, so there is no first-step critical value
+    LEVEL_SERIES = {
+        "calibrated": ScoreDiffSeries(np.arange(10.0), np.arange(10.0) % 3),
+        "fallback": ScoreDiffSeries(np.zeros(10), np.arange(10.0) % 3),
+    }
+    LEVEL_MESSAGE = r"^alpha must lie in \(0, 1\) and exceed 2\*\*-52 = 2\.2e-16, got "
+
+    @pytest.mark.parametrize("hypothesis", list(Hypothesis))
+    @pytest.mark.parametrize("series", LEVEL_SERIES)
+    def test_smallest_level(self, series, hypothesis):
+        d = self.LEVEL_SERIES[series]
+        with pytest.raises(ValueError, match=self.LEVEL_MESSAGE):
+            two_step_test(d, HacConfig(), 2.0**-52, hypothesis)
+        res = two_step_test(d, HacConfig(), math.nextafter(2.0**-52, 1.0), hypothesis)
+        assert res.degenerate_fallback == (series == "fallback")
+        assert math.isfinite(res.c2)
+
+    @pytest.mark.parametrize("hypothesis", list(Hypothesis))
+    def test_smallest_level_critical_values(self, hypothesis):
+        om = hac_cov(self.LEVEL_SERIES["calibrated"], HacConfig())
+        with pytest.raises(ValueError, match=self.LEVEL_MESSAGE):
+            critical_values(om, 2.0**-52, hypothesis)
+        c1, c2 = critical_values(om, math.nextafter(2.0**-52, 1.0), hypothesis)
+        assert math.isfinite(c1) and math.isfinite(c2)
 
     def test_hypothesis_accepts_strings(self):
         rng = np.random.default_rng(89)

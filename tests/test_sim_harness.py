@@ -59,17 +59,29 @@ class TestDgpSpec:
         with pytest.raises(ValueError, match=field):
             DgpSpec(n=100, **{field: value})
 
+    # the least value each length field accepts
+    LEAST = {"n": 2, "burn_in": 0}
+
     @pytest.mark.parametrize("field", ["n", "burn_in"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, 2.5, 300.0, "300"])
     def test_non_integer_length_named(self, field, value):
-        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        message = f"^{field} must be an integer >= {self.LEAST[field]}, got "
+        with pytest.raises(ValueError, match=message):
             DgpSpec(**{"n": 100, field: value})
+
+    @pytest.mark.parametrize("field", ["n", "burn_in"])
+    def test_length_below_least_named(self, field):
+        least = self.LEAST[field]
+        message = f"^{field} must be an integer >= {least}, got {least - 1}$"
+        with pytest.raises(ValueError, match=message):
+            DgpSpec(**{"n": 100, field: least - 1})
 
     @pytest.mark.parametrize("field", ["n", "burn_in"])
     @pytest.mark.parametrize("value", [True, False])
     def test_bool_length_named(self, field, value):
         # bool is an int subclass: burn_in=True used to run one burn-in step
-        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        message = f"^{field} must be an integer >= {self.LEAST[field]}, got "
+        with pytest.raises(ValueError, match=message):
             DgpSpec(**{"n": 100, field: value})
 
     def test_numpy_integer_lengths_accepted(self):
@@ -644,11 +656,11 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(spec, bad, reps=2, alpha=0.05, seed=1)
 
-    @pytest.mark.parametrize("reps", [True, 2.0, 1.5, "3", np.float64(2.0)])
+    @pytest.mark.parametrize("reps", [True, 2.0, 1.5, "3", np.float64(2.0), 0])
     def test_non_integer_reps_named(self, reps):
         # reps=True used to write True into the table's reps column
         spec = DgpSpec(n=30, burn_in=5)
-        with pytest.raises(ValueError, match="^reps must be an integer"):
+        with pytest.raises(ValueError, match="^reps must be an integer >= 1, got "):
             run_experiment(spec, SETTINGS["i"], reps=reps, alpha=0.05, seed=1)
 
     def test_numpy_integer_reps_accepted(self):
@@ -665,6 +677,15 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="variance mode"):
             run_experiment(spec, SETTINGS["i"], reps=2, alpha=0.05, seed=1, variance_mode="bogus")
 
+    def test_smallest_level(self, monkeypatch):
+        spec = DgpSpec(n=30, burn_in=5)
+        rows = run_experiment(spec, SETTINGS["i"], reps=2, alpha=math.nextafter(2.0**-52, 1.0),
+                              seed=1)
+        assert len(rows) == 2
+        monkeypatch.setattr(sim_harness, "_rep_rng", lambda *a: pytest.fail("drawn"))
+        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\) and exceed 2\*\*-52"):
+            run_experiment(spec, SETTINGS["i"], reps=2, alpha=2.0**-52, seed=1)
+
     @pytest.mark.parametrize("seed", [-1, 2.5, True, None, "3", np.float64(1.0), math.nan])
     def test_invalid_seed_named_before_drawing(self, seed, monkeypatch):
         # seed=True used to run and write True into the table's seed column
@@ -673,7 +694,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(sim_harness, "_rep_rng", no_draws)
         spec = DgpSpec(n=30, burn_in=5)
-        with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0, got "):
             run_experiment(spec, SETTINGS["i"], reps=2, alpha=0.05, seed=seed)
 
     def test_numpy_integer_seed_accepted(self):
