@@ -54,6 +54,7 @@ HAC_WEIGHTS = ("zero", "bartlett", "truncated")
 
 _SOLVER_PROB_TOL = 1e-12
 _SOLVER_MAX_ITER = 200
+_ALPHA_MIN = 2000 * _SOLVER_PROB_TOL  # alpha/2 is 1000 tolerances: the level holds to 0.1%
 
 
 class Hypothesis(str, enum.Enum):
@@ -258,9 +259,8 @@ def hac_cov(d: ScoreDiffSeries, cfg: HacConfig) -> LongRunCov:
 
 
 def _check_level(alpha: float) -> None:
-    # at alpha <= 2**-52, 1 - alpha/4 rounds to 1: no first-step critical value
-    if not (0.0 < alpha < 1.0 and 1.0 - alpha / 4.0 < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1) and exceed 2**-52 = 2.2e-16, got {alpha!r}")
+    if not _ALPHA_MIN <= alpha < 1.0:  # written so that NaN fails
+        raise ValueError(f"alpha must lie in (0, 1) and be at least {_ALPHA_MIN:g}, got {alpha!r}")
 
 
 def _check_lag_cutoff(n: int, cfg: HacConfig) -> None:

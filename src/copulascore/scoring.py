@@ -85,7 +85,7 @@ def score_arrays(y, sigma, rho) -> tuple[np.ndarray, np.ndarray]:
     copula.  Inputs are not validated: pass finite ``y``, positive ``sigma``
     and ``rho`` inside the equicorrelation range.  Coordinates are summed
     in numpy's order for the layout passed in: left to right when dim <= 7
-    or when the dimension is the outermost axis in memory, else pairwise.
+    or when the dimension is not the innermost axis in memory, else pairwise.
     """
     y = np.asarray(y, dtype=float)
     z = y / sigma

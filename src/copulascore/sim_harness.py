@@ -6,26 +6,26 @@ One path generator, :func:`_paths`, serves :func:`simulate_path` and the
 replications: it draws every stream's burn-in innovations, runs and frees
 them, then draws every stream's window (:func:`_draw_noise`), or under
 ``one-step`` drops each stream's burn-in normals from its window's draw.
-Each replication stream then draws its forecaster disturbances
-(:func:`_draw_contamination`), so within a stream the order stays burn-in,
-window, forecaster 1's (dm, dc), forecaster 2's (a superblock of time
-steps at a time: its dm, its dc n words on, then a step back).  Both
+Each replication stream then draws both forecasters' disturbances
+(:func:`_draw_contamination`) a superblock of time steps at a time, each
+piece where one whole-window draw puts it, so within a stream the order
+stays burn-in, window, forecaster 1's (dm, dc), forecaster 2's.  Both
 forecasters are scored by :func:`copulascore.scoring.score_arrays`.
 Replication streams are split from the master seed by spawn key, so
 results are bit-identical regardless of batching or execution order.
 
 One variance recursion, :func:`_variance_steps`, runs time-major over a
-stacked state of shape (rows, ..., dim): row 0 is the true variance, and
+stacked state of shape (rows, dim, reps): row 0 is the true variance, and
 under ``recursive`` rows 1 and 2 are the two forecasters' own variances.
-Burn-in steps advance the true variance but are not stored.
+Burn-in steps advance the state but are not stored.
 :func:`_experiment_diffs` scores the window in blocks of time steps,
-dimension outermost, each forecaster on the innovations against its
+replications innermost, each forecaster on the innovations against its
 standard deviation over the true one: only ``recursive`` runs the
-recursion over the window.  Each block's differences overwrite spent
-disturbances, so beyond the window's innovations and forecaster 1's
-(dm, dc) it holds one superblock and one block.  :func:`run_experiment`
-draws and tests the replications in chunks of a fixed number of
-innovations, so its peak memory does not grow with the replication count.
+recursion over the window.  Each block's differences overwrite its own
+spent innovations, so beyond the window's it holds one superblock of
+disturbances and one block.  :func:`run_experiment` draws and tests the
+replications in chunks of a fixed number of innovations, so its peak
+memory does not grow with the replication count.
 """
 
 from __future__ import annotations
@@ -159,19 +159,19 @@ def _draw_noise(
     ``rngs`` after ``skip`` dropped steps, time-major, shape (steps,
     len(rngs), dim); ``chol`` is the Cholesky factor of their correlation.
 
-    The normals are filled in stream order, so the burn-in and the window
-    drawn by two calls, or by one that skips the burn-in, are the rows of
-    one draw of both.  A single row would be multiplied on numpy's
-    matrix-vector path, whose result can differ in the last bit from the
-    same row of a longer product, so it is padded with a row of zeros."""
-    # each stream fills its own contiguous rows; callers get a time-major view
-    eps = np.empty((len(rngs), steps, len(chol)))
+    Behind the view is a C-contiguous (dim, len(rngs), steps) buffer, filled
+    in stream order, so the burn-in and the window drawn by two calls, or by
+    one that skips the burn-in, are the rows of one draw of both.  A single
+    row would be multiplied on numpy's matrix-vector path, whose result can
+    differ in the last bit from the same row of a longer product, so it is
+    padded with a row of zeros."""
+    eps = np.empty((len(chol), len(rngs), steps))
     for r, rng in enumerate(rngs):
         z = rng.standard_normal((skip + steps, len(chol)))[skip:]
         if steps == 1:
             z = np.vstack((z, np.zeros_like(z)))
-        eps[r] = (z @ chol.T)[:steps]
-    return eps.transpose(1, 0, 2)
+        eps[:, r] = (z @ chol.T)[:steps].T
+    return eps.transpose()
 
 
 def _draw_contamination(
@@ -199,15 +199,15 @@ def _variance_steps(
     innovations ``eps``: ``h`` is advanced in place, step by step, and
     returned.
 
-    ``h`` has shape (rows, ..., dim).  Row 0 is the true variance: step t
-    draws the observation sqrt(h[0]) * eps[t], and every row then takes
-    one GARCH step on that observation.  Rows 1: are the forecasters'
-    recursive variances; with ``dm``, of shape (steps, rows - 1, ..., 1),
+    ``h`` has shape (rows, *eps.shape[1:]).  Row 0 is the true variance:
+    step t draws the observation sqrt(h[0]) * eps[t], and every row then
+    takes one GARCH step on that observation.  Rows 1: are the forecasters'
+    recursive variances; with ``dm``, of shape (steps, rows - 1, ...),
     step t first scales them by the forecasters' disturbances dm[t].  When
     ``var`` is given, its row t receives the variances of all rows that
     step t's observation was drawn with; the observations are not kept."""
-    # per-step temporaries, reused: sqrt(h[0]) * e and omega0 + alpha0 * y**2
-    y_t, shock = np.empty(h.shape[1:]), np.empty(h.shape[1:])
+    # per-step temporaries like h[0], reused: sqrt(h[0]) * e, omega0 + alpha0 * y**2
+    y_t, shock = np.empty_like(h[0]), np.empty_like(h[0])
     for t, e in enumerate(eps):
         if dm is not None:
             h[1:] *= dm[t]
@@ -223,22 +223,23 @@ def _variance_steps(
 
 
 def _paths(
-    spec: DgpSpec, rngs: list[np.random.Generator], variances: bool = True
+    spec: DgpSpec, rngs: list[np.random.Generator], rows: int = 1
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """The paths of the streams in ``rngs`` up to their evaluation window:
-    the burned-in true variances, shape (1, len(rngs), dim), and the window
-    innovations, time-major, shape (n, len(rngs), dim).
+    ``rows`` copies of the burned-in true variances, shape (rows, dim,
+    len(rngs)), and the window innovations from :func:`_draw_noise`, shape
+    (n, len(rngs), dim).
 
     Every stream's burn-in is drawn first, then every stream's window.  The
     variance recursion starts at the stationary variance, and the burn-in
     innovations only advance it; they are passed on unnamed, so they are
-    freed before the window is drawn.  Without ``variances``, the
-    variances are None and the burn-in is skipped in the window's draw."""
+    freed before the window is drawn.  With no rows, the variances are None
+    and the burn-in is skipped in the window's draw."""
     chol = np.linalg.cholesky(EquiCorr(spec.dim, spec.rho).matrix())
-    if not variances:
+    if not rows:
         return None, _draw_noise(chol, rngs, spec.n, spec.burn_in)
-    h = np.full((1, len(rngs), spec.dim), spec.stationary_variance)
-    h = _variance_steps(spec, _draw_noise(chol, rngs, spec.burn_in), h)
+    h = np.full((rows, spec.dim, len(rngs)), spec.stationary_variance)
+    h = _variance_steps(spec, _draw_noise(chol, rngs, spec.burn_in).transpose(0, 2, 1), h)
     return h, _draw_noise(chol, rngs, spec.n)
 
 
@@ -248,22 +249,23 @@ def simulate_path(spec: DgpSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:
     The burn-in steps are run but not returned."""
     _check_count("seed", seed, 0)
     h, eps = _paths(spec, [np.random.default_rng(seed)])
-    var = np.empty((spec.n, 1, 1, spec.dim))
-    _variance_steps(spec, eps, h, var)
-    sigma = np.sqrt(var[:, 0, 0])
+    var = np.empty((spec.n, 1, spec.dim, 1))
+    _variance_steps(spec, eps.transpose(0, 2, 1), h, var)
+    sigma = np.sqrt(var[:, 0, :, 0])
     return sigma * eps[:, 0], sigma
 
 
 # Time steps per block of _experiment_diffs.  Only the stacked variance
-# state, (rows, reps, dim), carries from one block to the next.  A block's
-# innovations and variances are transposed views of buffers with the
-# dimension outermost, so the per-coordinate sums of scoring add whole
-# (steps, reps) planes.  Every array of a block, scoring temporaries
-# included, stays far below one chunk's window innovations, so the peak is
-# set by the draws; longer blocks keep more temporaries alive next to the
-# innovations and buy no speed.  Forecaster 2's (dm, dc) are drawn one
-# superblock at a time (1 MB at 120 replications), a whole number of
-# blocks, and a block ends at the end of its superblock.
+# state, (rows, dim, reps), carries from one block to the next.  A block's
+# innovations and variances are buffers with the replications innermost and
+# the dimension next: each step of the recursion works on (dim, reps) rows,
+# and scoring sums the coordinates as whole rows, left to right.  Every array
+# of a block, scoring temporaries included, stays far below one chunk's
+# window innovations, so the peak is set by the draws; longer blocks keep
+# more temporaries alive next to the innovations and buy no speed.  Both
+# forecasters' (dm, dc) are drawn one superblock at a time (2 MB at 120
+# replications), replications innermost as in a block, and a block ends
+# at its superblock's end.
 _BLOCK_STEPS = 16
 _SUPERBLOCK_STEPS = 512
 
@@ -285,56 +287,54 @@ def _experiment_diffs(
 
     Row r depends only on (seed, first + r); see :func:`_rep_rng`.  The
     replications' streams give their window innovations (:func:`_paths`),
-    then forecaster 1's disturbances whole and forecaster 2's a superblock
-    of ``_SUPERBLOCK_STEPS`` steps at a time: its dm, its dc n words on,
-    then a step back of n if more follow.  In blocks of ``_BLOCK_STEPS``
-    time steps, each forecaster is scored on the
+    then both forecasters' disturbances one superblock of
+    ``_SUPERBLOCK_STEPS`` steps at a time, by one rule: from superblock
+    offset s, forecaster 1's dm, its dc n words on, forecaster 2's dm and
+    dc n and 2n words further, then a step back of 3n if more follow.  In
+    blocks of ``_BLOCK_STEPS`` time steps, each forecaster is scored on the
     innovations against the square root of its variance over the true one,
     the only way the true variance enters a difference.  Under ``one-step``
     that ratio is dm[t] and the window runs no recursion; under
     ``recursive`` one recursion runs the forecasters' own variances, from
     dm[0] * sigma2_true[0], in rows 1 and 2 of a stacked state beside the
-    true variance in row 0.  Once both forecasters of a block are scored,
-    the block's differences overwrite forecaster 1's (dm, dc) for those
-    steps, which nothing reads again, and those two arrays are the result.
-    Memory holds the window's innovations plus forecaster 1's disturbances,
-    one superblock of forecaster 2's and one block at a time; ``recursive``
-    first holds the burn-in's, ``one-step`` one stream's normals at a time.
+    true variance in row 0.  A block first copies its innovations, which
+    both the recursion and scoring read, and then writes its differences
+    over its own first two innovation coordinates, which nothing reads
+    again: those two planes of the innovation buffer are the result.
+    Memory holds the window's innovations, one superblock of both
+    forecasters' disturbances and one block at a time; ``recursive`` first
+    holds the burn-in's, ``one-step`` one stream's normals at a time.
     """
     if variance_mode not in VARIANCE_MODES:
         raise ValueError("variance mode must be " + " or ".join(map(repr, VARIANCE_MODES)))
     rngs = [_rep_rng(seed, first + r) for r in range(reps)]
     recursive = variance_mode == "recursive"
-    h, eps = _paths(spec, rngs, recursive)
+    h, eps = _paths(spec, rngs, 3 if recursive else 0)
+    d_m, d_c = eps.T[:2]  # (reps, n) planes, overwritten block by block
     n = int(spec.n)  # advance overflows on a numpy integer
-    # each stream goes on with forecaster 1's (dm, dc), each of shape (reps, n)
-    d_m, d_c = draws = np.empty((2, reps, n))
-    for r, rng in enumerate(rngs):
-        draws[:, r] = _draw_contamination(setting.spec1, n, rng)
-    draws2 = np.empty((2, reps, min(n, _SUPERBLOCK_STEPS)))
-    if recursive:
-        h = h.repeat(3, axis=0)
+    draws = np.empty((2, 2, min(n, _SUPERBLOCK_STEPS), reps))  # (forecaster, dm|dc, steps, reps)
     for s in range(0, n, _SUPERBLOCK_STEPS):
         steps = min(_SUPERBLOCK_STEPS, n - s)
-        # forecaster 2's dm goes on, its dc n words on as in one whole-window draw
+        gap = n - steps  # words between the pieces, as in one whole-window draw
         for r, rng in enumerate(rngs):
-            draws2[:, r, :steps] = _draw_contamination(setting.spec2, steps, rng, n - steps)
+            draws[0, :, :steps, r] = _draw_contamination(setting.spec1, steps, rng, gap)
+            if gap:
+                rng.bit_generator.advance(gap)
+            draws[1, :, :steps, r] = _draw_contamination(setting.spec2, steps, rng, gap)
             if s + steps < n:
-                rng.bit_generator.advance(-n)
-        forecasters = (draws[..., s : s + steps], draws2[..., :steps])
+                rng.bit_generator.advance(-3 * n)
+        draws[:, 1, :steps] *= spec.rho  # both forecasters' correlations
         for a in range(0, steps, _BLOCK_STEPS):
             b = min(a + _BLOCK_STEPS, steps)
-            e = np.ascontiguousarray(eps[s + a : s + b].transpose(2, 0, 1)).transpose(1, 2, 0)
-            # both forecasters' variances over the true one, (steps, 2, reps, 1)
-            ratio = np.stack([f[0, :, a:b].T for f in forecasters], 1)[..., None]
+            e = np.ascontiguousarray(eps[s + a : s + b].transpose(0, 2, 1))  # (steps, dim, reps)
+            # views per forecaster: variances over the true one, correlations
+            ratio, rho = draws[:, 0, a:b, None], draws[:, 1, a:b]
             if recursive:  # at each step dm scales the forecasters' own variances
-                var = np.empty((3, spec.dim, b - a, reps)).transpose(2, 0, 3, 1)
-                h = _variance_steps(spec, eps[s + a : s + b], h, var, ratio)
-                ratio = np.divide(var[:, 1:], var[:, :1], out=var[:, 1:])
-            sd = np.sqrt(ratio, out=ratio)
-            scores = [score_arrays(e, sd[:, k], spec.rho * dc[:, a:b].T)
-                      for k, (_, dc) in enumerate(forecasters)]
-            (sm1, sc1), (sm2, sc2) = scores
+                var = np.empty((3, b - a, spec.dim, reps))
+                h = _variance_steps(spec, e, h, var.swapaxes(0, 1), ratio.swapaxes(0, 1))
+                ratio = np.divide(var[1:], var[:1], out=var[1:])
+            sd, e = np.sqrt(ratio, out=ratio).swapaxes(2, 3), e.swapaxes(1, 2)
+            (sm1, sc1), (sm2, sc2) = (score_arrays(e, sd[k], rho[k]) for k in (0, 1))
             np.subtract(sm1, sm2, out=d_m[:, s + a : s + b].T)
             np.subtract(sc1, sc2, out=d_c[:, s + a : s + b].T)
     return d_m, d_c

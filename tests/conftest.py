@@ -1,9 +1,9 @@
 """Shared fixtures: one lazily filled cache of 2000-replication experiment
-runs, so the acceptance criteria and the harness property tests never repeat
-a simulation; an adaptive-quadrature oracle for bivariate normal rectangle
-probabilities; the step rejection probabilities of a pair of critical
-values; and a dense-matrix oracle for the Gaussian equicorrelation copula
-density."""
+runs, keyed by (setting, n, variance mode), so the acceptance criteria and
+the harness property tests never repeat a simulation; an adaptive-quadrature
+oracle for bivariate normal rectangle probabilities; the step rejection
+probabilities of a pair of critical values; and a dense-matrix oracle for
+the Gaussian equicorrelation copula density."""
 
 import math
 import time
@@ -15,7 +15,7 @@ from scipy.special import ndtr
 
 from copulascore.dist_math import bvn_rect_prob
 from copulascore.inference import Hypothesis
-from copulascore.sim_harness import SETTINGS, DgpSpec, run_experiment
+from copulascore.sim_harness import SETTINGS, VARIANCE_MODES, DgpSpec, run_experiment
 
 MASTER_SEED = 20260809
 REPS = 2000
@@ -25,12 +25,13 @@ _cache: dict = {}
 _seconds: dict = {}
 
 
-def _get(setting: str, n: int):
-    key = (setting, n)
+def _get(setting: str, n: int, variance_mode: str = VARIANCE_MODES[0]):
+    key = (setting, n, variance_mode)
     if key not in _cache:
         start = time.perf_counter()
         table = run_experiment(
-            DgpSpec(n=n), SETTINGS[setting], reps=REPS, alpha=ALPHA, seed=MASTER_SEED
+            DgpSpec(n=n), SETTINGS[setting], reps=REPS, alpha=ALPHA, seed=MASTER_SEED,
+            variance_mode=variance_mode,
         )
         _seconds[key] = time.perf_counter() - start
         _cache[key] = {row.hypothesis: row for row in table}

@@ -439,12 +439,15 @@ class TestCompareCommand:
         "source, path", [("--scores", "synthetic_scores.csv"), ("--matrix", "synthetic_model_scores")]
     )
     def test_level_below_resolution_named(self, source, path, capsys):
-        # 1 - alpha/4 rounds to 1: this used to exit with the error of
-        # norm_quantile, which does not name alpha
-        rc = main(["compare", source, str(FIXTURES / path), "--alpha", "1e-17"])
+        # just below the smallest level, where the second-step solver's
+        # absolute tolerance is 0.1% of alpha/2
+        rc = main(["compare", source, str(FIXTURES / path), "--alpha", "1.9999999999999997e-09"])
         out, err = capsys.readouterr()
         assert rc == 1 and out == ""
-        assert err == "error: alpha must lie in (0, 1) and exceed 2**-52 = 2.2e-16, got 1e-17\n"
+        assert err == (
+            "error: alpha must lie in (0, 1) and be at least 2e-09, got 1.9999999999999997e-09\n"
+        )
+        assert main(["compare", source, str(FIXTURES / path), "--alpha", "2e-09"]) == 0
 
     def test_calibration_failure_exit_nonzero(self, monkeypatch, capsys):
         monkeypatch.setattr(inference, "_SOLVER_MAX_ITER", 1)
@@ -812,8 +815,9 @@ class TestSimulateCommand:
     @pytest.mark.parametrize(
         "flags, message",
         [(["--alpha", "1.5"], "alpha must lie in (0, 1)"),
-         # 1 - alpha/4 rounds to 1; this used to draw a chunk, then fail
-         (["--alpha", "1e-17"], "alpha must lie in (0, 1) and exceed 2**-52 = 2.2e-16, got 1e-17"),
+         # just below the smallest level
+         (["--alpha", "1.9999999999999997e-09"],
+          "alpha must lie in (0, 1) and be at least 2e-09, got 1.9999999999999997e-09"),
          (["--hac-lags", "400", "--hac-weights", "bartlett"],
           "series length 300 must exceed lag cutoff 400"),
          (["--hac-lags", "4"], "lag cutoff 4 has no effect under weights 'zero'")],

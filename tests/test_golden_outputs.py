@@ -6,8 +6,9 @@ The digests in ``golden_digests.json`` pin the outputs: a refactor must
 leave them unchanged, and a change that alters digits has to regenerate the
 file and say which digits changed and why.
 
-The nine acceptance tables that the ``conftest.py`` session cache computes
-are pinned too, by a digest of their exact ``FreqRow`` values.
+The twelve acceptance tables that the ``conftest.py`` session cache
+computes, nine under ``one-step`` and three under ``recursive``, are pinned
+too, by a digest of their exact ``FreqRow`` values.
 
 Regenerate the digests with
 
@@ -19,8 +20,9 @@ of the full acceptance study runs
     PYTHONPATH=src python tests/test_golden_outputs.py --tables DIR
 
 on two commits and compares the directories with ``diff -r``: it writes the
-``simulate`` stdout, CSV and JSON of all 15 acceptance-seed tables (settings
-i-v at n = 150, 300 and 600) to DIR and leaves the digests alone.
+``simulate`` stdout, CSV and JSON of all 18 acceptance-seed tables (settings
+i-v at n = 150, 300 and 600, and the ``recursive`` tables of settings i, ii
+and iv at n = 300) to DIR and leaves the digests alone.
 """
 
 import argparse
@@ -37,7 +39,7 @@ import pytest
 from conftest import ALPHA, MASTER_SEED, REPS, _get
 
 from copulascore.cli import main
-from copulascore.sim_harness import SETTINGS
+from copulascore.sim_harness import SETTINGS, VARIANCE_MODES
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = Path(__file__).with_name("golden_digests.json")
@@ -85,8 +87,18 @@ for _base in ("independence", "comonotone", "countermonotone", "gaussian:0.5"):
         )
 
 
-# the (setting, n) keys of the acceptance tables in the session cache
-CACHED_TABLES = [("i", 150)] + [(s, n) for s in ("ii", "iii", "iv", "v") for n in (150, 300)]
+# the (setting, n, variance mode) keys of the acceptance tables in the session cache
+CACHED_TABLES = (
+    [("i", 150, "one-step")]
+    + [(s, n, "one-step") for s in ("ii", "iii", "iv", "v") for n in (150, 300)]
+    + [(s, 300, "recursive") for s in ("i", "ii", "iv")]
+)
+
+
+def table_stem(setting: str, n: int, mode: str) -> str:
+    """The --tables file stem and the test id of one table; "table-" + stem
+    is its digest key."""
+    return f"{setting}-{n}" + ("" if mode == VARIANCE_MODES[0] else f"-{mode}")
 
 
 def _main_stdout(argv: list[str]) -> str:
@@ -121,15 +133,17 @@ def table_digest(rows) -> str:
 
 def write_acceptance_tables(out: Path) -> None:
     """Write stdout, CSV and JSON of ``simulate`` at the acceptance seed for
-    every setting at n = 150, 300 and 600 to ``out``."""
+    every setting at n = 150, 300 and 600, and of the ``recursive`` tables
+    of the session cache, to ``out``."""
     out = out.resolve()
     out.mkdir(parents=True, exist_ok=True)
-    for setting in sorted(SETTINGS):
-        for n in (150, 300, 600):
-            prefix = out / f"{setting}-{n}"
-            argv = ["simulate", "--setting", setting, "--n", str(n), "--reps", str(REPS),
-                    "--alpha", str(ALPHA), "--seed", str(MASTER_SEED), "--out", str(prefix)]
-            Path(f"{prefix}.stdout").write_text(_main_stdout(argv), encoding="utf-8")
+    tables = [(s, n, VARIANCE_MODES[0]) for s in sorted(SETTINGS) for n in (150, 300, 600)]
+    for setting, n, mode in tables + [t for t in CACHED_TABLES if t[2] != VARIANCE_MODES[0]]:
+        prefix = out / table_stem(setting, n, mode)
+        argv = ["simulate", "--setting", setting, "--n", str(n), "--reps", str(REPS),
+                "--alpha", str(ALPHA), "--seed", str(MASTER_SEED), "--variance-mode", mode,
+                "--out", str(prefix)]
+        Path(f"{prefix}.stdout").write_text(_main_stdout(argv), encoding="utf-8")
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -138,10 +152,14 @@ def test_output_digest(name, tmp_path):
     assert run_case(name, tmp_path) == expected[name]
 
 
-@pytest.mark.parametrize("setting,n", CACHED_TABLES)
-def test_acceptance_table_digest(setting, n, freq):
+@pytest.mark.parametrize(
+    "setting,n,mode", CACHED_TABLES,
+    ids=[table_stem(*key) for key in CACHED_TABLES],
+)
+def test_acceptance_table_digest(setting, n, mode, freq):
     expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
-    assert table_digest(freq(setting, n).values()) == expected[f"table-{setting}-{n}"]
+    key = f"table-{table_stem(setting, n, mode)}"
+    assert table_digest(freq(setting, n, mode).values()) == expected[key]
 
 
 def regenerate_digests() -> None:
@@ -150,8 +168,8 @@ def regenerate_digests() -> None:
     for name in sorted(CASES):
         with tempfile.TemporaryDirectory() as d:
             digests[name] = run_case(name, Path(d))
-    for setting, n in CACHED_TABLES:
-        digests[f"table-{setting}-{n}"] = table_digest(_get(setting, n).values())
+    for key in CACHED_TABLES:
+        digests[f"table-{table_stem(*key)}"] = table_digest(_get(*key).values())
     digests = dict(sorted(digests.items()))
     for name, digest in digests.items():
         if name not in old:
@@ -169,10 +187,10 @@ if __name__ == "__main__":
         description="Regenerate the golden digests, or write the acceptance tables."
     )
     parser.add_argument("--tables", type=Path, metavar="DIR",
-                        help="write the 15 acceptance-seed simulate tables to DIR instead")
+                        help="write the 18 acceptance-seed simulate tables to DIR instead")
     args = parser.parse_args()
     if args.tables is None:
         regenerate_digests()
     else:
         write_acceptance_tables(args.tables)
-        print(f"wrote 15 tables to {args.tables}")
+        print(f"wrote 18 tables to {args.tables}")

@@ -312,6 +312,20 @@ class TestSecondStepSolver:
             c1, c2 = critical_values(om, 0.05, hypothesis)
             assert abs(oracle_second_step_prob(om, c1, c2, hypothesis) - 0.025) <= 1e-11
 
+    @pytest.mark.parametrize("hypothesis", list(Hypothesis))
+    def test_level_held_at_the_smallest_alpha(self, hypothesis):
+        # The solver stops within 1e-12 of alpha/2, absolutely; at the
+        # smallest accepted level, 2e-9, that is 0.1% of alpha/2, and by
+        # quadrature each second step is within 1e-3 of alpha/2 (4.2e-4
+        # measured).  At 1e-11 the error reached 0.18 (lex, rho = 0.999).
+        alpha = inference._ALPHA_MIN
+        assert alpha == 2e-9
+        for rho in (-0.95, -0.5, 0.0, 0.5, 0.9, 0.999):
+            om = LongRunCov(1.0, rho, 1.0)
+            c1, c2 = critical_values(om, alpha, hypothesis)
+            p2 = oracle_second_step_prob(om, c1, c2, hypothesis)
+            assert abs(p2 / (alpha / 2.0) - 1.0) <= 1e-3, rho
+
     @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1, 0.2])
     def test_equal_residual_in_two_sided_form(self, alpha):
         # The solver doubles the one-sided strip; the README's 1e-12 must
@@ -450,21 +464,22 @@ class TestTwoStepTest:
             two_step_test(d, HacConfig(), 0.0, Hypothesis.EQUAL)
 
     # a calibrated series and one with a zero component, which takes the
-    # fallback and used to pass at 2**-52; at 2**-52, 1 - alpha/4 rounds to
-    # 1, so there is no first-step critical value
+    # fallback; below 2e-9 the solver's absolute tolerance of 1e-12 is more
+    # than 0.1% of alpha/2, and at 1e-11 the level was off by 18%
     LEVEL_SERIES = {
         "calibrated": ScoreDiffSeries(np.arange(10.0), np.arange(10.0) % 3),
         "fallback": ScoreDiffSeries(np.zeros(10), np.arange(10.0) % 3),
     }
-    LEVEL_MESSAGE = r"^alpha must lie in \(0, 1\) and exceed 2\*\*-52 = 2\.2e-16, got "
+    LEVEL_MESSAGE = r"^alpha must lie in \(0, 1\) and be at least 2e-09, got 1\.99+7e-09$"
+    BELOW_FLOOR = math.nextafter(2e-9, 0.0)
 
     @pytest.mark.parametrize("hypothesis", list(Hypothesis))
     @pytest.mark.parametrize("series", LEVEL_SERIES)
     def test_smallest_level(self, series, hypothesis):
         d = self.LEVEL_SERIES[series]
         with pytest.raises(ValueError, match=self.LEVEL_MESSAGE):
-            two_step_test(d, HacConfig(), 2.0**-52, hypothesis)
-        res = two_step_test(d, HacConfig(), math.nextafter(2.0**-52, 1.0), hypothesis)
+            two_step_test(d, HacConfig(), self.BELOW_FLOOR, hypothesis)
+        res = two_step_test(d, HacConfig(), 2e-9, hypothesis)
         assert res.degenerate_fallback == (series == "fallback")
         assert math.isfinite(res.c2)
 
@@ -472,8 +487,8 @@ class TestTwoStepTest:
     def test_smallest_level_critical_values(self, hypothesis):
         om = hac_cov(self.LEVEL_SERIES["calibrated"], HacConfig())
         with pytest.raises(ValueError, match=self.LEVEL_MESSAGE):
-            critical_values(om, 2.0**-52, hypothesis)
-        c1, c2 = critical_values(om, math.nextafter(2.0**-52, 1.0), hypothesis)
+            critical_values(om, self.BELOW_FLOOR, hypothesis)
+        c1, c2 = critical_values(om, 2e-9, hypothesis)
         assert math.isfinite(c1) and math.isfinite(c2)
 
     def test_hypothesis_accepts_strings(self):

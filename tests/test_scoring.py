@@ -157,7 +157,7 @@ class TestScoreArrays:
         rng = np.random.default_rng(31)
         steps, reps = 5, 4
         y = rng.standard_normal((steps, reps, dim))
-        if outer:  # the dimension-outer layout of the Monte Carlo blocks
+        if outer:  # the dimension outermost in memory
             y = np.ascontiguousarray(y.transpose(2, 0, 1)).transpose(1, 2, 0)
         sigma = rng.uniform(0.3, 2.0, (steps, reps, 1))
         rho = rng.uniform(-0.1, 0.9, (steps, reps))

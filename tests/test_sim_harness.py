@@ -245,7 +245,7 @@ class TestContamination:
     @pytest.mark.parametrize("width", [0.0, 0.3])
     @pytest.mark.parametrize("k", [1, 7, 40])
     def test_advanced_copy_continues_joint_uniform_draw(self, k, width):
-        """The RNG contract that lets forecaster 2's (dm, dc) over k steps
+        """The RNG contract that lets a forecaster's (dm, dc) over k steps
         be drawn from its stream a superblock at a time: every uniform takes
         one 64-bit word, whatever the normals before it took, so pieces of
         dm and dc drawn ``k`` minus the piece length apart, each pair
@@ -392,10 +392,10 @@ class TestExperimentDiffs:
         """Bit for bit up to dimension 7: batching replications changes
         only the layout."""
         spec = DgpSpec(n=30, dim=dim, rho=0.4, burn_in=burn_in)
-        # The blocks add their dimension-outer planes left to right.  numpy
-        # sums the reference's contiguous last axis in that order up to 7
-        # coordinates and pairwise, in eight interleaved partial sums, from
-        # 8 on, so there the two differ by rounding.
+        # The blocks add their coordinates, whole rows of replications,
+        # left to right.  numpy sums the reference's contiguous last axis in
+        # that order up to 7 coordinates and pairwise, in eight interleaved
+        # partial sums, from 8 on, so there the two differ by rounding.
         self._assert_equals_per_replication_loop(spec, reps, mode, atol=1e-12 if dim >= 8 else 0.0)
 
     @pytest.mark.parametrize("mode", VARIANCE_MODES)
@@ -416,10 +416,10 @@ class TestExperimentDiffs:
     @pytest.mark.parametrize("block", [BLOCK, 5])
     @pytest.mark.parametrize("steps", ["one block", "short last", "n", "n + block"])
     def test_superblock_size_does_not_change_results(self, monkeypatch, steps, block, mode):
-        """Bit for bit whatever the superblock length: forecaster 2's dm
-        drawn on from each stream and its dc n words further on, one
-        superblock at a time with a step back after each, are the draws of
-        one whole-window pass, and the blocks end at each superblock's end."""
+        """Bit for bit whatever the superblock length: both forecasters'
+        dm and dc drawn from each stream n words apart, one superblock at a
+        time with a step back of 3n after each, are the draws of one
+        whole-window pass, and the blocks end at each superblock's end."""
         spec = DgpSpec(n=4 * BLOCK + 7, dim=3, rho=0.4, burn_in=6)
         setting = SETTINGS["iii"]
         ref_m, ref_c = _experiment_diffs(spec, setting, reps=3, seed=8, variance_mode=mode)
@@ -437,9 +437,9 @@ class TestExperimentDiffs:
     def test_block_boundaries_equal_per_replication_loop(self, monkeypatch, n, burn_in, mode):
         """Bit for bit: the window split into blocks of time steps, with
         the GARCH state and the recursive forecasts carried across each
-        boundary, and into superblocks of two blocks, whose forecaster 2
-        draws come a superblock at a time, matches one uninterrupted loop
-        over one whole draw of each disturbance."""
+        boundary, and into superblocks of two blocks, whose disturbances
+        come a superblock at a time, matches one uninterrupted loop over one
+        whole draw of each disturbance."""
         monkeypatch.setattr(sim_harness, "_SUPERBLOCK_STEPS", 2 * BLOCK)
         spec = DgpSpec(n=n, dim=3, rho=0.4, burn_in=burn_in)
         self._assert_equals_per_replication_loop(spec, 3, mode)
@@ -538,9 +538,9 @@ class TestExperimentDiffs:
     @pytest.mark.parametrize("mode", VARIANCE_MODES)
     def test_differences_overwrite_consumed_draws(self, mode):
         """Beyond the draws, the peak holds one block and one replication's
-        draw temporaries: each block's differences are written over
-        forecaster 1's disturbances for those steps, so no output arrays
-        are allocated.  At dim 2 two (reps, n) outputs are a whole
+        draw temporaries: each block's differences are written over its own
+        first two innovation coordinates, which it has copied, so no output
+        arrays are allocated.  At dim 2 two (reps, n) outputs are a whole
         window."""
         spec = DgpSpec(n=2000, dim=2, burn_in=10)
         reps = 20
@@ -557,10 +557,11 @@ class TestExperimentDiffs:
 
     @pytest.mark.parametrize("mode", VARIANCE_MODES)
     def test_second_forecaster_drawn_a_superblock_at_a_time(self, mode):
-        """Beyond the innovations and forecaster 1's (dm, dc), which become
-        the outputs, the peak holds one superblock of forecaster 2's draws
-        and one block, far below half a window.  At dim 2, forecaster 2's
-        (dm, dc) drawn whole for the window are a whole window."""
+        """Beyond the innovations, which become the outputs, the peak holds
+        one superblock of both forecasters' draws and one block, far below
+        half a window; the bound also leaves room for forecaster 1's
+        (dm, dc).  At dim 2, forecaster 2's (dm, dc) drawn whole for the
+        window are a whole window."""
         spec = DgpSpec(n=8000, dim=2, burn_in=10)
         reps = 10
         window = spec.n * reps * spec.dim * 8
@@ -573,6 +574,25 @@ class TestExperimentDiffs:
         finally:
             tracemalloc.stop()
         assert peak < innovations + forecaster1 + window / 2, peak / window
+
+    @pytest.mark.parametrize("mode", VARIANCE_MODES)
+    def test_neither_forecaster_drawn_for_the_whole_window(self, mode):
+        """Beyond the innovations, the peak stays below a quarter window:
+        both forecasters' (dm, dc) are drawn one superblock at a time, and
+        the outputs are two planes of the innovations.  At dim 2, one
+        forecaster's (dm, dc) drawn whole for the window are a whole
+        window."""
+        spec = DgpSpec(n=8000, dim=2, burn_in=10)
+        reps = 10
+        window = spec.n * reps * spec.dim * 8
+        innovations = (spec.burn_in + spec.n) * reps * spec.dim * 8
+        tracemalloc.start()
+        try:
+            _experiment_diffs(spec, SETTINGS["ii"], reps=reps, seed=3, variance_mode=mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < innovations + window / 4, (peak - innovations) / window
 
     @pytest.mark.parametrize("mode", VARIANCE_MODES)
     @pytest.mark.parametrize("first", [1, 3, 7])
@@ -679,12 +699,11 @@ class TestRunExperiment:
 
     def test_smallest_level(self, monkeypatch):
         spec = DgpSpec(n=30, burn_in=5)
-        rows = run_experiment(spec, SETTINGS["i"], reps=2, alpha=math.nextafter(2.0**-52, 1.0),
-                              seed=1)
+        rows = run_experiment(spec, SETTINGS["i"], reps=2, alpha=2e-9, seed=1)
         assert len(rows) == 2
         monkeypatch.setattr(sim_harness, "_rep_rng", lambda *a: pytest.fail("drawn"))
-        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\) and exceed 2\*\*-52"):
-            run_experiment(spec, SETTINGS["i"], reps=2, alpha=2.0**-52, seed=1)
+        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\) and be at least 2e-09"):
+            run_experiment(spec, SETTINGS["i"], reps=2, alpha=math.nextafter(2e-9, 0.0), seed=1)
 
     @pytest.mark.parametrize("seed", [-1, 2.5, True, None, "3", np.float64(1.0), math.nan])
     def test_invalid_seed_named_before_drawing(self, seed, monkeypatch):
