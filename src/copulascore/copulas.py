@@ -199,8 +199,12 @@ def gaussian_logdensity_from_scores(dim: int, rho, z):
     # [()] turns a scalar rho into a numpy scalar, whose arithmetic skips the
     # ufunc machinery and rounds the same; an array rho stays an array
     rho = np.asarray(rho, dtype=float)[()]
-    ssq = np.add.reduce(z * z, axis=-1)
-    tot = np.add.reduce(z, axis=-1)
+    ssq, tot = np.add.reduce(z * z, axis=-1), np.add.reduce(z, axis=-1)
+    return _equicorr_logdensity(dim, rho, ssq, tot)
+
+
+def _equicorr_logdensity(dim: int, rho, ssq, tot):
+    """The same log density from the sum of squares and the sum of the scores."""
     logdet = (dim - 1) * np.log1p(-rho) + np.log1p((dim - 1) * rho)
     quad = (ssq - rho * (tot * tot) / (1.0 + (dim - 1) * rho)) / (1.0 - rho)
     return -0.5 * logdet - 0.5 * (quad - ssq)

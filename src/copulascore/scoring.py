@@ -88,11 +88,18 @@ def score_arrays(y, sigma, rho) -> tuple[np.ndarray, np.ndarray]:
     or when the dimension is not the innermost axis in memory, else pairwise.
     """
     y = np.asarray(y, dtype=float)
-    z = y / sigma
-    s_m = np.add.reduce(0.5 * _LOG_2PI + np.log(sigma) + 0.5 * z**2, axis=-1)
+    z, dim = y / sigma, y.shape[-1]
+    zz = z * z
+    ssq = np.add.reduce(zz, axis=-1)  # then log(sigma) fills zz: (..., 1) counts dim times
+    s_m = _marginal_score(dim, np.add.reduce(np.log(sigma, out=zz), axis=-1), ssq)
     # z is not needed again: the round trip to normal scores reuses its buffer
-    s_c = -gaussian_logdensity_from_scores(y.shape[-1], rho, ndtri(_pit(z, out=z), out=z))
+    s_c = -gaussian_logdensity_from_scores(dim, rho, ndtri(_pit(z, out=z), out=z))
     return s_m, s_c
+
+
+def _marginal_score(dim: int, log_sd, ssq):
+    """Summed marginal log-scores from the sums of log sigma and of z**2."""
+    return 0.5 * dim * _LOG_2PI + log_sd + 0.5 * ssq
 
 
 def bivariate_score(c: Copula, f: MarginalForecast, y) -> BivariateScore:
@@ -100,7 +107,7 @@ def bivariate_score(c: Copula, f: MarginalForecast, y) -> BivariateScore:
     one observation ``y`` of shape (dim,); the joint log-score is their sum.
     Validated per-observation form of :func:`score_arrays`."""
     y = np.asarray(y, dtype=float)
-    dim = f.dim
+    dim = f.sigma.size  # not the dim property: one Python call fewer
     if y.shape != (dim,):
         raise ValueError(f"y must have shape ({dim},), got {y.shape}")
     for v in y.tolist():
@@ -110,7 +117,7 @@ def bivariate_score(c: Copula, f: MarginalForecast, y) -> BivariateScore:
         raise ValueError("copula and marginal forecast dimensions differ")
     # an exact-type match, the common case first, skips the ABC instance check
     if isinstance(c, GaussianEquiCorr):
-        rho = c.rho
+        rho = c.corr.rho
     elif isinstance(c, Independence):
         rho = 0.0
     else:

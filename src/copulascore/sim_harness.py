@@ -5,12 +5,12 @@ tables for the two-step tests.
 One path generator, :func:`_paths`, serves :func:`simulate_path` and the
 replications: it draws every stream's burn-in innovations, runs and frees
 them, then draws every stream's window (:func:`_draw_noise`), or under
-``one-step`` drops each stream's burn-in normals from its window's draw.
-Each replication stream then draws both forecasters' disturbances
+``one-step`` drops each stream's burn-in normals from its window's draw and
+reduces the window as it is drawn to two sums per step.  Each replication
+stream then draws both forecasters' disturbances
 (:func:`_draw_contamination`) a superblock of time steps at a time, each
 piece where one whole-window draw puts it, so within a stream the order
-stays burn-in, window, forecaster 1's (dm, dc), forecaster 2's.  Both
-forecasters are scored by :func:`copulascore.scoring.score_arrays`.
+stays burn-in, window, forecaster 1's (dm, dc), forecaster 2's.
 Replication streams are split from the master seed by spawn key, so
 results are bit-identical regardless of batching or execution order.
 
@@ -18,14 +18,11 @@ One variance recursion, :func:`_variance_steps`, runs time-major over a
 stacked state of shape (rows, dim, reps): row 0 is the true variance, and
 under ``recursive`` rows 1 and 2 are the two forecasters' own variances.
 Burn-in steps advance the state but are not stored.
-:func:`_experiment_diffs` scores the window in blocks of time steps,
-replications innermost, each forecaster on the innovations against its
-standard deviation over the true one: only ``recursive`` runs the
-recursion over the window.  Each block's differences overwrite its own
-spent innovations, so beyond the window's it holds one superblock of
-disturbances and one block.  :func:`run_experiment` draws and tests the
-replications in chunks of a fixed number of innovations, so its peak
-memory does not grow with the replication count.
+:func:`_experiment_diffs` scores the forecasters from the two sums in closed
+form, or under ``recursive``, the only mode that runs the recursion, by
+:func:`copulascore.scoring.score_arrays`.  :func:`run_experiment` draws and
+tests the replications in chunks of a fixed number of innovations, so its
+peak memory does not grow with the replication count.
 """
 
 from __future__ import annotations
@@ -35,9 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .copulas import _equicorr_logdensity
 from .dist_math import EquiCorr, _check_count
 from .inference import HacConfig, Hypothesis, _check_lag_cutoff, _check_level, _two_step_batch
-from .scoring import score_arrays
+from .scoring import _marginal_score, score_arrays
 
 # Not called here; perfbench/child.py wraps these module attributes by name.
 from .copulas import gaussian_logdensity_from_scores  # noqa: F401
@@ -153,7 +151,7 @@ def _rep_rng(seed: int, rep: int) -> np.random.Generator:
 
 
 def _draw_noise(
-    chol: np.ndarray, rngs: list[np.random.Generator], steps: int, skip: int = 0
+    chol: np.ndarray, rngs: list[np.random.Generator], steps: int, skip: int = 0, sums=False
 ) -> np.ndarray:
     """The next ``steps`` correlated Gaussian innovations of each stream in
     ``rngs`` after ``skip`` dropped steps, time-major, shape (steps,
@@ -164,14 +162,19 @@ def _draw_noise(
     one that skips the burn-in, are the rows of one draw of both.  A single
     row would be multiplied on numpy's matrix-vector path, whose result can
     differ in the last bit from the same row of a longer product, so it is
-    padded with a row of zeros."""
-    eps = np.empty((len(chol), len(rngs), steps))
+    padded with a row of zeros.  With ``sums``, the innovations are reduced
+    as drawn to their sums and sums of squares per step: (2, len(rngs), steps)."""
+    out = np.empty((2 if sums else len(chol), len(rngs), steps))
     for r, rng in enumerate(rngs):
-        z = rng.standard_normal((skip + steps, len(chol)))[skip:]
+        e = rng.standard_normal((skip + steps, len(chol)))[skip:]
         if steps == 1:
-            z = np.vstack((z, np.zeros_like(z)))
-        eps[:, r] = (z @ chol.T)[:steps].T
-    return eps.transpose()
+            e = np.vstack((e, np.zeros_like(e)))
+        e = (e @ chol.T)[:steps].T  # (dim, steps); the normals are freed here
+        if sums:  # numpy adds the rows of a contiguous copy in order
+            e = np.ascontiguousarray(e)
+            e = np.add.reduce(e, axis=0), np.add.reduce(np.square(e, out=e), axis=0)
+        out[:, r] = e
+    return out if sums else out.transpose()
 
 
 def _draw_contamination(
@@ -234,10 +237,10 @@ def _paths(
     variance recursion starts at the stationary variance, and the burn-in
     innovations only advance it; they are passed on unnamed, so they are
     freed before the window is drawn.  With no rows, the variances are None
-    and the burn-in is skipped in the window's draw."""
+    and the window, its burn-in skipped, comes as :func:`_draw_noise` sums."""
     chol = np.linalg.cholesky(EquiCorr(spec.dim, spec.rho).matrix())
     if not rows:
-        return None, _draw_noise(chol, rngs, spec.n, spec.burn_in)
+        return None, _draw_noise(chol, rngs, spec.n, spec.burn_in, sums=True)
     h = np.full((rows, spec.dim, len(rngs)), spec.stationary_variance)
     h = _variance_steps(spec, _draw_noise(chol, rngs, spec.burn_in).transpose(0, 2, 1), h)
     return h, _draw_noise(chol, rngs, spec.n)
@@ -255,22 +258,16 @@ def simulate_path(spec: DgpSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return sigma * eps[:, 0], sigma
 
 
-# Time steps per block of _experiment_diffs.  Only the stacked variance
-# state, (rows, dim, reps), carries from one block to the next.  A block's
-# innovations and variances are buffers with the replications innermost and
-# the dimension next: each step of the recursion works on (dim, reps) rows,
-# and scoring sums the coordinates as whole rows, left to right.  Every array
-# of a block, scoring temporaries included, stays far below one chunk's
-# window innovations, so the peak is set by the draws; longer blocks keep
-# more temporaries alive next to the innovations and buy no speed.  Both
-# forecasters' (dm, dc) are drawn one superblock at a time (2 MB at 120
-# replications), replications innermost as in a block, and a block ends
-# at its superblock's end.
+# Time steps per block of _experiment_diffs and per superblock of both
+# forecasters' (dm, dc) (2 MB at 120 replications); a block ends at its
+# superblock's end.  A block's arrays stay far below one chunk's window, so
+# the draws set the peak; longer blocks hold more temporaries, no faster.
 _BLOCK_STEPS = 16
 _SUPERBLOCK_STEPS = 512
 
 # Innovations per chunk of run_experiment (float64, 32 MiB): a chunk holds
-# as many replications as fit, and at least one.
+# as many replications as fit, and at least one.  A one-step chunk holds only
+# sums, but larger ones measured no faster and hold more memory.
 _CHUNK_FLOATS = 1 << 22
 
 
@@ -286,33 +283,33 @@ def _experiment_diffs(
     contiguous arrays of shape (reps, n) each.
 
     Row r depends only on (seed, first + r); see :func:`_rep_rng`.  The
-    replications' streams give their window innovations (:func:`_paths`),
-    then both forecasters' disturbances one superblock of
-    ``_SUPERBLOCK_STEPS`` steps at a time, by one rule: from superblock
-    offset s, forecaster 1's dm, its dc n words on, forecaster 2's dm and
-    dc n and 2n words further, then a step back of 3n if more follow.  In
-    blocks of ``_BLOCK_STEPS`` time steps, each forecaster is scored on the
-    innovations against the square root of its variance over the true one,
-    the only way the true variance enters a difference.  Under ``one-step``
-    that ratio is dm[t] and the window runs no recursion; under
+    replications' streams give their windows (:func:`_paths`), then both
+    forecasters' disturbances one superblock of ``_SUPERBLOCK_STEPS`` steps
+    at a time, by one rule: from superblock offset s, forecaster 1's dm,
+    its dc n words on, forecaster 2's dm and dc n and 2n words further, then
+    a step back of 3n if more follow.  In blocks of ``_BLOCK_STEPS`` steps,
+    each forecaster is scored on the innovations against the square root of
+    its variance over the true one, and the differences overwrite two (reps,
+    n) planes of the window that nothing reads again.  Under ``one-step``
+    that ratio is dm_k[t], and the planes are S1 = sum eps and S2 = sum
+    eps**2 over the coordinates, all that the scores of the exact normal
+    scores eps / sqrt(dm_k) depend on; d_m overwrites S2, d_c S1.  Under
     ``recursive`` one recursion runs the forecasters' own variances, from
     dm[0] * sigma2_true[0], in rows 1 and 2 of a stacked state beside the
-    true variance in row 0.  A block first copies its innovations, which
-    both the recursion and scoring read, and then writes its differences
-    over its own first two innovation coordinates, which nothing reads
-    again: those two planes of the innovation buffer are the result.
-    Memory holds the window's innovations, one superblock of both
-    forecasters' disturbances and one block at a time; ``recursive`` first
-    holds the burn-in's, ``one-step`` one stream's normals at a time.
+    true variance in row 0, and the planes are the first two innovation
+    coordinates; a block copies its innovations, which both the recursion
+    and :func:`score_arrays` read.  Memory holds the window, one superblock
+    of disturbances and one block; ``recursive`` first holds the burn-in's
+    innovations, ``one-step`` one stream's normals at a time.
     """
     if variance_mode not in VARIANCE_MODES:
         raise ValueError("variance mode must be " + " or ".join(map(repr, VARIANCE_MODES)))
     rngs = [_rep_rng(seed, first + r) for r in range(reps)]
     recursive = variance_mode == "recursive"
-    h, eps = _paths(spec, rngs, 3 if recursive else 0)
-    d_m, d_c = eps.T[:2]  # (reps, n) planes, overwritten block by block
     n = int(spec.n)  # advance overflows on a numpy integer
+    h, eps = _paths(spec, rngs, 3 if recursive else 0)
     draws = np.empty((2, 2, min(n, _SUPERBLOCK_STEPS), reps))  # (forecaster, dm|dc, steps, reps)
+    d_m, d_c = eps.T[:2] if recursive else eps[::-1]  # (reps, n) planes of the window
     for s in range(0, n, _SUPERBLOCK_STEPS):
         steps = min(_SUPERBLOCK_STEPS, n - s)
         gap = n - steps  # words between the pieces, as in one whole-window draw
@@ -326,17 +323,23 @@ def _experiment_diffs(
         draws[:, 1, :steps] *= spec.rho  # both forecasters' correlations
         for a in range(0, steps, _BLOCK_STEPS):
             b = min(a + _BLOCK_STEPS, steps)
-            e = np.ascontiguousarray(eps[s + a : s + b].transpose(0, 2, 1))  # (steps, dim, reps)
+            t = slice(s + a, s + b)
             # views per forecaster: variances over the true one, correlations
-            ratio, rho = draws[:, 0, a:b, None], draws[:, 1, a:b]
+            ratio, rho = draws[:, 0, a:b], draws[:, 1, a:b]
             if recursive:  # at each step dm scales the forecasters' own variances
+                e = np.ascontiguousarray(eps[t].transpose(0, 2, 1))  # (steps, dim, reps)
                 var = np.empty((3, b - a, spec.dim, reps))
-                h = _variance_steps(spec, e, h, var.swapaxes(0, 1), ratio.swapaxes(0, 1))
+                dm = ratio[:, :, None].swapaxes(0, 1)  # (steps, forecaster, 1, reps)
+                h = _variance_steps(spec, e, h, var.swapaxes(0, 1), dm)
                 ratio = np.divide(var[1:], var[:1], out=var[1:])
-            sd, e = np.sqrt(ratio, out=ratio).swapaxes(2, 3), e.swapaxes(1, 2)
-            (sm1, sc1), (sm2, sc2) = (score_arrays(e, sd[k], rho[k]) for k in (0, 1))
-            np.subtract(sm1, sm2, out=d_m[:, s + a : s + b].T)
-            np.subtract(sc1, sc2, out=d_c[:, s + a : s + b].T)
+                sd, e = np.sqrt(ratio, out=ratio).swapaxes(2, 3), e.swapaxes(1, 2)
+                s_m, s_c = zip(*(score_arrays(e, sd[k], rho[k]) for k in (0, 1)))
+            else:  # the normal scores eps / sqrt(dm) enter only through their sums
+                ssq, tot = d_m.T[t] / ratio, d_c.T[t] / np.sqrt(ratio)
+                s_m = _marginal_score(spec.dim, 0.5 * spec.dim * np.log(ratio), ssq)
+                s_c = -_equicorr_logdensity(spec.dim, rho, ssq, tot)
+            np.subtract(*s_m, out=d_m.T[t])
+            np.subtract(*s_c, out=d_c.T[t])
     return d_m, d_c
 
 

@@ -14,7 +14,9 @@ from copulascore.copulas import (
     LOWER_RIGHT,
     Mixture2D,
     UPPER_RIGHT,
+    _equicorr_logdensity,
     gaussian_copula_logdensity,
+    gaussian_logdensity_from_scores,
 )
 from copulascore.dist_math import EquiCorr
 from copulascore.sim_harness import DgpSpec
@@ -232,6 +234,22 @@ class TestGaussianLogDensity:
         mean = dens.mean()
         se = dens.std(ddof=1) / math.sqrt(dens.size)
         assert abs(mean - 1.0) <= 3 * se
+
+    @pytest.mark.parametrize("end", ["lower", "upper"])
+    @pytest.mark.parametrize("dim", range(2, 10))
+    def test_density_from_sums_equals_density_from_scores(self, dim, end):
+        """The density sees the normal scores only through their sum of
+        squares and their sum: from those two sums it is the same bits,
+        near either end of the equicorrelation range and out to the 7.9
+        standard deviations of the clamped tails."""
+        rho = -1.0 / (dim - 1) + 1e-9 if end == "lower" else 1.0 - 1e-9
+        rng = np.random.default_rng(dim)
+        z = np.vstack([rng.standard_normal((100, dim)), rng.uniform(-7.9, 7.9, (100, dim)),
+                       np.full(dim, 7.9), np.full(dim, -7.9)])
+        ssq, tot = np.add.reduce(z * z, axis=-1), np.add.reduce(z, axis=-1)
+        got = _equicorr_logdensity(dim, rho, ssq, tot)
+        np.testing.assert_array_equal(got, gaussian_logdensity_from_scores(dim, rho, z))
+        assert np.isfinite(got).all()
 
     def test_vectorized_matches_scalar(self):
         from copulascore.copulas import gaussian_logdensity_from_scores

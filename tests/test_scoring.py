@@ -232,8 +232,9 @@ class TestDispatchCount:
         c = GaussianEquiCorr(EquiCorr(5, 0.3))
         y = np.array([0.1, -0.2, 0.3, 0.5, -1.0])
         bivariate_score(c, f, y)
-        # bivariate_score, score_arrays, _pit, gaussian_logdensity_from_scores,
-        # the dim and rho properties and BivariateScore.__new__; the finiteness
+        # bivariate_score, score_arrays, _pit, _marginal_score,
+        # gaussian_logdensity_from_scores and its _equicorr_logdensity, the
+        # copula's dim property and BivariateScore.__new__; the finiteness
         # check runs on Python floats, not through ndarray.all
         assert _python_calls(lambda: bivariate_score(c, f, y)) <= 8
 

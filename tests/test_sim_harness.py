@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from copulascore import sim_harness
-from copulascore.copulas import GaussianEquiCorr
+from copulascore.copulas import GaussianEquiCorr, _equicorr_logdensity
 from copulascore.dist_math import EquiCorr
 from copulascore.inference import HacConfig, Hypothesis, ScoreDiffSeries, two_step_test
-from copulascore.scoring import MarginalForecast, bivariate_score, score_arrays
+from copulascore.scoring import MarginalForecast, _marginal_score, bivariate_score, score_arrays
 from copulascore.sim_harness import (
     SETTINGS,
     VARIANCE_MODES,
@@ -339,7 +339,11 @@ class TestExperimentDiffs:
         the documented order, then a plain loop over time steps.  Each
         forecaster is scored on the innovations against the square root of
         its variance over the true one or, unstandardized, on the
-        observations against the square root of its variance."""
+        observations against the square root of its variance.  Standardized
+        under ``one-step``, the scores are those of the exact normal scores
+        eps / sqrt(dm), from the sum and the sum of squares of the step's
+        innovations, in the order of the implementation; otherwise they come
+        from ``score_arrays``, through its round trip to normal scores."""
         rng = _rep_rng(seed, r)
         chol = np.linalg.cholesky(EquiCorr(spec.dim, spec.rho).matrix())
         eps = rng.standard_normal((spec.burn_in + spec.n, spec.dim)) @ chol.T
@@ -363,12 +367,16 @@ class TestExperimentDiffs:
                     var = dm[t] * sigma2[t]
                 else:
                     var = dm[t] * (spec.omega0 + spec.alpha0 * y[t - 1] ** 2 + spec.beta0 * var)
-                if standardized:  # under one-step the ratio is dm itself
-                    ratio = dm[t] if mode == "one-step" else var / sigma2[t]
-                    x, sd = eps[spec.burn_in + t], np.sqrt(ratio)
+                e = eps[spec.burn_in + t]
+                if standardized and mode == "one-step":
+                    # the coordinates summed left to right
+                    s1, s2 = sum(e[1:], e[0]), sum(e[1:] * e[1:], e[0] * e[0])
+                    ssq, tot = s2 / dm[t], s1 / np.sqrt(dm[t])
+                    s_m = _marginal_score(spec.dim, 0.5 * spec.dim * np.log(dm[t]), ssq)
+                    s_c = -_equicorr_logdensity(spec.dim, spec.rho * dc[t], ssq, tot)
                 else:
-                    x, sd = y[t], np.sqrt(var)
-                s_m, s_c = score_arrays(x, sd, spec.rho * dc[t])
+                    x, sd = (e, np.sqrt(var / sigma2[t])) if standardized else (y[t], np.sqrt(var))
+                    s_m, s_c = score_arrays(x, sd, spec.rho * dc[t])
                 d_m[t] += sign * s_m
                 d_c[t] += sign * s_c
         return d_m, d_c
@@ -389,14 +397,17 @@ class TestExperimentDiffs:
     @pytest.mark.parametrize("reps", [1, 3])
     @pytest.mark.parametrize("dim", range(2, 10))
     def test_batch_equals_per_replication_loop(self, mode, burn_in, reps, dim):
-        """Bit for bit up to dimension 7: batching replications changes
-        only the layout."""
+        """Bit for bit, up to dimension 7 under ``recursive``: batching
+        replications changes only the layout."""
         spec = DgpSpec(n=30, dim=dim, rho=0.4, burn_in=burn_in)
-        # The blocks add their coordinates, whole rows of replications,
-        # left to right.  numpy sums the reference's contiguous last axis in
-        # that order up to 7 coordinates and pairwise, in eight interleaved
-        # partial sums, from 8 on, so there the two differ by rounding.
-        self._assert_equals_per_replication_loop(spec, reps, mode, atol=1e-12 if dim >= 8 else 0.0)
+        # Under recursive the blocks add their coordinates, whole rows of
+        # replications, left to right.  numpy sums the reference's contiguous
+        # last axis in that order up to 7 coordinates and pairwise, in eight
+        # interleaved partial sums, from 8 on, so there the two differ by
+        # rounding.  Under one-step both sum the coordinates left to right
+        # at every dimension.
+        atol = 1e-12 if dim >= 8 and mode == "recursive" else 0.0
+        self._assert_equals_per_replication_loop(spec, reps, mode, atol)
 
     @pytest.mark.parametrize("mode", VARIANCE_MODES)
     @pytest.mark.parametrize("steps", [1, 5, "n + 3"])
@@ -462,6 +473,30 @@ class TestExperimentDiffs:
             ref_m, ref_c = self._replication_by_steps(spec, setting, 17, r, mode, False)
             np.testing.assert_allclose(d_m[r], ref_m, rtol=0.0, atol=1e-11)
             np.testing.assert_allclose(d_c[r], ref_c, rtol=0.0, atol=1e-11)
+
+    @pytest.mark.parametrize("dim", [2, 5, 9])
+    def test_one_step_is_radially_symmetric(self, monkeypatch, dim):
+        """Bit for bit: the forecasts are centred Gaussian marginals joined
+        by a Gaussian copula, which is radially symmetric, so negating every
+        innovation where it is drawn changes no one-step score difference.
+        Scores through a round trip to normal scores that is less accurate
+        in the upper tail than in the lower one fail this."""
+        class Negated(np.random.Generator):
+            def standard_normal(self, *args, **kwargs):
+                return -super().standard_normal(*args, **kwargs)
+
+        spec = DgpSpec(n=2 * BLOCK + 5, dim=dim, rho=0.4, burn_in=9)
+        ref_m, ref_c = _experiment_diffs(spec, SETTINGS["v"], reps=4, seed=11)
+        monkeypatch.setattr(
+            sim_harness, "_rep_rng", lambda seed, rep: Negated(_rep_rng(seed, rep).bit_generator)
+        )
+        # the window's innovations come negated where they are drawn
+        chol = np.linalg.cholesky(EquiCorr(dim, 0.4).matrix())
+        negated = _draw_noise(chol, [sim_harness._rep_rng(11, 0)], spec.n)
+        np.testing.assert_array_equal(negated, -_draw_noise(chol, [_rep_rng(11, 0)], spec.n))
+        d_m, d_c = _experiment_diffs(spec, SETTINGS["v"], reps=4, seed=11)
+        np.testing.assert_array_equal(d_m, ref_m)
+        np.testing.assert_array_equal(d_c, ref_c)
 
     @pytest.mark.parametrize("mode", VARIANCE_MODES)
     def test_burn_in_is_not_stored(self, mode):
