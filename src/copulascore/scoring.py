@@ -83,9 +83,7 @@ def score_arrays(y, sigma, rho) -> tuple[np.ndarray, np.ndarray]:
     (..., 1) ``sigma`` is one scale for every coordinate.  ``rho`` is a
     scalar or broadcasts against the leading axes; 0 is the independence
     copula.  Inputs are not validated: pass finite ``y``, positive ``sigma``
-    and ``rho`` inside the equicorrelation range.  Coordinates are summed
-    in numpy's order for the layout passed in: left to right when dim <= 7
-    or when the dimension is not the innermost axis in memory, else pairwise.
+    and ``rho`` inside the equicorrelation range.
     """
     y = np.asarray(y, dtype=float)
     z, dim = y / sigma, y.shape[-1]

@@ -18,11 +18,13 @@ One variance recursion, :func:`_variance_steps`, runs time-major over a
 stacked state of shape (rows, dim, reps): row 0 is the true variance, and
 under ``recursive`` rows 1 and 2 are the two forecasters' own variances.
 Burn-in steps advance the state but are not stored.
-:func:`_experiment_diffs` scores the forecasters from the two sums in closed
-form, or under ``recursive``, the only mode that runs the recursion, by
-:func:`copulascore.scoring.score_arrays`.  :func:`run_experiment` draws and
-tests the replications in chunks of a fixed number of innovations, so its
-peak memory does not grow with the replication count.
+:func:`_experiment_diffs` scores both forecasters in closed form from three
+sums per step over the coordinates of the exact normal scores, each added
+left to right whatever the layout: under ``one-step`` from the window's two
+sums, under ``recursive``, the only mode that runs the recursion, from its
+variances.  :func:`run_experiment` draws and tests the replications in
+chunks of a fixed number of innovations, so its peak memory does not grow
+with the replication count.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 from .copulas import _equicorr_logdensity
 from .dist_math import EquiCorr, _check_count
 from .inference import HacConfig, Hypothesis, _check_lag_cutoff, _check_level, _two_step_batch
-from .scoring import _marginal_score, score_arrays
+from .scoring import _marginal_score
 
 # Not called here; perfbench/child.py wraps these module attributes by name.
 from .copulas import gaussian_logdensity_from_scores  # noqa: F401
@@ -170,9 +172,8 @@ def _draw_noise(
         if steps == 1:
             e = np.vstack((e, np.zeros_like(e)))
         e = (e @ chol.T)[:steps].T  # (dim, steps); the normals are freed here
-        if sums:  # numpy adds the rows of a contiguous copy in order
-            e = np.ascontiguousarray(e)
-            e = np.add.reduce(e, axis=0), np.add.reduce(np.square(e, out=e), axis=0)
+        if sums:  # the coordinates added left to right, as in _experiment_diffs
+            e = sum(e[1:], e[0]), sum(np.square(e, out=e)[1:], e[0])
         out[:, r] = e
     return out if sums else out.transpose()
 
@@ -288,19 +289,20 @@ def _experiment_diffs(
     at a time, by one rule: from superblock offset s, forecaster 1's dm,
     its dc n words on, forecaster 2's dm and dc n and 2n words further, then
     a step back of 3n if more follow.  In blocks of ``_BLOCK_STEPS`` steps,
-    each forecaster is scored on the innovations against the square root of
-    its variance over the true one, and the differences overwrite two (reps,
-    n) planes of the window that nothing reads again.  Under ``one-step``
-    that ratio is dm_k[t], and the planes are S1 = sum eps and S2 = sum
-    eps**2 over the coordinates, all that the scores of the exact normal
-    scores eps / sqrt(dm_k) depend on; d_m overwrites S2, d_c S1.  Under
-    ``recursive`` one recursion runs the forecasters' own variances, from
-    dm[0] * sigma2_true[0], in rows 1 and 2 of a stacked state beside the
-    true variance in row 0, and the planes are the first two innovation
-    coordinates; a block copies its innovations, which both the recursion
-    and :func:`score_arrays` read.  Memory holds the window, one superblock
-    of disturbances and one block; ``recursive`` first holds the burn-in's
-    innovations, ``one-step`` one stream's normals at a time.
+    each forecaster is scored from three sums over the coordinates of the
+    exact normal scores z = eps / sd, where sd is the square root of its
+    variance over the true one: of log sd, of z**2 and of z.  The
+    differences overwrite two (reps, n) planes of the window that nothing
+    reads again.  Under ``one-step`` sd is sqrt(dm_k[t]) in every
+    coordinate, so the sums follow from the planes S1 = sum eps and S2 = sum
+    eps**2; d_m overwrites S2, d_c S1.  Under ``recursive`` one recursion
+    runs the forecasters' own variances, from dm[0] * sigma2_true[0], in
+    rows 1 and 2 of a stacked state beside the true variance in row 0; a
+    block copies its innovations, which the recursion and the sums read,
+    and the planes are the first two innovation coordinates.  Memory holds
+    the window, one superblock of disturbances and one block; ``recursive``
+    first holds the burn-in's innovations, ``one-step`` one stream's
+    normals at a time.
     """
     if variance_mode not in VARIANCE_MODES:
         raise ValueError("variance mode must be " + " or ".join(map(repr, VARIANCE_MODES)))
@@ -331,15 +333,18 @@ def _experiment_diffs(
                 var = np.empty((3, b - a, spec.dim, reps))
                 dm = ratio[:, :, None].swapaxes(0, 1)  # (steps, forecaster, 1, reps)
                 h = _variance_steps(spec, e, h, var.swapaxes(0, 1), dm)
-                ratio = np.divide(var[1:], var[:1], out=var[1:])
-                sd, e = np.sqrt(ratio, out=ratio).swapaxes(2, 3), e.swapaxes(1, 2)
-                s_m, s_c = zip(*(score_arrays(e, sd[k], rho[k]) for k in (0, 1)))
+                sd = np.sqrt(np.divide(var[1:], var[:1], out=var[1:]), out=var[1:])
+                # coordinate-first views: (dim, forecaster, steps, reps)
+                log_sd = np.log(sd).transpose(2, 0, 1, 3)
+                z = np.divide(e, sd, out=sd).transpose(2, 0, 1, 3)
+                log_sd, tot = sum(log_sd[1:], log_sd[0]), sum(z[1:], z[0])
+                ssq = sum(np.square(z, out=z)[1:], z[0])
+                del var, sd, z  # so the next block's buffer is not allocated beside it
             else:  # the normal scores eps / sqrt(dm) enter only through their sums
                 ssq, tot = d_m.T[t] / ratio, d_c.T[t] / np.sqrt(ratio)
-                s_m = _marginal_score(spec.dim, 0.5 * spec.dim * np.log(ratio), ssq)
-                s_c = -_equicorr_logdensity(spec.dim, rho, ssq, tot)
-            np.subtract(*s_m, out=d_m.T[t])
-            np.subtract(*s_c, out=d_c.T[t])
+                log_sd = 0.5 * spec.dim * np.log(ratio)
+            np.subtract(*_marginal_score(spec.dim, log_sd, ssq), out=d_m.T[t])
+            np.subtract(*-_equicorr_logdensity(spec.dim, rho, ssq, tot), out=d_c.T[t])
     return d_m, d_c
 
 

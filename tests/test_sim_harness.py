@@ -339,10 +339,12 @@ class TestExperimentDiffs:
         the documented order, then a plain loop over time steps.  Each
         forecaster is scored on the innovations against the square root of
         its variance over the true one or, unstandardized, on the
-        observations against the square root of its variance.  Standardized
-        under ``one-step``, the scores are those of the exact normal scores
-        eps / sqrt(dm), from the sum and the sum of squares of the step's
-        innovations, in the order of the implementation; otherwise they come
+        observations against the square root of its variance.  Standardized,
+        the scores are those of the exact normal scores, from the sum of
+        log sd, the sum of squares and the sum of the step's normal scores,
+        each added left to right in the arithmetic of the implementation:
+        under ``one-step`` from the innovations' sums, sd = sqrt(dm), and
+        under ``recursive`` from z = eps / sd.  Unstandardized, they come
         from ``score_arrays``, through its round trip to normal scores."""
         rng = _rep_rng(seed, r)
         chol = np.linalg.cholesky(EquiCorr(spec.dim, spec.rho).matrix())
@@ -368,46 +370,47 @@ class TestExperimentDiffs:
                 else:
                     var = dm[t] * (spec.omega0 + spec.alpha0 * y[t - 1] ** 2 + spec.beta0 * var)
                 e = eps[spec.burn_in + t]
-                if standardized and mode == "one-step":
-                    # the coordinates summed left to right
-                    s1, s2 = sum(e[1:], e[0]), sum(e[1:] * e[1:], e[0] * e[0])
-                    ssq, tot = s2 / dm[t], s1 / np.sqrt(dm[t])
-                    s_m = _marginal_score(spec.dim, 0.5 * spec.dim * np.log(dm[t]), ssq)
-                    s_c = -_equicorr_logdensity(spec.dim, spec.rho * dc[t], ssq, tot)
+                if not standardized:
+                    s_m, s_c = score_arrays(y[t], np.sqrt(var), spec.rho * dc[t])
                 else:
-                    x, sd = (e, np.sqrt(var / sigma2[t])) if standardized else (y[t], np.sqrt(var))
-                    s_m, s_c = score_arrays(x, sd, spec.rho * dc[t])
+                    if mode == "one-step":  # from the innovations' sums
+                        log_sd = 0.5 * spec.dim * np.log(dm[t])
+                        ssq = sum(e[1:] * e[1:], e[0] * e[0]) / dm[t]
+                        tot = sum(e[1:], e[0]) / np.sqrt(dm[t])
+                    else:  # from the normal scores z = eps / sd
+                        sd = np.sqrt(var / sigma2[t])
+                        log_e, z = np.log(sd), e / sd
+                        log_sd = sum(log_e[1:], log_e[0])
+                        ssq, tot = sum(z[1:] * z[1:], z[0] * z[0]), sum(z[1:], z[0])
+                    s_m = _marginal_score(spec.dim, log_sd, ssq)
+                    s_c = -_equicorr_logdensity(spec.dim, spec.rho * dc[t], ssq, tot)
                 d_m[t] += sign * s_m
                 d_c[t] += sign * s_c
         return d_m, d_c
 
-    def _assert_equals_per_replication_loop(self, spec, reps, mode, atol=0.0):
+    def _assert_equals_per_replication_loop(self, spec, reps, mode):
         setting = Setting("x", ContaminationSpec(0.3, 0.4), ContaminationSpec(0.1, 0.2))
         d_m, d_c = _experiment_diffs(spec, setting, reps=reps, seed=17, variance_mode=mode)
         assert d_m.shape == d_c.shape == (reps, spec.n)
         assert d_m.flags.c_contiguous and d_c.flags.c_contiguous
         for r in range(reps):
             ref_m, ref_c = self._replication_by_steps(spec, setting, 17, r, mode)
-            # atol = 0 demands equality
-            np.testing.assert_allclose(d_m[r], ref_m, rtol=0.0, atol=atol)
-            np.testing.assert_allclose(d_c[r], ref_c, rtol=0.0, atol=atol)
+            np.testing.assert_array_equal(d_m[r], ref_m)
+            np.testing.assert_array_equal(d_c[r], ref_c)
 
     @pytest.mark.parametrize("mode", VARIANCE_MODES)
     @pytest.mark.parametrize("burn_in", [0, 1, 9])
     @pytest.mark.parametrize("reps", [1, 3])
     @pytest.mark.parametrize("dim", range(2, 10))
     def test_batch_equals_per_replication_loop(self, mode, burn_in, reps, dim):
-        """Bit for bit, up to dimension 7 under ``recursive``: batching
-        replications changes only the layout."""
+        """Bit for bit at every dimension: batching replications changes
+        only the layout.  In both modes the implementation adds the
+        coordinates one at a time, left to right, as the reference does, so
+        neither the memory layout nor the replication count decides the
+        order; numpy's own reductions would add a contiguous axis of eight
+        or more coordinates pairwise."""
         spec = DgpSpec(n=30, dim=dim, rho=0.4, burn_in=burn_in)
-        # Under recursive the blocks add their coordinates, whole rows of
-        # replications, left to right.  numpy sums the reference's contiguous
-        # last axis in that order up to 7 coordinates and pairwise, in eight
-        # interleaved partial sums, from 8 on, so there the two differ by
-        # rounding.  Under one-step both sum the coordinates left to right
-        # at every dimension.
-        atol = 1e-12 if dim >= 8 and mode == "recursive" else 0.0
-        self._assert_equals_per_replication_loop(spec, reps, mode, atol)
+        self._assert_equals_per_replication_loop(spec, reps, mode)
 
     @pytest.mark.parametrize("mode", VARIANCE_MODES)
     @pytest.mark.parametrize("steps", [1, 5, "n + 3"])
@@ -474,19 +477,21 @@ class TestExperimentDiffs:
             np.testing.assert_allclose(d_m[r], ref_m, rtol=0.0, atol=1e-11)
             np.testing.assert_allclose(d_c[r], ref_c, rtol=0.0, atol=1e-11)
 
+    @pytest.mark.parametrize("mode", VARIANCE_MODES)
     @pytest.mark.parametrize("dim", [2, 5, 9])
-    def test_one_step_is_radially_symmetric(self, monkeypatch, dim):
-        """Bit for bit: the forecasts are centred Gaussian marginals joined
-        by a Gaussian copula, which is radially symmetric, so negating every
-        innovation where it is drawn changes no one-step score difference.
-        Scores through a round trip to normal scores that is less accurate
-        in the upper tail than in the lower one fail this."""
+    def test_scores_are_radially_symmetric(self, monkeypatch, dim, mode):
+        """Bit for bit in both modes: the forecasts are centred Gaussian
+        marginals joined by a Gaussian copula, which is radially symmetric,
+        and the variances see only squared observations, so negating every
+        innovation where it is drawn changes no score difference.  Scores
+        through a round trip to normal scores that is less accurate in the
+        upper tail than in the lower one fail this."""
         class Negated(np.random.Generator):
             def standard_normal(self, *args, **kwargs):
                 return -super().standard_normal(*args, **kwargs)
 
         spec = DgpSpec(n=2 * BLOCK + 5, dim=dim, rho=0.4, burn_in=9)
-        ref_m, ref_c = _experiment_diffs(spec, SETTINGS["v"], reps=4, seed=11)
+        ref_m, ref_c = _experiment_diffs(spec, SETTINGS["v"], 4, 11, mode)
         monkeypatch.setattr(
             sim_harness, "_rep_rng", lambda seed, rep: Negated(_rep_rng(seed, rep).bit_generator)
         )
@@ -494,7 +499,7 @@ class TestExperimentDiffs:
         chol = np.linalg.cholesky(EquiCorr(dim, 0.4).matrix())
         negated = _draw_noise(chol, [sim_harness._rep_rng(11, 0)], spec.n)
         np.testing.assert_array_equal(negated, -_draw_noise(chol, [_rep_rng(11, 0)], spec.n))
-        d_m, d_c = _experiment_diffs(spec, SETTINGS["v"], reps=4, seed=11)
+        d_m, d_c = _experiment_diffs(spec, SETTINGS["v"], 4, 11, mode)
         np.testing.assert_array_equal(d_m, ref_m)
         np.testing.assert_array_equal(d_c, ref_c)
 
@@ -630,11 +635,14 @@ class TestExperimentDiffs:
         assert peak < innovations + window / 4, (peak - innovations) / window
 
     @pytest.mark.parametrize("mode", VARIANCE_MODES)
-    @pytest.mark.parametrize("first", [1, 3, 7])
-    def test_offset_rows_equal_full_run_rows(self, first, mode):
+    @pytest.mark.parametrize("first,dim", [(1, 3), (3, 3), (7, 3), (9, 3), (7, 9), (9, 9)],
+                             ids=["1", "3", "7", "9", "7-dim9", "9-dim9"])
+    def test_offset_rows_equal_full_run_rows(self, first, dim, mode):
         """Bit for bit: replications first, first + 1, ... drawn on their
-        own are rows first, first + 1, ... of a run from replication 0."""
-        spec = DgpSpec(n=35, dim=3, rho=0.4, burn_in=9)
+        own are rows first, first + 1, ... of a run from replication 0, also
+        when the run from first holds one replication, whose coordinates
+        are then contiguous in memory."""
+        spec = DgpSpec(n=35, dim=dim, rho=0.4, burn_in=9)
         setting = SETTINGS["iii"]
         ref_m, ref_c = _experiment_diffs(spec, setting, 10, 4, mode)
         d_m, d_c = _experiment_diffs(spec, setting, 10 - first, 4, mode, first)
