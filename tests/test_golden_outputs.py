@@ -8,7 +8,10 @@ file and say which digits changed and why.
 
 The twelve acceptance tables that the ``conftest.py`` session cache
 computes, nine under ``one-step`` and three under ``recursive``, are pinned
-too, by a digest of their exact ``FreqRow`` values.
+too, by a digest of their exact ``FreqRow`` values.  A table only counts
+rejections, so a draw that moves a score difference in the last bit can
+leave it unchanged; the raw differences of ``_experiment_diffs`` are pinned
+by the digest of their bytes at a few shapes (``DIFF_CASES``).
 
 Regenerate the digests with
 
@@ -35,11 +38,12 @@ import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import ALPHA, MASTER_SEED, REPS, _get
 
 from copulascore.cli import main
-from copulascore.sim_harness import SETTINGS, VARIANCE_MODES
+from copulascore.sim_harness import SETTINGS, VARIANCE_MODES, DgpSpec, _experiment_diffs
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = Path(__file__).with_name("golden_digests.json")
@@ -86,6 +90,16 @@ for _base in ("independence", "comonotone", "countermonotone", "gaussian:0.5"):
             ["mixture.csv"],
         )
 
+# name -> (DgpSpec arguments, setting, reps, seed, variance mode) of the
+# _experiment_diffs digests: both modes, windows of one and of two or three
+# superblocks, dimensions 2, 5 and 9, burn-ins 0, 1 and the default
+DIFF_CASES = {
+    "diffs-ii-300": (dict(n=300), "ii", 20, 1, "one-step"),
+    "diffs-iii-1100-dim2-burn0": (dict(n=1100, dim=2, burn_in=0), "iii", 6, 2, "one-step"),
+    "diffs-v-700-dim9-burn1-recursive": (dict(n=700, dim=9, burn_in=1), "v", 5, 3, "recursive"),
+    "diffs-iv-1030-dim2-burn1-recursive": (dict(n=1030, dim=2, burn_in=1), "iv", 4, 4, "recursive"),
+    "diffs-i-300-dim9-burn0-recursive": (dict(n=300, dim=9, burn_in=0), "i", 7, 5, "recursive"),
+}
 
 # the (setting, n, variance mode) keys of the acceptance tables in the session cache
 CACHED_TABLES = (
@@ -124,6 +138,15 @@ def run_case(name: str, out: Path) -> str:
     return h.hexdigest()
 
 
+def diffs_digest(name: str) -> str:
+    """Digest of the bytes of one case's (d_m, d_c) in C order."""
+    spec, setting, reps, seed, mode = DIFF_CASES[name]
+    h = hashlib.sha256()
+    for d in _experiment_diffs(DgpSpec(**spec), SETTINGS[setting], reps, seed, mode):
+        h.update(np.ascontiguousarray(d).tobytes())
+    return h.hexdigest()
+
+
 def table_digest(rows) -> str:
     """Digest of one table's ``FreqRow`` values; JSON writes each float
     exactly, so any change in a rejection frequency changes the digest."""
@@ -152,6 +175,12 @@ def test_output_digest(name, tmp_path):
     assert run_case(name, tmp_path) == expected[name]
 
 
+@pytest.mark.parametrize("name", sorted(DIFF_CASES))
+def test_diffs_digest(name):
+    expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    assert diffs_digest(name) == expected[name]
+
+
 @pytest.mark.parametrize(
     "setting,n,mode", CACHED_TABLES,
     ids=[table_stem(*key) for key in CACHED_TABLES],
@@ -168,6 +197,8 @@ def regenerate_digests() -> None:
     for name in sorted(CASES):
         with tempfile.TemporaryDirectory() as d:
             digests[name] = run_case(name, Path(d))
+    for name in DIFF_CASES:
+        digests[name] = diffs_digest(name)
     for key in CACHED_TABLES:
         digests[f"table-{table_stem(*key)}"] = table_digest(_get(*key).values())
     digests = dict(sorted(digests.items()))
