@@ -18,7 +18,6 @@ from copulascore.scoring import _pit, score_arrays
 from copulascore.sim_harness import (
     ContaminationSpec,
     DgpSpec,
-    _draw_contamination,
     _rep_rng,
     simulate_path,
 )
@@ -41,11 +40,18 @@ MODELS = {
 }
 
 
+def disturbances(spec, cspec, rng):
+    """One forecaster's (dm, dc) over the whole window, dm then dc, each
+    uniform on 1 +/- its half-width (see ``ContaminationSpec``)."""
+    cspec.check_against(spec)
+    dm = rng.uniform(1.0 - cspec.delta_marg, 1.0 + cspec.delta_marg, size=N)
+    return dm, rng.uniform(1.0 - cspec.delta_cop, 1.0 + cspec.delta_cop, size=N)
+
+
 def model_scores(spec, y, sigma, cspec, rng):
     """(marginal, copula) scores of one contaminated forecaster, one row
     per period."""
-    cspec.check_against(spec)
-    dm, dc = _draw_contamination(cspec, N, rng)
+    dm, dc = disturbances(spec, cspec, rng)
     return np.column_stack(score_arrays(y, np.sqrt(dm)[:, None] * sigma, spec.rho * dc))
 
 
@@ -53,8 +59,7 @@ def density_columns(spec, y, sigma, cspec, rng):
     """One contaminated forecaster's block of the densities format: log
     predictive densities and probability transforms per dimension, then the
     log copula density, one row per period."""
-    cspec.check_against(spec)
-    dm, dc = _draw_contamination(cspec, N, rng)
+    dm, dc = disturbances(spec, cspec, rng)
     sig = np.sqrt(dm)[:, None] * sigma
     z = y / sig
     logf = -(0.5 * np.log(2.0 * np.pi) + np.log(sig) + 0.5 * z**2)

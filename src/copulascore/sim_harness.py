@@ -6,12 +6,11 @@ One path generator, :func:`_paths`, serves :func:`simulate_path` and the
 replications: it draws every stream's burn-in innovations, runs and frees
 them, then draws every stream's window (:func:`_draw_noise`), or under
 ``one-step`` drops each stream's burn-in normals from its window's draw and
-reduces the window as it is drawn to two sums per step.  Each replication
-stream then draws both forecasters' disturbances
-(:func:`_draw_contamination`) a superblock of time steps at a time, each
-piece where one whole-window draw puts it, so within a stream the order
-stays burn-in, window, forecaster 1's (dm, dc), forecaster 2's.
-Replication streams are split from the master seed by spawn key, so
+reduces the window as it is drawn to two sums per step.  Each stream then
+gives both forecasters' disturbances as raw uniform words, which only the
+setting scales, a superblock of time steps at a time, in the order of one
+whole-window draw: burn-in, window, forecaster 1's (dm, dc), forecaster
+2's.  Replication streams are split from the master seed by spawn key, so
 results are bit-identical regardless of batching or execution order.
 
 One variance recursion, :func:`_variance_steps`, runs time-major over a
@@ -92,8 +91,10 @@ class DgpSpec:
 
 @dataclass(frozen=True)
 class ContaminationSpec:
-    """Half-widths of the uniform multiplicative noise applied per period to
-    the volatility parameters (marg) and the correlation parameter (cop)."""
+    """Half-widths of one forecaster's per-period uniform multiplicative noise:
+    dm on 1 +/- delta_marg scales its volatility parameters, hence its one-step
+    variances, so its standard deviations are sqrt(dm) times the true ones;
+    dc on 1 +/- delta_cop makes its equicorrelation rho * dc."""
 
     delta_marg: float
     delta_cop: float
@@ -108,7 +109,11 @@ class ContaminationSpec:
     def check_against(self, spec: DgpSpec) -> None:
         """Contaminated correlations must stay inside the validity range."""
         for edge in (1.0 - self.delta_cop, 1.0 + self.delta_cop):
-            EquiCorr(spec.dim, spec.rho * edge)
+            try:
+                EquiCorr(spec.dim, spec.rho * edge)
+            except ValueError as e:
+                msg = f"delta_cop={self.delta_cop} takes rho={spec.rho} to {e}"
+                raise ValueError(msg) from None
 
 
 @dataclass(frozen=True)
@@ -176,24 +181,6 @@ def _draw_noise(
             e = sum(e[1:], e[0]), sum(np.square(e, out=e)[1:], e[0])
         out[:, r] = e
     return out if sums else out.transpose()
-
-
-def _draw_contamination(
-    cspec: ContaminationSpec, n: int, rng: np.random.Generator, gap: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """One forecaster's per-period multiplicative disturbances (dm, dc) of
-    the volatility and correlation parameters, uniform on 1 +/- the
-    half-widths, in that order and ``gap`` 64-bit words apart (one per uniform).
-
-    Scaling all volatility parameters by a common factor scales the one-step
-    conditional variance by that factor, so forecast standard deviations are
-    sqrt(dm) times the true ones; the forecast equicorrelation is rho * dc.
-    """
-    dm = rng.uniform(1.0 - cspec.delta_marg, 1.0 + cspec.delta_marg, size=n)
-    if gap:
-        rng.bit_generator.advance(gap)
-    dc = rng.uniform(1.0 - cspec.delta_cop, 1.0 + cspec.delta_cop, size=n)
-    return dm, dc
 
 
 def _variance_steps(
@@ -284,25 +271,26 @@ def _experiment_diffs(
     contiguous arrays of shape (reps, n) each.
 
     Row r depends only on (seed, first + r); see :func:`_rep_rng`.  The
-    replications' streams give their windows (:func:`_paths`), then both
-    forecasters' disturbances one superblock of ``_SUPERBLOCK_STEPS`` steps
-    at a time, by one rule: from superblock offset s, forecaster 1's dm,
-    its dc n words on, forecaster 2's dm and dc n and 2n words further, then
-    a step back of 3n if more follow.  In blocks of ``_BLOCK_STEPS`` steps,
-    each forecaster is scored from three sums over the coordinates of the
-    exact normal scores z = eps / sd, where sd is the square root of its
-    variance over the true one: of log sd, of z**2 and of z.  The
-    differences overwrite two (reps, n) planes of the window that nothing
-    reads again.  Under ``one-step`` sd is sqrt(dm_k[t]) in every
-    coordinate, so the sums follow from the planes S1 = sum eps and S2 = sum
-    eps**2; d_m overwrites S2, d_c S1.  Under ``recursive`` one recursion
-    runs the forecasters' own variances, from dm[0] * sigma2_true[0], in
-    rows 1 and 2 of a stacked state beside the true variance in row 0; a
-    block copies its innovations, which the recursion and the sums read,
-    and the planes are the first two innovation coordinates.  Memory holds
-    the window, one superblock of disturbances and one block; ``recursive``
-    first holds the burn-in's innovations, ``one-step`` one stream's
-    normals at a time.
+    replications' streams give their windows (:func:`_paths`), then raw
+    ``Generator.random`` words a superblock of ``_SUPERBLOCK_STEPS`` steps
+    at a time: from offset s, words s, s + n, s + 2n and s + 3n on are
+    forecaster 1's dm and dc and forecaster 2's, and a step back of 3n
+    follows if more do.  One pass maps them to low + width * u (see
+    :class:`ContaminationSpec`), ``Generator.uniform``'s draws bit for bit
+    with its width (1 + delta) - (1 - delta).  In blocks of ``_BLOCK_STEPS``
+    steps, each forecaster is scored from three sums over the coordinates of
+    the exact normal scores z = eps / sd, sd the square root of its variance
+    over the true one: of log sd, z**2 and z.  The differences overwrite two
+    (reps, n) planes of the window that nothing reads again.  Under
+    ``one-step`` sd is sqrt(dm_k[t]) in every coordinate, so the sums follow
+    from the planes S1 = sum eps and S2 = sum eps**2; d_m overwrites S2, d_c
+    S1.  Under ``recursive`` one recursion runs the forecasters' own
+    variances, from dm[0] * sigma2_true[0], in rows 1 and 2 of a stacked
+    state beside the true variance in row 0; a block copies its innovations,
+    which the recursion and the sums read, and the planes are the first two
+    innovation coordinates.  Memory holds the window, one superblock of
+    disturbances and one block; ``recursive`` first holds the burn-in's
+    innovations, ``one-step`` one stream's normals at a time.
     """
     if variance_mode not in VARIANCE_MODES:
         raise ValueError("variance mode must be " + " or ".join(map(repr, VARIANCE_MODES)))
@@ -311,18 +299,22 @@ def _experiment_diffs(
     n = int(spec.n)  # advance overflows on a numpy integer
     h, eps = _paths(spec, rngs, 3 if recursive else 0)
     draws = np.empty((2, 2, min(n, _SUPERBLOCK_STEPS), reps))  # (forecaster, dm|dc, steps, reps)
+    words = draws.reshape(4, -1, reps)  # the raw uniforms, in stream order
+    half = np.array([[c.delta_marg, c.delta_cop] for c in (setting.spec1, setting.spec2)])
+    low, width = (1.0 - half)[..., None, None], ((1.0 + half) - (1.0 - half))[..., None, None]
     d_m, d_c = eps.T[:2] if recursive else eps[::-1]  # (reps, n) planes of the window
     for s in range(0, n, _SUPERBLOCK_STEPS):
         steps = min(_SUPERBLOCK_STEPS, n - s)
-        gap = n - steps  # words between the pieces, as in one whole-window draw
         for r, rng in enumerate(rngs):
-            draws[0, :, :steps, r] = _draw_contamination(setting.spec1, steps, rng, gap)
-            if gap:
-                rng.bit_generator.advance(gap)
-            draws[1, :, :steps, r] = _draw_contamination(setting.spec2, steps, rng, gap)
+            for k, piece in enumerate(words[:, :steps, r]):
+                if k and steps < n:  # on to word s + k n, as in one whole-window draw
+                    rng.bit_generator.advance(n - steps)
+                piece[:] = rng.random(steps)
             if s + steps < n:
                 rng.bit_generator.advance(-3 * n)
-        draws[:, 1, :steps] *= spec.rho  # both forecasters' correlations
+        drawn = draws[:, :, :steps]  # u -> low + width * u, width as Generator.uniform has it
+        np.add(np.multiply(drawn, width, out=drawn), low, out=drawn)
+        drawn[:, 1] *= spec.rho  # both forecasters' correlations
         for a in range(0, steps, _BLOCK_STEPS):
             b = min(a + _BLOCK_STEPS, steps)
             t = slice(s + a, s + b)

@@ -834,6 +834,18 @@ class TestSimulateCommand:
         assert message in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    def test_contaminated_correlation_names_the_given_rho(self, tmp_path, monkeypatch, capsys):
+        # used to name only the correlation reached, rho=1.0499999999999998
+        monkeypatch.setattr(
+            sim_harness, "_experiment_diffs", lambda *a, **k: pytest.fail("simulated")
+        )
+        rc = main(["simulate", "--setting", "ii", "--dim", "3", "--rho", "0.7", "--n", "50",
+                   "--reps", "2", "--seed", "1", "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "delta_cop=0.5 takes rho=0.7 to rho=1.0499999999999998 outside (-0.5, 1)" in err
+        assert not any(tmp_path.iterdir())
+
     def test_negative_seed_exits_before_simulating(self, tmp_path, monkeypatch, capsys):
         # used to exit with numpy's seeding error, which does not name the flag
         monkeypatch.setattr(

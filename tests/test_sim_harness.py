@@ -1,8 +1,10 @@
 """Tests for the data generating process, the contaminated forecasters, and
 the rejection-frequency experiment driver."""
 
+import importlib.util
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,6 @@ from copulascore.sim_harness import (
     ContaminationSpec,
     DgpSpec,
     Setting,
-    _draw_contamination,
     _draw_noise,
     _experiment_diffs,
     _rep_rng,
@@ -227,44 +228,71 @@ class TestSplitDraw:
             np.testing.assert_array_equal(eps[:, r], alone)
 
 
+def _fixture_models() -> dict:
+    """``MODELS`` of ``fixtures/make_fixtures.py``, the fixtures' half-widths."""
+    path = Path(__file__).resolve().parents[1] / "fixtures" / "make_fixtures.py"
+    module_spec = importlib.util.spec_from_file_location("make_fixtures", path)
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    return module.MODELS
+
+
 class TestContamination:
     def test_zero_widths_recover_truth(self):
-        dm, dc = _draw_contamination(ContaminationSpec(0.0, 0.0), 10, np.random.default_rng(0))
-        np.testing.assert_array_equal(dm, np.ones(10))
-        np.testing.assert_array_equal(dc, np.ones(10))
+        """Forecasters with zero widths on both sides are the truth, so
+        every score difference is 0 exactly, in both variance modes and
+        across a superblock boundary."""
+        zero = ContaminationSpec(0.0, 0.0)
+        for mode in VARIANCE_MODES:
+            d_m, d_c = _experiment_diffs(DgpSpec(n=600), Setting("0", zero, zero), 3, 4, mode)
+            assert d_m.shape == d_c.shape == (3, 600)
+            assert not d_m.any() and not d_c.any(), mode
 
     def test_variance_scales_by_draw(self):
-        cspec = ContaminationSpec(0.5, 0.2)
-        dm, dc = _draw_contamination(cspec, 50, np.random.default_rng(42))
-        # replay the documented draw order to recover the disturbances
-        rng = np.random.default_rng(42)
-        np.testing.assert_array_equal(dm, rng.uniform(0.5, 1.5, size=50))
-        np.testing.assert_array_equal(dc, rng.uniform(0.8, 1.2, size=50))
-        assert np.all(np.abs(dm - 1.0) <= 0.5) and np.all(np.abs(dc - 1.0) <= 0.2)
+        """The numpy contract that the disturbance walk relies on: on the
+        same stream, low + width * u with low = 1 - delta, width = (1 +
+        delta) - low and u the ``Generator.random`` words is
+        ``Generator.uniform(1 - delta, 1 + delta)`` bit for bit, for every
+        half-width of the settings and of the fixtures."""
+        specs = [c for st in SETTINGS.values() for c in (st.spec1, st.spec2)]
+        specs += _fixture_models().values()
+        halves = sorted({d for c in specs for d in (c.delta_marg, c.delta_cop)})
+        assert halves == [0.0, 0.1, 0.2, 0.3, 0.5]
+        for delta in halves:
+            low = 1.0 - delta
+            u = np.random.default_rng(42).random(100_000)
+            drawn = np.random.default_rng(42).uniform(low, 1.0 + delta, size=100_000)
+            np.testing.assert_array_equal(low + ((1.0 + delta) - low) * u, drawn)
+            assert np.all((low <= drawn) & (drawn <= 1.0 + delta))
 
     @pytest.mark.parametrize("width", [0.0, 0.3])
     @pytest.mark.parametrize("k", [1, 7, 40])
     def test_advanced_copy_continues_joint_uniform_draw(self, k, width):
-        """The RNG contract that lets a forecaster's (dm, dc) over k steps
-        be drawn from its stream a superblock at a time: every uniform takes
-        one 64-bit word, whatever the normals before it took, so pieces of
-        dm and dc drawn ``k`` minus the piece length apart, each pair
-        followed by a step back of k, are the matching slices of one joint
-        draw of 2k uniforms."""
-        cspec = ContaminationSpec(width, width)
+        """The RNG contract that lets the forecasters' (dm, dc) over k steps
+        be drawn from a stream a superblock at a time: every
+        ``Generator.random`` word takes one 64-bit word, whatever the
+        normals before it took, so the four pieces of a superblock at
+        offset s, at words s, s + k, s + 2k and s + 3k, followed by a step
+        back of 3k if more superblocks follow, are the matching slices of
+        one joint draw of 4k uniforms, scaled as ``Generator.uniform``
+        scales them, and the stream ends where that draw ends."""
+        low = 1.0 - width
         for r in range(5):
             rng, ref = _rep_rng(11, r), _rep_rng(11, r)
             rng.standard_normal(7)
             ref.standard_normal(7)
-            joint = ref.uniform(1.0 - width, 1.0 + width, size=2 * k)
-            pieces = []
-            for s in range(0, k, 3):  # pieces of 3 steps, the last one shorter
+            joint = ref.uniform(low, 1.0 + width, size=4 * k).reshape(4, k)
+            words = np.empty((4, k))
+            for s in range(0, k, 3):  # superblocks of 3 steps, the last one shorter
                 steps = min(3, k - s)
-                pieces.append(_draw_contamination(cspec, steps, rng, k - steps))
-                rng.bit_generator.advance(-k)
-            dm, dc = np.concatenate(pieces, axis=1)
-            np.testing.assert_array_equal(dm, joint[:k])
-            np.testing.assert_array_equal(dc, joint[k:])
+                for piece in range(4):
+                    if piece and steps < k:
+                        rng.bit_generator.advance(k - steps)
+                    words[piece, s : s + steps] = rng.random(steps)
+                if s + steps < k:
+                    rng.bit_generator.advance(-3 * k)
+            np.testing.assert_array_equal(low + ((1.0 + width) - low) * words, joint)
+            np.testing.assert_array_equal(rng.random(3), ref.random(3))
 
     def test_half_width_interval_stays_valid(self):
         spec = DgpSpec(n=10, dim=5, rho=0.5)
@@ -274,6 +302,12 @@ class TestContamination:
         spec = DgpSpec(n=10, dim=5, rho=0.5)
         with pytest.raises(ValueError):
             ContaminationSpec(0.0, 1.5).check_against(spec)
+
+    def test_contaminated_correlation_names_the_given_rho(self):
+        # used to name only the correlation reached, rho=1.0499999999999998
+        spec = DgpSpec(n=10, dim=3, rho=0.7)
+        with pytest.raises(ValueError, match=r"^delta_cop=0\.5 takes rho=0\.7 to rho=1\.049"):
+            SETTINGS["ii"].spec1.check_against(spec)
 
     def test_negative_width_rejected(self):
         with pytest.raises(ValueError):
