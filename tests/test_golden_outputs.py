@@ -103,8 +103,7 @@ DIFF_CASES = {
 
 # the (setting, n, variance mode) keys of the acceptance tables in the session cache
 CACHED_TABLES = (
-    [("i", 150, "one-step")]
-    + [(s, n, "one-step") for s in ("ii", "iii", "iv", "v") for n in (150, 300)]
+    [(s, n, "one-step") for s in ("i", "ii", "iii", "iv", "v") for n in (150, 300, 600)]
     + [(s, 300, "recursive") for s in ("i", "ii", "iv")]
 )
 
