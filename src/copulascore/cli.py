@@ -276,6 +276,8 @@ def _result_dict(r: TwoStepResult) -> dict:
 
 def _matrix_compare(args, hypothesis: Hypothesis, hac: HacConfig) -> int:
     directory = Path(args.matrix)
+    if not directory.is_dir():
+        raise ScoresFileError(f"{directory}: not a directory")
     paths = sorted(directory.glob("*.csv"))
     if len(paths) < 2:
         raise ScoresFileError(f"{directory}: need at least 2 model score files")
@@ -500,6 +502,13 @@ def main(argv=None) -> int:
             parser.error("compare --out applies only to --matrix")
         if args.matrix is not None and args.cumdiff is not None:
             parser.error("compare --cumdiff applies only to --scores")
+    # refuse a missing output directory before any work; simulate writes PREFIX.csv/.json
+    suffix = ".csv" if args.command == "simulate" else ""
+    for path in filter(None, (args.out, getattr(args, "cumdiff", None))):
+        directory = Path(path + suffix).parent
+        if not directory.is_dir():
+            sys.stderr.write(f"error: output directory {directory} does not exist\n")
+            return 1
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -21,6 +21,7 @@ from copulascore.cli import (
     write_scores,
 )
 from copulascore import cli, inference, sim_harness
+from copulascore.copulas import Mixture2D
 from copulascore.inference import HacConfig, Hypothesis, score_diffs, two_step_test
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -744,6 +745,18 @@ class TestMatrixMode:
         (d / "only.csv").write_text("t,s_marg,s_cop\n1,0,0\n2,0,0\n")
         rc = main(["compare", "--matrix", str(d)])
         assert rc == 1
+        assert capsys.readouterr().err == f"error: {d}: need at least 2 model score files\n"
+
+    @pytest.mark.parametrize("name", ["missing", "file.csv"])
+    def test_path_that_is_not_a_directory_named(self, name, tmp_path, capsys):
+        # used to read "need at least 2 model score files"
+        (tmp_path / "file.csv").write_text("t,s_marg,s_cop\n1,0,0\n2,0,0\n")
+        path = tmp_path / name
+        assert main(["compare", "--matrix", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: not a directory\n"
+        args = cli._build_parser().parse_args(["compare", "--matrix", str(path)])
+        with pytest.raises(ScoresFileError, match="not a directory"):
+            cli._matrix_compare(args, Hypothesis.EQUAL, HacConfig())
 
     def test_mismatched_time_index(self, tmp_path):
         d = tmp_path / "mix"
@@ -930,6 +943,35 @@ class TestCxlsDemo:
         err = capsys.readouterr().err
         assert "--base" in err and "gaussian:RHO" in err
         assert not (tmp_path / "x.csv").exists()
+
+
+class TestMissingOutputDirectory:
+    @pytest.mark.parametrize(
+        "argv, owner, work",
+        [
+            (["simulate", "--setting", "ii", "--n", "300", "--reps", "2000", "--seed", "1",
+              "--out", "{missing}/results"], cli, "run_experiment"),
+            # the files are {missing}/.csv and .json
+            (["simulate", "--setting", "ii", "--n", "300", "--reps", "2000", "--seed", "1",
+              "--out", "{missing}/"], cli, "run_experiment"),
+            (["compare", "--matrix", str(FIXTURES / "synthetic_model_scores"),
+              "--out", "{missing}/matrix.csv"], cli, "_read_text"),
+            (["compare", "--scores", str(FIXTURES / "synthetic_scores.csv"),
+              "--cumdiff", "{missing}/cum.csv"], cli, "_read_text"),
+            (["cxls-demo", "--base", "independence", "--direction", "ur", "--samples", "2000",
+              "--seed", "7", "--out", "{missing}/mixture.csv"], Mixture2D, "sample_labeled"),
+        ],
+        ids=["simulate", "simulate-prefix-dir", "matrix-out", "cumdiff", "cxls-demo"],
+    )
+    def test_refused_before_any_work(self, argv, owner, work, tmp_path, monkeypatch, capsys):
+        # used to fail at the write, after the study, the report or the sampling
+        monkeypatch.setattr(owner, work, lambda *a, **k: pytest.fail(f"{work} ran"))
+        missing = tmp_path / "missing"
+        assert main([a.replace("{missing}", str(missing)) for a in argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: output directory {missing} does not exist\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEntryPoint:

@@ -6,9 +6,10 @@ The digests in ``golden_digests.json`` pin the outputs: a refactor must
 leave them unchanged, and a change that alters digits has to regenerate the
 file and say which digits changed and why.
 
-The twelve acceptance tables that the ``conftest.py`` session cache
-computes, nine under ``one-step`` and three under ``recursive``, are pinned
-too, by a digest of their exact ``FreqRow`` values.  A table only counts
+All 18 acceptance-seed tables, settings i-v at n = 150, 300 and 600 under
+``one-step`` and the ``recursive`` tables of settings i, ii and iv at
+n = 300, are pinned too, by a digest of their exact ``FreqRow`` values; the
+``conftest.py`` session cache computes each once.  A table only counts
 rejections, so a draw that moves a score difference in the last bit can
 leave it unchanged; the raw differences of ``_experiment_diffs`` are pinned
 by the digest of their bytes at a few shapes (``DIFF_CASES``).
@@ -17,18 +18,10 @@ Regenerate the digests with
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 
-which also prints the cases whose digest changed.  The byte-identity check
-of the full acceptance study runs
-
-    PYTHONPATH=src python tests/test_golden_outputs.py --tables DIR
-
-on two commits and compares the directories with ``diff -r``: it writes the
-``simulate`` stdout, CSV and JSON of all 18 acceptance-seed tables (settings
-i-v at n = 150, 300 and 600, and the ``recursive`` tables of settings i, ii
-and iv at n = 300) to DIR and leaves the digests alone.
+which also prints the cases whose digest was added, changed or removed,
+with the ``FreqRow`` values of each such table.
 """
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -40,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import ALPHA, MASTER_SEED, REPS, _get
+from conftest import _get
 
 from copulascore.cli import main
 from copulascore.sim_harness import SETTINGS, VARIANCE_MODES, DgpSpec, _experiment_diffs
@@ -101,7 +94,7 @@ DIFF_CASES = {
     "diffs-i-300-dim9-burn0-recursive": (dict(n=300, dim=9, burn_in=0), "i", 7, 5, "recursive"),
 }
 
-# the (setting, n, variance mode) keys of the acceptance tables in the session cache
+# the (setting, n, variance mode) keys of the acceptance-seed tables
 CACHED_TABLES = (
     [(s, n, "one-step") for s in ("i", "ii", "iii", "iv", "v") for n in (150, 300, 600)]
     + [(s, 300, "recursive") for s in ("i", "ii", "iv")]
@@ -109,8 +102,7 @@ CACHED_TABLES = (
 
 
 def table_stem(setting: str, n: int, mode: str) -> str:
-    """The --tables file stem and the test id of one table; "table-" + stem
-    is its digest key."""
+    """The test id of one table; "table-" + stem is its digest key."""
     return f"{setting}-{n}" + ("" if mode == VARIANCE_MODES[0] else f"-{mode}")
 
 
@@ -153,19 +145,9 @@ def table_digest(rows) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def write_acceptance_tables(out: Path) -> None:
-    """Write stdout, CSV and JSON of ``simulate`` at the acceptance seed for
-    every setting at n = 150, 300 and 600, and of the ``recursive`` tables
-    of the session cache, to ``out``."""
-    out = out.resolve()
-    out.mkdir(parents=True, exist_ok=True)
-    tables = [(s, n, VARIANCE_MODES[0]) for s in sorted(SETTINGS) for n in (150, 300, 600)]
-    for setting, n, mode in tables + [t for t in CACHED_TABLES if t[2] != VARIANCE_MODES[0]]:
-        prefix = out / table_stem(setting, n, mode)
-        argv = ["simulate", "--setting", setting, "--n", str(n), "--reps", str(REPS),
-                "--alpha", str(ALPHA), "--seed", str(MASTER_SEED), "--variance-mode", mode,
-                "--out", str(prefix)]
-        Path(f"{prefix}.stdout").write_text(_main_stdout(argv), encoding="utf-8")
+def table_values(rows) -> str:
+    """One table's ``FreqRow`` values, a row per line, to show what moved."""
+    return "".join(f"\n    {row}" for row in rows)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -186,26 +168,33 @@ def test_diffs_digest(name):
 )
 def test_acceptance_table_digest(setting, n, mode, freq):
     expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
-    key = f"table-{table_stem(setting, n, mode)}"
-    assert table_digest(freq(setting, n, mode).values()) == expected[key]
+    key, rows = f"table-{table_stem(setting, n, mode)}", freq(setting, n, mode).values()
+    assert table_digest(rows) == expected[key], f"{key} now reads{table_values(rows)}"
+
+
+def test_digest_file_has_one_entry_per_case():
+    expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    tables = {f"table-{table_stem(*key)}" for key in CACHED_TABLES}
+    assert set(expected) == CASES.keys() | DIFF_CASES.keys() | tables
 
 
 def regenerate_digests() -> None:
     old = json.loads(DIGESTS.read_text(encoding="utf-8")) if DIGESTS.exists() else {}
-    digests = {}
+    digests, values = {}, {}
     for name in sorted(CASES):
         with tempfile.TemporaryDirectory() as d:
             digests[name] = run_case(name, Path(d))
     for name in DIFF_CASES:
         digests[name] = diffs_digest(name)
     for key in CACHED_TABLES:
-        digests[f"table-{table_stem(*key)}"] = table_digest(_get(*key).values())
+        name, rows = f"table-{table_stem(*key)}", _get(*key).values()
+        digests[name], values[name] = table_digest(rows), table_values(rows)
     digests = dict(sorted(digests.items()))
     for name, digest in digests.items():
         if name not in old:
-            print(f"added: {name}")
+            print(f"added: {name}{values.get(name, '')}")
         elif digest != old[name]:
-            print(f"changed: {name}")
+            print(f"changed: {name}{values.get(name, '')}")
     for name in sorted(old.keys() - digests.keys()):
         print(f"removed: {name}")
     DIGESTS.write_text(json.dumps(digests, indent=2) + "\n", encoding="utf-8")
@@ -213,14 +202,4 @@ def regenerate_digests() -> None:
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(
-        description="Regenerate the golden digests, or write the acceptance tables."
-    )
-    parser.add_argument("--tables", type=Path, metavar="DIR",
-                        help="write the 18 acceptance-seed simulate tables to DIR instead")
-    args = parser.parse_args()
-    if args.tables is None:
-        regenerate_digests()
-    else:
-        write_acceptance_tables(args.tables)
-        print(f"wrote 18 tables to {args.tables}")
+    regenerate_digests()
