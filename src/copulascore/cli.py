@@ -328,6 +328,14 @@ def _matrix_compare(args, hypothesis: Hypothesis, hac: HacConfig) -> int:
     return 0
 
 
+def _outputs(args) -> list[str]:
+    """The files the command writes: ``simulate``'s PREFIX.csv and
+    PREFIX.json, ``compare``'s --cumdiff or --out, ``cxls-demo``'s --out."""
+    if args.command == "simulate":
+        return [args.out + ".csv", args.out + ".json"]
+    return [path for path in (args.out, getattr(args, "cumdiff", None)) if path is not None]
+
+
 def cmd_compare(args) -> int:
     hypothesis = Hypothesis(args.hypothesis)
     hac = HacConfig(lags=args.hac_lags, weights=args.hac_weights)
@@ -390,8 +398,8 @@ def cmd_simulate(args) -> int:
     )
     csv_text = _csv_text([f.name for f in fields(FreqRow)], map(astuple, rows))
     json_text = _json_text({"rows": [asdict(row) for row in rows]})
-    Path(str(args.out) + ".csv").write_text(csv_text, encoding="utf-8")
-    Path(str(args.out) + ".json").write_text(json_text, encoding="utf-8")
+    for path, text in zip(_outputs(args), (csv_text, json_text)):
+        Path(path).write_text(text, encoding="utf-8")
     sys.stdout.write(csv_text)
     return 0
 
@@ -494,22 +502,22 @@ def main(argv=None) -> int:
     atexit.register(gc.freeze)
     parser = _build_parser()
     args = parser.parse_args(argv)
+    for flag in ("scores", "matrix", "out", "cumdiff"):
+        if getattr(args, flag, None) == "":
+            parser.error(f"--{flag} needs a nonempty path")
     if args.command == "compare":
-        if not (args.scores or args.matrix):
-            parser.error("compare needs a nonempty --scores or --matrix path")
         # flags that the chosen input would otherwise silently ignore
         if args.scores is not None and args.out is not None:
             parser.error("compare --out applies only to --matrix")
         if args.matrix is not None and args.cumdiff is not None:
             parser.error("compare --cumdiff applies only to --scores")
-    # refuse a missing output directory before any work; simulate writes PREFIX.csv/.json
-    suffix = ".csv" if args.command == "simulate" else ""
-    for path in filter(None, (args.out, getattr(args, "cumdiff", None))):
-        directory = Path(path + suffix).parent
-        if not directory.is_dir():
-            sys.stderr.write(f"error: output directory {directory} does not exist\n")
-            return 1
     try:
+        # refuse an output file that cannot be written before any work
+        for path in map(Path, _outputs(args)):
+            if not path.parent.is_dir():
+                raise ValueError(f"output directory {path.parent} does not exist")
+            if path.is_dir():
+                raise ValueError(f"output path {path} is a directory")
         return args.func(args)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

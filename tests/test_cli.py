@@ -417,17 +417,6 @@ class TestCompareCommand:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "source, path", [("--scores", "synthetic_scores.csv"), ("--matrix", "synthetic_model_scores")]
-    )
-    def test_lags_under_zero_weights_exit_before_reading(self, source, path, monkeypatch, capsys):
-        # the default zero weights would ignore the cutoff that the report shows
-        monkeypatch.setattr(cli, "_read_text", lambda path: pytest.fail("read"))
-        monkeypatch.setattr(cli, "_matrix_compare", lambda *a: pytest.fail("read"))
-        rc = main(["compare", source, str(FIXTURES / path), "--hac-lags", "4"])
-        assert rc == 1
-        assert "lag cutoff 4 has no effect under weights 'zero'" in capsys.readouterr().err
-
     @pytest.mark.parametrize("name", ["synthetic_scores.csv", "synthetic_densities.csv"])
     def test_scores_file_read_once(self, name, monkeypatch, capsys):
         reads = []
@@ -494,30 +483,6 @@ class TestCompareCommand:
     def test_bad_hypothesis_flag(self):
         with pytest.raises(SystemExit):
             main(["compare", "--scores", "a.csv", "--hypothesis", "both"])
-
-    @pytest.mark.parametrize("flag", ["--scores", "--matrix"])
-    def test_empty_input_path_rejected(self, flag):
-        with pytest.raises(SystemExit) as exc:
-            main(["compare", flag, ""])
-        assert exc.value.code == 2
-
-    @pytest.mark.parametrize(
-        "argv, flag",
-        [
-            (["--matrix", str(FIXTURES / "synthetic_model_scores"), "--cumdiff", "x.csv"],
-             "--cumdiff"),
-            (["--scores", str(FIXTURES / "synthetic_scores.csv"), "--out", "m.csv"], "--out"),
-        ],
-    )
-    def test_flag_of_the_other_input_rejected(self, tmp_path, monkeypatch, capsys, argv, flag):
-        monkeypatch.chdir(tmp_path)
-        with pytest.raises(SystemExit) as exc:
-            main(["compare", *argv])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert flag in captured.err
-        assert captured.out == ""
-        assert list(tmp_path.iterdir()) == []
 
 
 class TestDensitiesFormat:
@@ -811,65 +776,6 @@ class TestSimulateCommand:
             assert row["joint_pct"] in (0.0, 100.0)
             assert row["reps"] == 1
 
-    @pytest.mark.parametrize(
-        "flag, value", [("--omega0", "nan"), ("--omega0", "inf"), ("--alpha0", "nan"),
-                        ("--beta0", "-inf")]
-    )
-    def test_non_finite_garch_parameter_exits_before_simulating(
-        self, flag, value, tmp_path, monkeypatch, capsys
-    ):
-        monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("simulated"))
-        rc = main(["simulate", "--setting", "i", "--n", "50", "--reps", "2", "--seed", "1",
-                   f"{flag}={value}", "--out", str(tmp_path / "x")])
-        assert rc == 1
-        assert flag[2:] in capsys.readouterr().err
-        assert not any(tmp_path.iterdir())
-
-    @pytest.mark.parametrize(
-        "flags, message",
-        [(["--alpha", "1.5"], "alpha must lie in (0, 1)"),
-         # just below the smallest level
-         (["--alpha", "1.9999999999999997e-09"],
-          "alpha must lie in (0, 1) and be at least 2e-09, got 1.9999999999999997e-09"),
-         (["--hac-lags", "400", "--hac-weights", "bartlett"],
-          "series length 300 must exceed lag cutoff 400"),
-         (["--hac-lags", "4"], "lag cutoff 4 has no effect under weights 'zero'")],
-    )
-    def test_bad_level_or_lag_cutoff_exits_before_simulating(
-        self, flags, message, tmp_path, monkeypatch, capsys
-    ):
-        monkeypatch.setattr(
-            sim_harness, "_experiment_diffs", lambda *a, **k: pytest.fail("simulated")
-        )
-        rc = main(["simulate", "--setting", "ii", "--n", "300", "--reps", "2000", "--seed", "1",
-                   *flags, "--out", str(tmp_path / "x")])
-        assert rc == 1
-        assert message in capsys.readouterr().err
-        assert not any(tmp_path.iterdir())
-
-    def test_contaminated_correlation_names_the_given_rho(self, tmp_path, monkeypatch, capsys):
-        # used to name only the correlation reached, rho=1.0499999999999998
-        monkeypatch.setattr(
-            sim_harness, "_experiment_diffs", lambda *a, **k: pytest.fail("simulated")
-        )
-        rc = main(["simulate", "--setting", "ii", "--dim", "3", "--rho", "0.7", "--n", "50",
-                   "--reps", "2", "--seed", "1", "--out", str(tmp_path / "x")])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "delta_cop=0.5 takes rho=0.7 to rho=1.0499999999999998 outside (-0.5, 1)" in err
-        assert not any(tmp_path.iterdir())
-
-    def test_negative_seed_exits_before_simulating(self, tmp_path, monkeypatch, capsys):
-        # used to exit with numpy's seeding error, which does not name the flag
-        monkeypatch.setattr(
-            sim_harness, "_experiment_diffs", lambda *a, **k: pytest.fail("simulated")
-        )
-        rc = main(["simulate", "--setting", "i", "--n", "50", "--reps", "2", "--seed", "-1",
-                   "--out", str(tmp_path / "x")])
-        assert rc == 1
-        assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
-        assert not any(tmp_path.iterdir())
-
     def test_invalid_setting_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["simulate", "--setting", "vi", "--n", "40", "--seed", "1",
@@ -945,33 +851,107 @@ class TestCxlsDemo:
         assert not (tmp_path / "x.csv").exists()
 
 
-class TestMissingOutputDirectory:
-    @pytest.mark.parametrize(
-        "argv, owner, work",
-        [
-            (["simulate", "--setting", "ii", "--n", "300", "--reps", "2000", "--seed", "1",
-              "--out", "{missing}/results"], cli, "run_experiment"),
-            # the files are {missing}/.csv and .json
-            (["simulate", "--setting", "ii", "--n", "300", "--reps", "2000", "--seed", "1",
-              "--out", "{missing}/"], cli, "run_experiment"),
-            (["compare", "--matrix", str(FIXTURES / "synthetic_model_scores"),
-              "--out", "{missing}/matrix.csv"], cli, "_read_text"),
-            (["compare", "--scores", str(FIXTURES / "synthetic_scores.csv"),
-              "--cumdiff", "{missing}/cum.csv"], cli, "_read_text"),
-            (["cxls-demo", "--base", "independence", "--direction", "ur", "--samples", "2000",
-              "--seed", "7", "--out", "{missing}/mixture.csv"], Mixture2D, "sample_labeled"),
-        ],
-        ids=["simulate", "simulate-prefix-dir", "matrix-out", "cumdiff", "cxls-demo"],
-    )
-    def test_refused_before_any_work(self, argv, owner, work, tmp_path, monkeypatch, capsys):
-        # used to fail at the write, after the study, the report or the sampling
-        monkeypatch.setattr(owner, work, lambda *a, **k: pytest.fail(f"{work} ran"))
-        missing = tmp_path / "missing"
-        assert main([a.replace("{missing}", str(missing)) for a in argv]) == 1
+class TestRefusedBeforeWork:
+    SCORES = ["compare", "--scores", str(FIXTURES / "synthetic_scores.csv")]
+    MATRIX = ["compare", "--matrix", str(FIXTURES / "synthetic_model_scores")]
+    SIM_I = ["simulate", "--setting", "i", "--n", "50", "--reps", "2", "--seed", "1"]
+    SIM_II = ["simulate", "--setting", "ii", "--n", "300", "--reps", "2000", "--seed", "1"]
+    CXLS = ["cxls-demo", "--base", "independence", "--direction", "ur", "--samples", "2000",
+            "--seed", "7"]
+    # the work that a row must not reach: each function is replaced by a failing stub
+    READ = ((cli, "_read_text"), (cli, "_matrix_compare"))
+    STUDY, DRAWS = ((cli, "run_experiment"),), ((sim_harness, "_experiment_diffs"),)
+    SAMPLE = ((Mixture2D, "sample_labeled"),)
+    ZERO_LAGS = ("lag cutoff 4 has no effect under weights 'zero'; use 'bartlett' or 'truncated' "
+                 "weights, or lags 0")
+    ALPHA = "alpha must lie in (0, 1) and be at least 2e-09, got "
+    MISSING = "output directory missing does not exist"
+    # id: argv (run in tmp_path), work, what tmp_path holds, exit code, message
+    REFUSALS = {
+        # the default zero weights would ignore the cutoff that the report shows
+        "scores-zero-lags": ([*SCORES, "--hac-lags", "4"], READ, {}, 1, ZERO_LAGS),
+        "matrix-zero-lags": ([*MATRIX, "--hac-lags", "4"], READ, {}, 1, ZERO_LAGS),
+        "empty-scores": (["compare", "--scores", ""], READ, {}, 2,
+                         "--scores needs a nonempty path"),
+        "empty-matrix": (["compare", "--matrix", ""], READ, {}, 2,
+                         "--matrix needs a nonempty path"),
+        # a flag that the other input would silently ignore
+        "matrix-cumdiff": ([*MATRIX, "--cumdiff", "x.csv"], READ, {}, 2,
+                           "compare --cumdiff applies only to --scores"),
+        "scores-out": ([*SCORES, "--out", "m.csv"], READ, {}, 2,
+                       "compare --out applies only to --matrix"),
+        "omega0-nan": ([*SIM_I, "--omega0=nan", "--out", "x"], STUDY, {}, 1,
+                       "omega0 must be finite and > 0, got nan"),
+        "omega0-inf": ([*SIM_I, "--omega0=inf", "--out", "x"], STUDY, {}, 1,
+                       "omega0 must be finite and > 0, got inf"),
+        "alpha0-nan": ([*SIM_I, "--alpha0=nan", "--out", "x"], STUDY, {}, 1,
+                       "alpha0 must be finite and >= 0, got nan"),
+        "beta0-minus-inf": ([*SIM_I, "--beta0=-inf", "--out", "x"], STUDY, {}, 1,
+                            "beta0 must be finite and >= 0, got -inf"),
+        "alpha-above-one": ([*SIM_II, "--alpha", "1.5", "--out", "x"], DRAWS, {}, 1, ALPHA + "1.5"),
+        # just below the smallest level
+        "alpha-below-floor": ([*SIM_II, "--alpha", "1.9999999999999997e-09", "--out", "x"], DRAWS,
+                              {}, 1, ALPHA + "1.9999999999999997e-09"),
+        "lags-over-length": ([*SIM_II, "--hac-lags", "400", "--hac-weights", "bartlett", "--out",
+                              "x"], DRAWS, {}, 1, "series length 300 must exceed lag cutoff 400"),
+        "simulate-zero-lags": ([*SIM_II, "--hac-lags", "4", "--out", "x"], DRAWS, {}, 1, ZERO_LAGS),
+        # used to name only the correlation reached
+        "contaminated-rho": (["simulate", "--setting", "ii", "--dim", "3", "--rho", "0.7", "--n",
+                              "50", "--reps", "2", "--seed", "1", "--out", "x"], DRAWS, {}, 1,
+                             "delta_cop=0.5 takes rho=0.7 to rho=1.0499999999999998 outside "
+                             "(-0.5, 1) for dim=3; matrix would not be positive definite"),
+        # used to exit with numpy's seeding error, which does not name the flag
+        "negative-seed": (["simulate", "--setting", "i", "--n", "50", "--reps", "2", "--seed",
+                           "-1", "--out", "x"], DRAWS, {}, 1, "seed must be an integer >= 0, got -1"),
+        # each output file below used to fail only at its write, after the work
+        "missing-dir-simulate": ([*SIM_II, "--out", "missing/results"], STUDY, {}, 1, MISSING),
+        # the files are missing/.csv and missing/.json
+        "missing-dir-simulate-prefix": ([*SIM_II, "--out", "missing/"], STUDY, {}, 1, MISSING),
+        "missing-dir-matrix-out": ([*MATRIX, "--out", "missing/m.csv"], READ, {}, 1, MISSING),
+        "missing-dir-cumdiff": ([*SCORES, "--cumdiff", "missing/cum.csv"], READ, {}, 1, MISSING),
+        "missing-dir-cxls-demo": ([*CXLS, "--out", "missing/mixture.csv"], SAMPLE, {}, 1, MISSING),
+        "dir-cumdiff": ([*SCORES, "--cumdiff", "d"], READ, {"d": None}, 1,
+                        "output path d is a directory"),
+        "dir-matrix-out": ([*MATRIX, "--out", "d"], READ, {"d": None}, 1,
+                           "output path d is a directory"),
+        "dir-cxls-demo": ([*CXLS, "--out", "d"], SAMPLE, {"d": None}, 1,
+                          "output path d is a directory"),
+        "dir-simulate-csv": ([*SIM_II, "--out", "P"], STUDY, {"P.csv": None}, 1,
+                             "output path P.csv is a directory"),
+        # used to overwrite P.csv, then fail at P.json
+        "dir-simulate-json": ([*SIM_II, "--out", "P"], STUDY, {"P.csv": b"old\n", "P.json": None},
+                              1, "output path P.json is a directory"),
+        # simulate used to write .csv and .json here, compare to write nothing and exit 0
+        "empty-simulate-out": ([*SIM_II, "--out", ""], STUDY, {}, 2, "--out needs a nonempty path"),
+        "empty-cxls-demo-out": ([*CXLS, "--out", ""], SAMPLE, {}, 2, "--out needs a nonempty path"),
+        "empty-cumdiff": ([*SCORES, "--cumdiff", ""], READ, {}, 2,
+                          "--cumdiff needs a nonempty path"),
+        "empty-matrix-out": ([*MATRIX, "--out", ""], READ, {}, 2, "--out needs a nonempty path"),
+    }
+
+    @pytest.mark.parametrize("argv, work, setup, code, message", list(REFUSALS.values()),
+                             ids=list(REFUSALS))
+    def test_refused_before_any_work(
+        self, argv, work, setup, code, message, tmp_path, monkeypatch, capsys
+    ):
+        for owner, name in work:
+            monkeypatch.setattr(owner, name, lambda *a, name=name, **k: pytest.fail(f"{name} ran"))
+        for name, content in setup.items():
+            (tmp_path / name).mkdir() if content is None else (tmp_path / name).write_bytes(content)
+        monkeypatch.chdir(tmp_path)
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
         out, err = capsys.readouterr()
-        assert out == ""
-        assert err == f"error: output directory {missing} does not exist\n"
-        assert list(tmp_path.iterdir()) == []
+        assert (rc, out) == (code, "")
+        if code == 1:
+            assert err == f"error: {message}\n"
+        else:
+            assert err.endswith(f"\ncopulascore: error: {message}\n")
+        held = {p.relative_to(tmp_path).as_posix(): None if p.is_dir() else p.read_bytes()
+                for p in tmp_path.rglob("*")}
+        assert held == setup
 
 
 class TestEntryPoint:
