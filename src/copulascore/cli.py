@@ -466,7 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--cumdiff", help="write cumulative average differences to CSV")
     p.add_argument("--out", help="with --matrix: write the attribution matrix CSV here")
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=cmd_compare, usage_error=p.error)
 
     p = sub.add_parser(
         "simulate", parents=[test_options], help="rejection-frequency table for one setting"
@@ -484,7 +484,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="output path prefix (.csv/.json)")
     p.add_argument("--variance-mode", choices=VARIANCE_MODES, default=VARIANCE_MODES[0])
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, usage_error=p.error)
 
     p = sub.add_parser("cxls-demo", help="sample from a two-block mixture copula")
     p.add_argument("--base", required=True)
@@ -492,7 +492,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_cxls_demo)
+    p.set_defaults(func=cmd_cxls_demo, usage_error=p.error)
     return parser
 
 
@@ -500,17 +500,18 @@ def main(argv=None) -> int:
     # one exit hook per process; outputs are closed by then (see README, CLI)
     atexit.unregister(gc.freeze)
     atexit.register(gc.freeze)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # the subcommand's parser, so that its usage line goes with the error
+    usage_error = args.usage_error
     for flag in ("scores", "matrix", "out", "cumdiff"):
         if getattr(args, flag, None) == "":
-            parser.error(f"--{flag} needs a nonempty path")
+            usage_error(f"--{flag} needs a nonempty path")
     if args.command == "compare":
         # flags that the chosen input would otherwise silently ignore
         if args.scores is not None and args.out is not None:
-            parser.error("compare --out applies only to --matrix")
+            usage_error("compare --out applies only to --matrix")
         if args.matrix is not None and args.cumdiff is not None:
-            parser.error("compare --cumdiff applies only to --scores")
+            usage_error("compare --cumdiff applies only to --scores")
     try:
         # refuse an output file that cannot be written before any work
         for path in map(Path, _outputs(args)):
@@ -518,6 +519,10 @@ def main(argv=None) -> int:
                 raise ValueError(f"output directory {path.parent} does not exist")
             if path.is_dir():
                 raise ValueError(f"output path {path} is a directory")
+            # simulate --out DIR/ names the files DIR/.csv and DIR/.json
+            stem, dot, _ = path.name.rpartition(".")
+            if dot and not stem:
+                raise ValueError(f"output path {path} has an empty file stem")
         return args.func(args)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

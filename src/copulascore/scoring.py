@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .copulas import Copula, GaussianEquiCorr, Independence, gaussian_logdensity_from_scores
+from .dist_math import _SQRT2, _erfc, _inv_cdf
 
 # Not called here; perfbench/child.py wraps this module attribute by name.
 from .copulas import gaussian_copula_logdensity  # noqa: F401
@@ -32,7 +32,7 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 
 # Probability transforms are clamped to [UNIT_CLAMP, 1 - UNIT_CLAMP], about
 # 7.9 predictive standard deviations either side, so that their normal
-# quantiles stay finite where ndtr rounds to exactly 0 or 1.
+# quantiles stay finite where Phi rounds to exactly 0 or 1.
 UNIT_CLAMP = 1e-15
 
 
@@ -69,9 +69,10 @@ class BivariateScore(NamedTuple):
 
 # np.clip, np.sum and np.all, and array methods such as ndarray.all, go
 # through Python-level wrappers on every call; the ufuncs used here run the
-# same loops without them.
+# same loops without them.  Phi and its inverse are dist_math's object
+# ufuncs, called directly for the same reason: norm_cdf(z) is erfc(z/-sqrt2)/2.
 def _pit(z, out=None):
-    u = ndtr(z, out=out)
+    u = np.multiply(_erfc(z / -_SQRT2), 0.5, out=out, dtype=float, casting="unsafe")
     return np.minimum(np.maximum(u, UNIT_CLAMP, out=out), 1.0 - UNIT_CLAMP, out=out)
 
 
@@ -90,8 +91,9 @@ def score_arrays(y, sigma, rho) -> tuple[np.ndarray, np.ndarray]:
     zz = z * z
     ssq = np.add.reduce(zz, axis=-1)  # then log(sigma) fills zz: (..., 1) counts dim times
     s_m = _marginal_score(dim, np.add.reduce(np.log(sigma, out=zz), axis=-1), ssq)
-    # z is not needed again: the round trip to normal scores reuses its buffer
-    s_c = -gaussian_logdensity_from_scores(dim, rho, ndtri(_pit(z, out=z), out=z))
+    # z is not needed again: the probability transforms reuse its buffer
+    x = _inv_cdf(_pit(z, out=z), 0.0, 1.0).astype(float)
+    s_c = -gaussian_logdensity_from_scores(dim, rho, x)
     return s_m, s_c
 
 

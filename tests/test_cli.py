@@ -907,6 +907,9 @@ class TestRefusedBeforeWork:
         "missing-dir-simulate": ([*SIM_II, "--out", "missing/results"], STUDY, {}, 1, MISSING),
         # the files are missing/.csv and missing/.json
         "missing-dir-simulate-prefix": ([*SIM_II, "--out", "missing/"], STUDY, {}, 1, MISSING),
+        # used to write the hidden files d/.csv and d/.json and exit 0
+        "dir-simulate-prefix": ([*SIM_II, "--out", "d/"], STUDY, {"d": None}, 1,
+                                "output path d/.csv has an empty file stem"),
         "missing-dir-matrix-out": ([*MATRIX, "--out", "missing/m.csv"], READ, {}, 1, MISSING),
         "missing-dir-cumdiff": ([*SCORES, "--cumdiff", "missing/cum.csv"], READ, {}, 1, MISSING),
         "missing-dir-cxls-demo": ([*CXLS, "--out", "missing/mixture.csv"], SAMPLE, {}, 1, MISSING),
@@ -947,8 +950,9 @@ class TestRefusedBeforeWork:
         assert (rc, out) == (code, "")
         if code == 1:
             assert err == f"error: {message}\n"
-        else:
-            assert err.endswith(f"\ncopulascore: error: {message}\n")
+        else:  # the subcommand's usage and error lines
+            assert err.startswith(f"usage: copulascore {argv[0]} ")
+            assert err.endswith(f"\ncopulascore {argv[0]}: error: {message}\n")
         held = {p.relative_to(tmp_path).as_posix(): None if p.is_dir() else p.read_bytes()
                 for p in tmp_path.rglob("*")}
         assert held == setup
@@ -1002,6 +1006,45 @@ class TestEntryPoint:
             module = (tmp_path / f"m{suffix}").read_bytes()
             for name in "abp":
                 assert (tmp_path / f"{name}{suffix}").read_bytes() == module
+
+
+class TestRuntimeWithoutScipy:
+    """The runtime needs numpy and the standard library only; scipy is a
+    test dependency."""
+
+    def test_import_loads_no_scipy(self):
+        import subprocess
+        import sys
+
+        code = ("import sys, copulascore, copulascore.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True)
+        assert proc.stdout == "[]\n"
+
+    def test_commands_run_with_scipy_blocked(self, tmp_path):
+        """With an import hook that refuses scipy, compare and simulate print
+        the same bytes as without it."""
+        import subprocess
+        import sys
+        import textwrap
+
+        script = textwrap.dedent(f"""
+            import sys
+            class Blocker:
+                def find_spec(self, name, path=None, target=None):
+                    if name.split(".")[0] == "scipy":
+                        raise ImportError(name + " is blocked")
+            if sys.argv[1] == "block":
+                sys.meta_path.insert(0, Blocker())
+            from copulascore.cli import main
+            assert main(["compare", "--scores", {str(FIXTURES / "synthetic_scores.csv")!r}]) == 0
+            assert main(["simulate", "--setting", "i", "--n", "40", "--reps", "4", "--seed", "1",
+                         "--out", {str(tmp_path)!r} + "/" + sys.argv[1]]) == 0
+        """)
+        runs = [subprocess.run([sys.executable, "-c", script, mode], capture_output=True,
+                               check=True).stdout for mode in ("block", "plain")]
+        assert runs[0] == runs[1] and runs[0].startswith(b"{")
 
 
 class TestParser:

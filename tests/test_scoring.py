@@ -14,6 +14,7 @@ from scipy.special import ndtr
 from copulascore.copulas import GaussianEquiCorr, Independence
 from copulascore.dist_math import EquiCorr, norm_cdf, norm_quantile
 from copulascore.inference import HacConfig, Hypothesis, Outcome, ScoreDiffSeries, two_step_test
+from copulascore import scoring
 from copulascore.scoring import MarginalForecast, _pit, bivariate_score, score_arrays
 
 HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)  # 0.9189385332046727
@@ -173,7 +174,7 @@ TAIL_Z = np.array([0.0, 1.0, -1.0, 7.9, -7.9, 8.5, -8.5, 50.0, -50.0])
 
 class TestTailBitIdentity:
     def test_pit_equals_clip(self):
-        expected = np.clip(ndtr(TAIL_Z), 1e-15, 1 - 1e-15)
+        expected = np.clip(norm_cdf(TAIL_Z), 1e-15, 1 - 1e-15)
         assert _pit(TAIL_Z).tobytes() == expected.tobytes()
         z = TAIL_Z.copy()
         assert _pit(z, out=z).tobytes() == expected.tobytes()
@@ -193,6 +194,24 @@ class TestTailBitIdentity:
             f = MarginalForecast(sigma[t])
             c = Independence(dim) if rho[t] == 0.0 else GaussianEquiCorr(EquiCorr(dim, rho[t]))
             assert bivariate_score(c, f, y[t]) == (s_m[t], s_c[t])
+
+
+class TestNormalScoresAgainstScipy:
+    @pytest.mark.parametrize("dim", [2, 5, 9])
+    def test_round_trip_matches_scipy(self, dim, monkeypatch):
+        """The normal scores that score_arrays passes to the copula density
+        equal scipy's clamped round trip ndtri(clip(ndtr(z))) to 1e-12 for
+        |z| up to 7.9."""
+        from scipy.special import ndtri
+
+        z = np.resize(np.linspace(-7.9, 7.9, 1581), (-(-1581 // dim), dim))
+        seen = []
+        density = scoring.gaussian_logdensity_from_scores
+        monkeypatch.setattr(scoring, "gaussian_logdensity_from_scores",
+                            lambda d, rho, x: seen.append(x.copy()) or density(d, rho, x))
+        score_arrays(z, 1.0, 0.5)
+        expected = ndtri(np.clip(ndtr(z), 1e-15, 1 - 1e-15))
+        assert np.abs(seen[0] - expected).max() <= 1e-12
 
 
 def _python_calls(fn) -> int:
