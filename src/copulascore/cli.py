@@ -519,9 +519,8 @@ def main(argv=None) -> int:
                 raise ValueError(f"output directory {path.parent} does not exist")
             if path.is_dir():
                 raise ValueError(f"output path {path} is a directory")
-            # simulate --out DIR/ names the files DIR/.csv and DIR/.json
-            stem, dot, _ = path.name.rpartition(".")
-            if dot and not stem:
+            # simulate --out DIR/ would name the files DIR/.csv and DIR/.json
+            if path.name in (".csv", ".json"):
                 raise ValueError(f"output path {path} has an empty file stem")
         return args.func(args)
     except (ValueError, OSError) as exc:
