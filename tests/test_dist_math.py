@@ -7,7 +7,8 @@ a Taylor-series normal cdf, bisection on the cdf for quantiles, the dense
 multivariate normal density (``conftest.dense_copula_logdensity``) for the
 equicorrelation copula density, Monte Carlo for one rectangle probability,
 and adaptive quadrature (``conftest.quad_bvn_rect``) for the bivariate
-normal kernel.
+normal kernel.  scipy's ``ndtr`` and ``ndtri``, from the test extra, are
+the oracles of ``TestAgainstScipy``.
 """
 
 import math
