@@ -106,7 +106,7 @@ def _json_text(payload) -> str:
 
 def _read_text(path) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ScoresFileError(f"cannot read {path}: {exc}") from exc
 

@@ -2,10 +2,11 @@
 
 Univariate normal pdf/cdf/quantile, the equicorrelation matrix type, and
 rectangle probabilities of standard bivariate normals with correlation rho
-by Genz's Gauss-Legendre form of the Drezner-Wesolowsky integral.  Callers
-standardize their limits first.  The equicorrelation copula density lives
-in :mod:`copulascore.copulas`.  Everything here is a pure function, safe
-for concurrent use, and needs numpy and the standard library only: Phi is
+by Genz's Gauss-Legendre form of the Drezner-Wesolowsky integral: 20 fixed
+nodes below |rho| 0.925, its own form from 0.925 on.  Callers standardize
+their limits first.  The equicorrelation copula density lives in
+:mod:`copulascore.copulas`.  Everything here is a pure function, safe for
+concurrent use, and needs numpy and the standard library only: Phi is
 ``math.erfc`` and Phi^-1 the standard library's C implementation of
 Wichura's AS 241, each applied elementwise by a numpy object ufunc.
 """
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from numbers import Integral
 
 import numpy as np
@@ -101,27 +101,17 @@ def norm_quantile(p):
     return float(out) if out.ndim == 0 else out
 
 
-# Gauss-Legendre nodes t on (0, 2) and weights of Genz's 6-, 12- and
-# 20-point rules (Genz 2004, Stat. Comput. 14:251).
-def _rule(x, w):
-    x, w = np.array(x), np.array(w)
-    return np.concatenate([1.0 - x, 1.0 + x]), np.concatenate([w, w])
-
-
-_RULE_6 = _rule([0.9324695142031522, 0.6612093864662647, 0.2386191860831970],
-                [0.1713244923791705, 0.3607615730481384, 0.4679139345726904])
-_RULE_12 = _rule([0.9815606342467191, 0.9041172563704750, 0.7699026741943050,
-                  0.5873179542866171, 0.3678314989981802, 0.1252334085114692],
-                 [0.04717533638651177, 0.1069393259953183, 0.1600783285433464,
-                  0.2031674267230659, 0.2334925365383547, 0.2491470458134029])
-_RULE_20 = _rule([0.9931285991850949, 0.9639719272779138, 0.9122344282513259,
-                  0.8391169718222188, 0.7463319064601508, 0.6360536807265150,
-                  0.5108670019508271, 0.3737060887154196, 0.2277858511416451,
-                  0.07652652113349733],
-                 [0.01761400713915212, 0.04060142980038694, 0.06267204833410906,
-                  0.08327674157670475, 0.1019301198172404, 0.1181945319615184,
-                  0.1316886384491766, 0.1420961093183821, 0.1491729864726037,
-                  0.1527533871307259])
+# Genz's 20-point Gauss-Legendre rule (Genz 2004, Stat. Comput. 14:251):
+# the half-nodes x and weights w, mirrored to the nodes 1 -/+ x on (0, 2).
+_X20 = np.array([0.9931285991850949, 0.9639719272779138, 0.9122344282513259,
+                 0.8391169718222188, 0.7463319064601508, 0.6360536807265150,
+                 0.5108670019508271, 0.3737060887154196, 0.2277858511416451,
+                 0.07652652113349733])
+_W20 = np.array([0.01761400713915212, 0.04060142980038694, 0.06267204833410906,
+                 0.08327674157670475, 0.1019301198172404, 0.1181945319615184,
+                 0.1316886384491766, 0.1420961093183821, 0.1491729864726037,
+                 0.1527533871307259])
+_RULE_20 = np.concatenate([1.0 - _X20, 1.0 + _X20]), np.concatenate([_W20, _W20])
 # Beyond _FAR a limit acts as infinite: Phi is 0 or 1 there in double
 # precision.
 _FAR = 40.0
@@ -133,30 +123,30 @@ def _bvn_cdf(h, k, ph, pk, rho):
     ``ph`` = Phi(h) and ``pk`` = Phi(k).
 
     Genz's form of the Drezner-Wesolowsky integral (Drezner & Wesolowsky
-    1990, J. Stat. Comput. Simul. 35:101; Genz 2004), by |rho|: below 0.3,
-    0.75 and 0.925 the 6-, 12- and 20-point rule of ``_integral``, from
-    0.925 ``_integral_near_one``.  A corner with a limit beyond +/-_FAR,
+    1990, J. Stat. Comput. Simul. 35:101; Genz 2004), by |rho|: below
+    0.925 the 20-point rule of ``_integral``, from 0.925
+    ``_integral_near_one``.  A corner with a limit beyond +/-_FAR,
     infinite included, is Phi(min(h, k)), which is min(Phi(h), Phi(k)).
     Each form runs on its own elements only and each element's result
     depends on that element alone, so a batch equals its rows bit for bit.
     """
     out = np.minimum(ph, pk)
     general = np.maximum(np.abs(h), np.abs(k)) <= _FAR
-    form = _FORM_BOUNDS.searchsorted(np.abs(rho), side="right")
-    for i in set(form[general].tolist()):
-        chosen = general & (form == i)
-        out[chosen] = _FORMS[i](h[chosen], k[chosen], ph[chosen], pk[chosen], rho[chosen])
+    near = np.abs(rho) >= 0.925
+    for form, chosen in ((_integral, general & ~near), (_integral_near_one, general & near)):
+        if chosen.any():
+            out[chosen] = form(h[chosen], k[chosen], ph[chosen], pk[chosen], rho[chosen])
     return out
 
 
-def _integral(rule, h, k, ph, pk, rho):
+def _integral(h, k, ph, pk, rho):
     """Phi2 on 1-d arrays with |rho| < 0.925:
 
         Phi(h) Phi(k) + 1/(2 pi) int_0^asin(rho)
             exp(-(h^2 + k^2 - 2 h k sin t)/(2 cos^2 t)) dt
 
-    by the Gauss-Legendre ``rule``, in Genz's substitution."""
-    t, w = rule
+    by the 20-point rule, in Genz's substitution."""
+    t, w = _RULE_20
     half = np.arcsin(rho) / 2.0
     sn = np.sin(half[:, None] * t)
     hk, hs = (h * k)[:, None], ((h * h + k * k) / 2.0)[:, None]
@@ -197,11 +187,6 @@ def _integral_near_one(h, k, ph, pk, rho):
     bvn += a / 2.0 * np.add.reduce(f * w, axis=1)
     bound = np.where(s > 0.0, np.minimum(ph, pk), np.maximum(ph + pk - 1.0, 0.0))
     return bound - s * bvn / (2.0 * math.pi)
-
-
-_FORM_BOUNDS = np.array([0.3, 0.75, 0.925])
-_FORMS = [partial(_integral, _RULE_6), partial(_integral, _RULE_12),
-          partial(_integral, _RULE_20), _integral_near_one]
 
 
 def bvn_rect_prob(rho, a1, b1, a2, b2):

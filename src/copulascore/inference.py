@@ -237,11 +237,12 @@ def _long_run_cov(d_m: np.ndarray, d_c: np.ndarray, cfg: HacConfig) -> np.ndarra
     ``matmul`` per lag.  An overflow leaves a non-finite entry, which the
     test reports as a ``LongRunCovError``."""
     n = d_m.shape[1]
-    # np.stack would add a Python-level wrapper to this concatenation
-    x = np.concatenate((d_m[..., None], d_c[..., None]), axis=-1)
+    x = np.empty((*d_m.shape, 2))
     with np.errstate(over="ignore", invalid="ignore"):
-        # np.add.reduce / n is x.mean without its Python-level wrapper
-        x -= np.add.reduce(x, axis=1, keepdims=True) / n
+        for j, d in enumerate((d_m, d_c)):
+            # the last partial sum is the left-to-right row sum; a row's
+            # np.add.reduce sums pairwise and rounds differently
+            np.subtract(d, np.add.accumulate(d, axis=1)[:, -1:] / n, out=x[..., j])
         xt = x.transpose(0, 2, 1)
         cov = xt @ x / n
         for h in range(1, cfg.lags + 1):

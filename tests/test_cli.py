@@ -746,6 +746,30 @@ class TestUnreadableText:
         assert err.startswith(f"error: cannot read {bad}: ") and "utf-8" in err
 
 
+class TestByteOrderMark:
+    """Spreadsheet programs often start a UTF-8 CSV with a byte-order mark."""
+
+    @staticmethod
+    def _same_stdout(capsys, args, original, marked):
+        assert main(args + [str(original)]) == 0
+        expected = capsys.readouterr().out
+        assert main(args + [str(marked)]) == 0
+        assert capsys.readouterr().out == expected.replace(str(original), str(marked))
+
+    @pytest.mark.parametrize("name", ["synthetic_scores.csv", "synthetic_densities.csv"])
+    def test_two_model_file(self, name, tmp_path, capsys):
+        marked = tmp_path / name
+        marked.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / name).read_bytes())
+        self._same_stdout(capsys, ["compare", "--scores"], FIXTURES / name, marked)
+
+    def test_one_matrix_file(self, tmp_path, capsys):
+        source = FIXTURES / "synthetic_model_scores"
+        for path in source.glob("*.csv"):
+            mark = b"\xef\xbb\xbf" if path.name == "model_c.csv" else b""
+            (tmp_path / path.name).write_bytes(mark + path.read_bytes())
+        self._same_stdout(capsys, ["compare", "--matrix"], source, tmp_path)
+
+
 class TestSimulateCommand:
     def test_deterministic_outputs(self, tmp_path, capsys):
         args = [

@@ -218,9 +218,10 @@ class TestBvnRectProb:
             bvn_rect_prob(np.full(3, 0.3), np.array([-1.0, a1, -1.0]), b1, a2, b2)
 
     def test_arrays_broadcast_elementwise(self):
-        rho = np.array([-0.5, 0.0, 0.7])
+        # both sides of |rho| = 0.925, where the kernel changes form
+        rho = np.array([-0.95, -0.5, 0.0, 0.7, 0.93, 0.999])
         got = bvn_rect_prob(rho, -1.0, np.array([[0.5], [2.0]]), -math.inf, 0.3)
-        assert got.shape == (2, 3)
+        assert got.shape == (2, 6)
         for i, b1 in enumerate((0.5, 2.0)):
             for j, r in enumerate(rho.tolist()):
                 assert got[i, j] == bvn_rect_prob(r, -1.0, b1, -math.inf, 0.3)

@@ -44,6 +44,21 @@ def brute_force_hac(d_m, d_c, lags, weight):
     return cov
 
 
+def interleaved_long_run_cov(d_m, d_c, cfg):
+    """Reference for the stacked estimator: both components interleaved in
+    one (R, n, 2) array, centred by one reduction over its periods, which
+    adds each row's values left to right."""
+    n = d_m.shape[1]
+    x = np.concatenate((d_m[..., None], d_c[..., None]), axis=-1)
+    x -= np.add.reduce(x, axis=1, keepdims=True) / n
+    xt = x.transpose(0, 2, 1)
+    cov = xt @ x / n
+    for h in range(1, cfg.lags + 1):
+        gamma = xt[:, :, h:] @ x[:, :-h] / n
+        cov = cov + cfg.weight(h) * (gamma + gamma.transpose(0, 2, 1))
+    return cov
+
+
 def random_pd_cov(rng) -> LongRunCov:
     s_mm = rng.uniform(0.3, 3.0)
     s_cc = rng.uniform(0.3, 3.0)
@@ -215,6 +230,15 @@ class TestHacCov:
     def test_no_lags_is_the_sample_covariance(self, weights):
         d = self._ar1()
         assert hac_cov(d, HacConfig(0, weights)) == hac_cov(d, HacConfig())
+
+    @pytest.mark.parametrize("rows", [1, 6])
+    @pytest.mark.parametrize("cfg", [HacConfig(), HacConfig(8, "bartlett")])
+    def test_stacked_estimator_matches_interleaved_reference(self, rows, cfg):
+        rng = np.random.default_rng(12)
+        d_m = rng.standard_normal((rows, 500)) * 0.7 + 0.3
+        d_c = rng.standard_normal((rows, 500)) * 0.2 - 0.1
+        got = inference._long_run_cov(d_m, d_c, cfg)
+        assert np.array_equal(got, interleaved_long_run_cov(d_m, d_c, cfg))
 
 
 class TestCriticalValues:
