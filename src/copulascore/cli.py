@@ -516,7 +516,8 @@ def main(argv=None) -> int:
         # refuse an output file that cannot be written before any work
         for path in map(Path, _outputs(args)):
             if not path.parent.is_dir():
-                raise ValueError(f"output directory {path.parent} does not exist")
+                problem = "is not a directory" if path.parent.exists() else "does not exist"
+                raise ValueError(f"output directory {path.parent} {problem}")
             if path.is_dir():
                 raise ValueError(f"output path {path} is a directory")
             # simulate --out DIR/ would name the files DIR/.csv and DIR/.json

@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from itertools import chain
 from typing import Callable, NamedTuple, Sequence
 
@@ -269,30 +268,34 @@ def _check_lag_cutoff(n: int, cfg: HacConfig) -> None:
         raise ValueError(f"series length {n} must exceed lag cutoff {cfg.lags}")
 
 
-def _solve_c2(
-    rho: np.ndarray, h: float, alpha2: float, sides: np.ndarray
-) -> tuple[np.ndarray, dict[int, CalibrationError]]:
-    """Safeguarded Newton iteration for the standardized second-step
-    critical values k = c2/sqrt(s_cc), in lockstep over the rows of the
-    arrays ``rho`` (correlations) and ``sides``, given the standardized
-    first-step value h = c1/sqrt(s_mm).
+def _calibrate(
+    alpha: float, s_mm: np.ndarray, s_mc: np.ndarray, s_cc: np.ndarray, sides: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, dict[int, CalibrationError]]:
+    """Critical values (c1, c2) of the rows of positive definite long-run
+    covariances (s_mm, s_mc, s_cc) under ``sides`` (2 under ``equal``, 1
+    under ``lex``), and a ``CalibrationError`` per failed row, whose c2 is
+    NaN; see ``critical_values``.  ``_two_step_batch`` calls it unless
+    given ``calibrate``: ``two_step_test`` passes a ``critical_values`` call
+    there and its ``hac_cov`` result as ``omega``, which the benchmark times.
 
-    Each row solves p(k) = sides * P(|Z1| <= h, Z2 > k) = alpha2, with
-    ``sides`` 2 under ``equal`` and 1 under ``lex``.  The limit is centrally
+    Standardized, c1 = sqrt(s_mm) * h with h = Phi^-1(1 - alpha/4), and
+    c2 = sqrt(s_cc) * k where k solves p(k) = sides * P(|Z1| <= h, Z2 > k)
+    = alpha/2 at the rows' correlations.  The limit is centrally
     symmetric, so for k >= 0 the two-sided P(|Z1| <= h, |Z2| > k) is the
     one-sided strip doubled, and both hypotheses solve the same strip
-    probability.  p is strictly decreasing in k.  The iteration starts from
-    the closed form under independence and uses the analytic derivative
+    probability.  p is strictly decreasing in k.  A safeguarded Newton
+    iteration solves every row in lockstep, one kernel call per iteration
+    for the rows still iterating.  It starts from the closed form under
+    independence and uses the analytic derivative
     -sides * phi(k) * P(|Z1| <= h | Z2 = k).  Every evaluation narrows a
     row's own bracket around its root, and a Newton step that leaves the
-    bracket is replaced by bisection.  One kernel call per iteration serves
-    every row still iterating.
-
-    Returns k, NaN in the rows that failed, and a ``CalibrationError`` per
-    failed row: the probability is not within ``_SOLVER_PROB_TOL`` of
-    alpha2 after ``_SOLVER_MAX_ITER`` evaluations, or the bracket has
-    collapsed.
+    bracket is replaced by bisection.  A row fails when its probability is
+    not within ``_SOLVER_PROB_TOL`` of alpha/2 after ``_SOLVER_MAX_ITER``
+    evaluations, or when its bracket has collapsed.
     """
+    h = norm_quantile(1.0 - alpha / 4.0)
+    alpha2 = alpha / 2.0
+    rho = s_mc / np.sqrt(s_mm * s_cc)
     r = np.sqrt((1.0 - rho) * (1.0 + rho))
     p_band = norm_cdf(h) - norm_cdf(-h)
     k = np.minimum(np.maximum(norm_quantile(1.0 - alpha2 / (sides * p_band)), -10.0), 10.0)
@@ -326,7 +329,7 @@ def _solve_c2(
                     f"probability {float(p[i])!r}, target {alpha2!r}"
                 )
             if stop.all():
-                return solved, errors
+                break
             go = ~stop
             rows, rho, r, sides = rows[go], rho[go], r[go], sides[go]
             lo, hi, k, excess = lo[go], hi[go], k[go], excess[go]
@@ -338,23 +341,11 @@ def _solve_c2(
         with np.errstate(divide="ignore", invalid="ignore"):
             step = k + excess / slope
         k = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
-    for i in rows.tolist():
-        errors[i] = CalibrationError(
-            f"second-step solver did not reach {_SOLVER_PROB_TOL:g} in probability "
-            f"within {_SOLVER_MAX_ITER} iterations"
-        )
-    return solved, errors
-
-
-def _calibrate(
-    alpha: float, s_mm: np.ndarray, s_mc: np.ndarray, s_cc: np.ndarray, sides: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, dict[int, CalibrationError]]:
-    """Critical values (c1, c2) of the rows of positive definite long-run
-    covariances, and the solver's error per failed row; see
-    ``critical_values``."""
-    h = norm_quantile(1.0 - alpha / 4.0)
-    k, errors = _solve_c2(s_mc / np.sqrt(s_mm * s_cc), h, alpha / 2.0, sides)
-    return np.sqrt(s_mm) * h, np.sqrt(s_cc) * k, errors
+    else:
+        message = (f"second-step solver did not reach {_SOLVER_PROB_TOL:g} in probability "
+                   f"within {_SOLVER_MAX_ITER} iterations")
+        errors.update((i, CalibrationError(message)) for i in rows.tolist())
+    return np.sqrt(s_mm) * h, np.sqrt(s_cc) * solved, errors
 
 
 def critical_values(
@@ -366,7 +357,7 @@ def critical_values(
     sqrt(variance) times a standardized one.  h = c1/sqrt(s_mm) satisfies
     P(|Z1| > h) = alpha/2 in closed form.  k = c2/sqrt(s_cc) makes the
     second-step rejection probability (two-sided under ``equal``, one-sided
-    under ``lex``) equal alpha/2 to within 1e-12; see ``_solve_c2``.  Both
+    under ``lex``) equal alpha/2 to within 1e-12; see ``_calibrate``.  Both
     depend on omega only through its correlation.  Raises
     ``LongRunCovError`` for a non-finite omega and ``CalibrationError``
     when the solver does not converge.
@@ -424,29 +415,39 @@ class _Batch(NamedTuple):
         return self._replace(stat_m=stat_m, stat_c=stat_c, outcome=outcome)
 
 
-def _two_step(
+def _two_step_batch(
     d_m: np.ndarray,
     d_c: np.ndarray,
-    omega: tuple[np.ndarray, np.ndarray, np.ndarray],
     cfg: HacConfig,
     alpha: float,
     hypotheses: Sequence[Hypothesis],
-    calibrate: Callable,
+    *,
+    omega: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    calibrate: Callable | None = None,
 ) -> _Batch:
-    """The two-step test of every row of ``d_m`` and ``d_c`` (R, n) under
-    each hypothesis, given the rows' long-run covariances ``omega`` =
-    (s_mm, s_mc, s_cc); see ``two_step_test`` for the rules.  Each rule is
-    a mask over the rows.  All hypotheses share the statistics, omega, the
-    masks and the first-step value; ``calibrate(s_mm, s_mc, s_cc, sides)``
-    returns (c1, c2, errors by row) of every calibrated row under every
-    hypothesis at once, as ``_calibrate`` does.
+    """Two-step tests of the R series in the rows of the C-contiguous
+    (R, n) arrays ``d_m`` and ``d_c`` under each of ``hypotheses``, by the
+    rules of ``two_step_test``: one stacked long-run covariance, one mask
+    per rule and one lockstep calibration for every row and hypothesis.
+    Row r equals ``two_step_test`` on (d_m[r], d_c[r]) bit for bit.  Raises
+    the error that testing the rows one by one, each under every hypothesis
+    in turn, would raise first, with its row index as ``row``.
 
-    Raises the error that testing the rows one by one, each under every
-    hypothesis in turn, would raise first, with its row index as ``row``.
+    ``two_step_test`` passes the result of its ``hac_cov`` call as
+    ``omega`` = (s_mm, s_mc, s_cc) and a ``critical_values`` call as
+    ``calibrate``, in place of ``_calibrate``, so that the benchmark sees
+    one test go through each of the two once.
     """
+    n = d_m.shape[1]
+    if n < 2:
+        raise ValueError("need at least 2 periods")
+    _check_level(alpha)
+    _check_lag_cutoff(n, cfg)
+    if omega is None:
+        cov = _long_run_cov(d_m, d_c, cfg)
+        omega = cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1]
     s_mm, s_mc, s_cc = omega
     sides = np.array([_SIDES[h] for h in hypotheses])[:, None]
-    n = d_m.shape[1]
     sqrt_n = math.sqrt(n)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # np.add.reduce / n is .mean without its Python-level wrapper
@@ -518,8 +519,8 @@ def _two_step(
     if m:
         # every hypothesis' rows in turn
         rows = np.concatenate([idx] * sides.size)
-        cal_c1, cal_c2, failed = calibrate(
-            s_mm[rows], s_mc[rows], s_cc[rows], sides[:, 0].repeat(m)
+        cal_c1, cal_c2, failed = (calibrate or _calibrate)(
+            alpha, s_mm[rows], s_mc[rows], s_cc[rows], sides[:, 0].repeat(m)
         )
         c1[idx] = cal_c1[:m]
         c2[:, idx] = cal_c2.reshape(-1, m)
@@ -530,28 +531,6 @@ def _two_step(
         raise errors[first]
     outcome = _decide(stat_m, stat_c, c1, c2, sides)
     return _Batch(sides, stat_m, stat_c, *omega, c1, c2, outcome, zero_m | zero_c, shrunk)
-
-
-def _two_step_batch(
-    d_m: np.ndarray,
-    d_c: np.ndarray,
-    cfg: HacConfig,
-    alpha: float,
-    hypotheses: Sequence[Hypothesis],
-) -> _Batch:
-    """Two-step tests of the R series in the rows of the C-contiguous
-    (R, n) arrays ``d_m`` and ``d_c`` under each of ``hypotheses``: one
-    stacked long-run covariance and one lockstep calibration for all of
-    them.  Row r equals ``two_step_test`` on (d_m[r], d_c[r]) bit for bit,
-    and an invalid row raises what that call would."""
-    n = d_m.shape[1]
-    if n < 2:
-        raise ValueError("need at least 2 periods")
-    _check_level(alpha)
-    _check_lag_cutoff(n, cfg)
-    cov = _long_run_cov(d_m, d_c, cfg)
-    omega = cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1]
-    return _two_step(d_m, d_c, omega, cfg, alpha, hypotheses, partial(_calibrate, alpha))
 
 
 def two_step_test(
@@ -573,19 +552,22 @@ def two_step_test(
     (possible with truncated weights), or that overflows, raises
     ``LongRunCovError``.
 
-    This is the R = 1 call of the batched core; it goes through
-    ``hac_cov`` and ``critical_values`` once each.
+    This is the R = 1 call of ``_two_step_batch``.  It passes its
+    ``hac_cov`` result as ``omega`` and a ``critical_values`` call as
+    ``calibrate``, because the benchmark times those two stages per test.
     """
     hypothesis = Hypothesis(hypothesis)
     _check_level(alpha)  # rejects bad levels on every path
     omega = hac_cov(d, cfg)
 
-    def calibrate(s_mm, s_mc, s_cc, sides):
+    def calibrate(alpha, s_mm, s_mc, s_cc, sides):
         c1, c2 = critical_values(LongRunCov(s_mm.item(), s_mc.item(), s_cc.item()), alpha, hypothesis)
         return np.array([c1]), np.array([c2]), {}
 
     entries = tuple(np.array([v]) for v in (omega.s_mm, omega.s_mc, omega.s_cc))
-    b = _two_step(d.d_m[None], d.d_c[None], entries, cfg, alpha, (hypothesis,), calibrate)
+    b = _two_step_batch(
+        d.d_m[None], d.d_c[None], cfg, alpha, (hypothesis,), omega=entries, calibrate=calibrate
+    )
     return TwoStepResult(
         hypothesis, b.stat_m.item(), b.stat_c.item(), b.c1.item(), b.c2.item(),
         _OUTCOMES[b.outcome.item()], alpha, omega,

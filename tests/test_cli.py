@@ -890,6 +890,7 @@ class TestRefusedBeforeWork:
                  "weights, or lags 0")
     ALPHA = "alpha must lie in (0, 1) and be at least 2e-09, got "
     MISSING = "output directory missing does not exist"
+    NOT_DIR, FILE = "output directory f is not a directory", {"f": b"x\n"}
     # id: argv (run in tmp_path), work, what tmp_path holds, exit code, message
     REFUSALS = {
         # the default zero weights would ignore the cutoff that the report shows
@@ -937,6 +938,11 @@ class TestRefusedBeforeWork:
         "missing-dir-matrix-out": ([*MATRIX, "--out", "missing/m.csv"], READ, {}, 1, MISSING),
         "missing-dir-cumdiff": ([*SCORES, "--cumdiff", "missing/cum.csv"], READ, {}, 1, MISSING),
         "missing-dir-cxls-demo": ([*CXLS, "--out", "missing/mixture.csv"], SAMPLE, {}, 1, MISSING),
+        # used to say that the existing regular file f does not exist
+        "file-dir-simulate": ([*SIM_II, "--out", "f/results"], STUDY, FILE, 1, NOT_DIR),
+        "file-dir-cumdiff": ([*SCORES, "--cumdiff", "f/cum.csv"], READ, FILE, 1, NOT_DIR),
+        "file-dir-matrix-out": ([*MATRIX, "--out", "f/m.csv"], READ, FILE, 1, NOT_DIR),
+        "file-dir-cxls-demo": ([*CXLS, "--out", "f/mixture.csv"], SAMPLE, FILE, 1, NOT_DIR),
         "dir-cumdiff": ([*SCORES, "--cumdiff", "d"], READ, {"d": None}, 1,
                         "output path d is a directory"),
         "dir-matrix-out": ([*MATRIX, "--out", "d"], READ, {"d": None}, 1,

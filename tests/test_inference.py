@@ -2,6 +2,7 @@
 jointly calibrated critical values, and the two-step test."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -401,6 +402,63 @@ class TestSecondStepSolver:
         monkeypatch.setattr(inference, "bvn_rect_prob", lambda *args: 0.5)
         with pytest.raises(CalibrationError, match="bracket collapsed"):
             critical_values(LongRunCov(1.0, 0.3, 1.0), 0.05, Hypothesis.LEX_SUPERIORITY)
+
+    @staticmethod
+    def lockstep_batch(rhos, alpha):
+        """``_calibrate`` on one batch of every correlation in ``rhos``
+        under both hypotheses, interleaved, on scales 4^-3..4^3 whose
+        product is 1, so that each row's correlation is exactly its rho."""
+        rho = np.repeat(rhos, 2)
+        sides = np.tile([2, 1], len(rhos))
+        s_mm = 4.0 ** (np.arange(rho.size) % 7 - 3)
+        omega = (s_mm, rho.copy(), 1.0 / s_mm)
+        return omega, sides, inference._calibrate(alpha, *omega, sides)
+
+    @staticmethod
+    def check_lockstep_exits(omega, sides, result, failed, alpha, pattern):
+        """``errors`` is keyed by exactly the rows in ``failed``, each with a
+        message that matches ``pattern(row)``; c2 is NaN in exactly those
+        rows, and every other row equals ``critical_values`` on that row."""
+        c1, c2, errors = result
+        assert sorted(errors) == failed
+        for i, error in errors.items():
+            assert type(error) is CalibrationError
+            assert re.fullmatch(pattern(i), str(error)), str(error)
+        assert np.flatnonzero(np.isnan(c2)).tolist() == failed
+        hypotheses = {2: Hypothesis.EQUAL, 1: Hypothesis.LEX_SUPERIORITY}
+        for i in sorted(set(range(c2.size)) - set(failed)):
+            om = LongRunCov(*(float(v[i]) for v in omega))
+            assert critical_values(om, alpha, hypotheses[int(sides[i])]) == (c1[i], c2[i])
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.2])
+    def test_iteration_cap_in_a_lockstep_batch(self, monkeypatch, alpha):
+        # At rho = 0 the closed-form start is the root, so those rows stop
+        # at the first evaluation; the others reach the cap of one.
+        monkeypatch.setattr(inference, "_SOLVER_MAX_ITER", 1)
+        omega, sides, result = self.lockstep_batch([0.0, 0.6, 0.0, -0.4, 0.0], alpha)
+        failed = np.flatnonzero(omega[1] != 0.0).tolist()
+        assert len(failed) == 4
+        message = "second-step solver did not reach 1e-12 in probability within 1 iterations"
+        self.check_lockstep_exits(omega, sides, result, failed, alpha, lambda i: re.escape(message))
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.2])
+    def test_collapsed_bracket_in_a_lockstep_batch(self, monkeypatch, alpha):
+        # Rows at correlation 0.3 read a probability of 0.5 that never falls
+        # to the target, so their brackets collapse while the others solve.
+        kernel = inference.bvn_rect_prob
+        monkeypatch.setattr(
+            inference, "bvn_rect_prob",
+            lambda rho, *limits: np.where(rho == 0.3, 0.5, kernel(rho, *limits)),
+        )
+        omega, sides, result = self.lockstep_batch([0.9, 0.3, -0.5, 0.3, 0.0, 0.3], alpha)
+        failed = np.flatnonzero(omega[1] == 0.3).tolist()
+        assert len(failed) == 6
+
+        def pattern(i):
+            tail = f"with probability {float(0.5 * sides[i])!r}, target {alpha / 2!r}"
+            return r"second-step solver bracket collapsed at k=\S+ " + re.escape(tail)
+
+        self.check_lockstep_exits(omega, sides, result, failed, alpha, pattern)
 
 
 class TestTwoStepTest:
