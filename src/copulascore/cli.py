@@ -45,7 +45,9 @@ from .inference import (
     Hypothesis,
     TwoStepResult,
     _LABELS,
-    _two_step_batch,
+    _check_level,
+    _decide_batch,
+    _reduce,
     score_diffs,
     two_step_test,
 )
@@ -295,20 +297,20 @@ def _matrix_compare(args, hypothesis: Hypothesis, hac: HacConfig) -> int:
     k = len(models)
     labels: list[list[str | None]] = [[None] * k for _ in range(k)]
     d_m, d_c = np.ascontiguousarray(scores.transpose(2, 1, 0))  # (k, n) each
-    # One test per unordered pair, batched by first model in the order of
-    # itertools.combinations: at most k - 1 series per batch keeps the
-    # stacked differences small.  The pair in the other order has the
-    # negated differences, so its result follows exactly by swapped().
-    for i in range(k - 1):
-        try:
-            batch = _two_step_batch(d_m[i] - d_m[i + 1:], d_c[i] - d_c[i + 1:], hac,
-                                    args.alpha, (hypothesis,))
-        except ValueError as exc:
-            if hasattr(exc, "row"):  # a failed series: row r is the pair (i, i + 1 + r)
-                exc.args = (f"{models[i]} vs {models[i + 1 + exc.row]}: {exc}",)
-            raise
-        for j, ij, ji in zip(range(i + 1, k), batch.outcome[0], batch.swapped().outcome[0]):
-            labels[i][j], labels[j][i] = _LABELS[ij], _LABELS[ji]
+    # One test per unordered pair (first[r], second[r]), reduced in batches
+    # by first model to keep the stacked differences small, then decided in
+    # one lockstep calibration.  The pair in the other order has the negated
+    # differences, so its result follows exactly by swapped().
+    first, second = np.triu_indices(k, 1)
+    parts = [_reduce(d_m[i] - d_m[i + 1:], d_c[i] - d_c[i + 1:], hac) for i in range(k - 1)]
+    try:
+        batch = _decide_batch(parts, args.alpha, (hypothesis,))
+    except ValueError as exc:
+        if hasattr(exc, "row"):  # a failed series
+            exc.args = (f"{models[first[exc.row]]} vs {models[second[exc.row]]}: {exc}",)
+        raise
+    for i, j, ij, ji in zip(first, second, batch.outcome[0], batch.swapped().outcome[0]):
+        labels[i][j], labels[j][i] = _LABELS[ij], _LABELS[ji]
 
     payload = {
         "config": {
@@ -337,6 +339,7 @@ def _outputs(args) -> list[str]:
 
 
 def cmd_compare(args) -> int:
+    _check_level(args.alpha)  # before any file is read, as simulate checks it before drawing
     hypothesis = Hypothesis(args.hypothesis)
     hac = HacConfig(lags=args.hac_lags, weights=args.hac_weights)
     if args.matrix is not None:

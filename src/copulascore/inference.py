@@ -13,7 +13,7 @@ import enum
 import math
 from dataclasses import dataclass, replace
 from itertools import chain
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -274,9 +274,8 @@ def _calibrate(
     """Critical values (c1, c2) of the rows of positive definite long-run
     covariances (s_mm, s_mc, s_cc) under ``sides`` (2 under ``equal``, 1
     under ``lex``), and a ``CalibrationError`` per failed row, whose c2 is
-    NaN; see ``critical_values``.  ``_two_step_batch`` calls it unless
-    given ``calibrate``: ``two_step_test`` passes a ``critical_values`` call
-    there and its ``hac_cov`` result as ``omega``, which the benchmark times.
+    NaN; see ``critical_values``.  ``_decide_batch`` calls it unless given
+    another ``calibrate``.
 
     Standardized, c1 = sqrt(s_mm) * h with h = Phi^-1(1 - alpha/4), and
     c2 = sqrt(s_cc) * k where k solves p(k) = sides * P(|Z1| <= h, Z2 > k)
@@ -415,39 +414,35 @@ class _Batch(NamedTuple):
         return self._replace(stat_m=stat_m, stat_c=stat_c, outcome=outcome)
 
 
-def _two_step_batch(
-    d_m: np.ndarray,
-    d_c: np.ndarray,
-    cfg: HacConfig,
-    alpha: float,
-    hypotheses: Sequence[Hypothesis],
-    *,
-    omega: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-    calibrate: Callable | None = None,
-) -> _Batch:
-    """Two-step tests of the R series in the rows of the C-contiguous
-    (R, n) arrays ``d_m`` and ``d_c`` under each of ``hypotheses``, by the
-    rules of ``two_step_test``: one stacked long-run covariance, one mask
-    per rule and one lockstep calibration for every row and hypothesis.
-    Row r equals ``two_step_test`` on (d_m[r], d_c[r]) bit for bit.  Raises
-    the error that testing the rows one by one, each under every hypothesis
-    in turn, would raise first, with its row index as ``row``.
+class _Reduced(NamedTuple):
+    """What the tests of R series read of their differences, each of shape
+    (R,); ``error`` holds the first bad row's error at that row, else None."""
 
-    ``two_step_test`` passes the result of its ``hac_cov`` call as
-    ``omega`` = (s_mm, s_mc, s_cc) and a ``critical_values`` call as
-    ``calibrate``, in place of ``_calibrate``, so that the benchmark sees
-    one test go through each of the two once.
-    """
+    stat_m: np.ndarray
+    stat_c: np.ndarray
+    s_mm: np.ndarray
+    s_mc: np.ndarray
+    s_cc: np.ndarray
+    corr: np.ndarray
+    flat_m: np.ndarray
+    flat_c: np.ndarray
+    zero_m: np.ndarray
+    zero_c: np.ndarray
+    bad: np.ndarray
+    error: np.ndarray
+
+
+def _reduce(d_m: np.ndarray, d_c: np.ndarray, cfg: HacConfig, omega=None) -> _Reduced:
+    """The means, long-run covariance (unless given as ``omega``) and masks
+    of the series in the rows of the C-contiguous (R, n) ``d_m`` and ``d_c``."""
     n = d_m.shape[1]
     if n < 2:
         raise ValueError("need at least 2 periods")
-    _check_level(alpha)
     _check_lag_cutoff(n, cfg)
     if omega is None:
         cov = _long_run_cov(d_m, d_c, cfg)
         omega = cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1]
     s_mm, s_mc, s_cc = omega
-    sides = np.array([_SIDES[h] for h in hypotheses])[:, None]
     sqrt_n = math.sqrt(n)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # np.add.reduce / n is .mean without its Python-level wrapper
@@ -468,11 +463,44 @@ def _two_step_batch(
         zero_m = flat_m & ~d_m.any(axis=1)
         zero_c = flat_c & ~d_c.any(axis=1)
         negative = (s_mm < -band_m) | (s_cc < -band_c)
-        flat = flat_m | flat_c
-        indefinite = ~flat & (np.abs(corr) > _CORR_INDEFINITE)
+        indefinite = ~(flat_m | flat_c) & (np.abs(corr) > _CORR_INDEFINITE)
         bad = overflow | negative | (zero_m & zero_c) | indefinite
-        c1 = np.empty(stat_m.shape)
-        c2 = np.empty((sides.size, stat_m.size))
+
+    error = np.empty(bad.shape, dtype=object)
+    if bad.any():
+        r = int(bad.argmax())
+        if not (np.isfinite(d_m[r]).all() and np.isfinite(d_c[r]).all()):
+            error[r] = ValueError("score differences must be finite")
+        elif overflow[r]:
+            error[r] = _overflow()
+        elif s_mm[r] < -band_m[r]:
+            error[r] = _indefinite(cfg, f"variance {float(s_mm[r])!r}")
+        elif s_cc[r] < -band_c[r]:
+            error[r] = _indefinite(cfg, f"variance {float(s_cc[r])!r}")
+        elif zero_m[r] and zero_c[r]:
+            error[r] = DegenerateSeriesError(
+                "both score-difference components are degenerate; "
+                "the forecasts carry no ranking information"
+            )
+        else:
+            error[r] = _indefinite(cfg, f"correlation {float(corr[r])!r}")
+    return _Reduced(stat_m, stat_c, *omega, corr, flat_m, flat_c, zero_m, zero_c, bad, error)
+
+
+def _decide_batch(parts: Sequence[_Reduced], alpha: float, hypotheses, calibrate=None) -> _Batch:
+    """Two-step tests of the rows of ``parts``, the reductions of consecutive
+    blocks of series, under each of ``hypotheses``: one lockstep calibration
+    of every row and hypothesis, by ``calibrate`` if given.  Raises the error
+    that testing the rows one by one, each under every hypothesis in turn,
+    would raise first, with its row index as ``row``."""
+    _check_level(alpha)
+    s = _Reduced(*map(np.concatenate, zip(*parts))) if len(parts) > 1 else parts[0]
+    sides = np.array([_SIDES[h] for h in hypotheses])[:, None]
+    s_mm, s_mc, s_cc = s.s_mm, s.s_mc, s.s_cc
+    flat = s.flat_m | s.flat_c
+    c1 = np.empty(s.stat_m.shape)
+    c2 = np.empty((sides.size, s.stat_m.size))
+    with np.errstate(invalid="ignore"):
         if flat.any():
             # A constant component has no sampling variation.  When
             # identically zero (identical forecasts) its step is skipped
@@ -480,40 +508,22 @@ def _two_step_batch(
             # value 0, the limit of a vanishing variance).  The other
             # component gets a one-step test at the full level alpha.
             c1[:] = np.where(
-                flat_m, np.where(zero_m, math.inf, 0.0),
+                s.flat_m, np.where(s.zero_m, math.inf, 0.0),
                 np.sqrt(s_mm) * norm_quantile(1.0 - alpha / 2.0),
             )
             c2[:] = np.where(
-                flat_c, np.where(zero_c, math.inf, 0.0),
+                s.flat_c, np.where(s.zero_c, math.inf, 0.0),
                 np.sqrt(s_cc) * norm_quantile(1.0 - alpha / sides),
             )
         # Otherwise both steps are calibrated jointly, on a correlation
         # shrunk away from the singular limit.
-        calibrated = ~(flat | bad)
-        shrunk = calibrated & (np.abs(corr) >= _CORR_SINGULAR)
+        calibrated = ~(flat | s.bad)
+        shrunk = calibrated & (np.abs(s.corr) >= _CORR_SINGULAR)
         if shrunk.any():
-            s_mc = np.where(shrunk, np.copysign(_CORR_SHRUNK, corr) * np.sqrt(s_mm * s_cc), s_mc)
+            s_mc = np.where(shrunk, np.copysign(_CORR_SHRUNK, s.corr) * np.sqrt(s_mm * s_cc), s_mc)
 
-    errors = {}
-    if bad.any():
-        r = int(bad.argmax())
-        if not (np.isfinite(d_m[r]).all() and np.isfinite(d_c[r]).all()):
-            error = ValueError("score differences must be finite")
-        elif overflow[r]:
-            error = _overflow()
-        elif s_mm[r] < -band_m[r]:
-            error = _indefinite(cfg, f"variance {float(s_mm[r])!r}")
-        elif s_cc[r] < -band_c[r]:
-            error = _indefinite(cfg, f"variance {float(s_cc[r])!r}")
-        elif zero_m[r] and zero_c[r]:
-            error = DegenerateSeriesError(
-                "both score-difference components are degenerate; "
-                "the forecasts carry no ranking information"
-            )
-        else:
-            error = _indefinite(cfg, f"correlation {float(corr[r])!r}")
-        # a series' own checks precede its calibration under any hypothesis
-        errors[r, -1] = error
+    # the first bad series' own checks precede its calibration under any hypothesis
+    errors = {(r, -1): s.error[r] for r in np.flatnonzero(s.bad)[:1].tolist()}
     idx = np.flatnonzero(calibrated)
     m = idx.size
     if m:
@@ -529,8 +539,16 @@ def _two_step_batch(
         first = min(errors)
         errors[first].row = first[0]
         raise errors[first]
-    outcome = _decide(stat_m, stat_c, c1, c2, sides)
-    return _Batch(sides, stat_m, stat_c, *omega, c1, c2, outcome, zero_m | zero_c, shrunk)
+    outcome = _decide(s.stat_m, s.stat_c, c1, c2, sides)
+    return _Batch(sides, s.stat_m, s.stat_c, s.s_mm, s.s_mc, s.s_cc, c1, c2, outcome,
+                  s.zero_m | s.zero_c, shrunk)
+
+
+def _two_step_batch(d_m, d_c, cfg: HacConfig, alpha: float, hypotheses) -> _Batch:
+    """Two-step tests of the R series in the rows of ``d_m`` and ``d_c``
+    under each of ``hypotheses``: row r equals ``two_step_test`` on
+    (d_m[r], d_c[r]) bit for bit."""
+    return _decide_batch([_reduce(d_m, d_c, cfg)], alpha, hypotheses)
 
 
 def two_step_test(
@@ -552,9 +570,9 @@ def two_step_test(
     (possible with truncated weights), or that overflows, raises
     ``LongRunCovError``.
 
-    This is the R = 1 call of ``_two_step_batch``.  It passes its
-    ``hac_cov`` result as ``omega`` and a ``critical_values`` call as
-    ``calibrate``, because the benchmark times those two stages per test.
+    This is ``_two_step_batch`` at R = 1, with the covariance from
+    ``hac_cov`` and the calibration by ``critical_values``, the stages that
+    the benchmark times per test.
     """
     hypothesis = Hypothesis(hypothesis)
     _check_level(alpha)  # rejects bad levels on every path
@@ -565,9 +583,8 @@ def two_step_test(
         return np.array([c1]), np.array([c2]), {}
 
     entries = tuple(np.array([v]) for v in (omega.s_mm, omega.s_mc, omega.s_cc))
-    b = _two_step_batch(
-        d.d_m[None], d.d_c[None], cfg, alpha, (hypothesis,), omega=entries, calibrate=calibrate
-    )
+    reduced = _reduce(d.d_m[None], d.d_c[None], cfg, entries)
+    b = _decide_batch([reduced], alpha, (hypothesis,), calibrate)
     return TwoStepResult(
         hypothesis, b.stat_m.item(), b.stat_c.item(), b.c1.item(), b.c2.item(),
         _OUTCOMES[b.outcome.item()], alpha, omega,

@@ -173,6 +173,42 @@ def test_batch_raises_first_bad_row(monkeypatch, first, second):
     assert "np.float64(" not in str(caught.value)
 
 
+@pytest.mark.parametrize(
+    "first, second",
+    [("solver", "degenerate"), ("degenerate", "solver"), ("solver", "negative_variance")],
+)
+def test_blocks_decided_together_raise_first_bad_row(monkeypatch, first, second):
+    """Rows 3 and 7 are bad, in different blocks: deciding the blocks'
+    reductions together raises what one batch of all rows raises, with the
+    row counted in the whole."""
+    monkeypatch.setattr(inference, "_SOLVER_MAX_ITER", 1)
+    d_m = np.zeros((9, 40))
+    d_c = np.arange(1.0, 10.0)[:, None] * np.full((9, 40), 0.1)
+    for row, kind in ((3, first), (7, second)):
+        d_m[row], d_c[row] = _BAD_ROWS[kind]
+    with pytest.raises(ValueError) as whole:
+        _two_step_batch(d_m, d_c, TRUNCATED_15, 0.05, BOTH)
+    parts = [inference._reduce(d_m[a:b], d_c[a:b], TRUNCATED_15) for a, b in ((0, 5), (5, 9))]
+    with pytest.raises(ValueError) as caught:
+        inference._decide_batch(parts, 0.05, BOTH)
+    assert type(caught.value) is type(whole.value)
+    assert (str(caught.value), caught.value.row) == (str(whole.value), 3)
+
+
+def test_blocks_decided_together_equal_one_batch():
+    """Reductions of consecutive blocks decided in one call give one batch
+    of all rows, field for field."""
+    rng = np.random.default_rng(23)
+    d_m = rng.standard_normal((7, 60)) + rng.uniform(-0.4, 0.4, (7, 1))
+    d_c = rng.standard_normal((7, 60)) + rng.uniform(-0.4, 0.4, (7, 1))
+    d_m[2] = 0.0  # a fallback row among the calibrated ones
+    hac = HacConfig(lags=3, weights="bartlett")
+    whole = _two_step_batch(d_m, d_c, hac, 0.05, BOTH)
+    parts = [inference._reduce(d_m[a:b], d_c[a:b], hac) for a, b in ((0, 2), (2, 3), (3, 7))]
+    for got, expected in zip(inference._decide_batch(parts, 0.05, BOTH), whole):
+        assert np.array_equal(got, expected)
+
+
 def test_batch_of_non_finite_row_raises_after_earlier_rows(monkeypatch):
     monkeypatch.setattr(inference, "_SOLVER_MAX_ITER", 1)
     d_m, d_c = np.zeros((4, 40)), np.full((4, 40), 0.2)

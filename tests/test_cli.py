@@ -704,6 +704,68 @@ class TestMatrixMode:
         assert out == ""
         assert err.startswith("error: model_c vs model_h: both score-difference components")
 
+    @staticmethod
+    def _lockstep_dir(tmp_path, identical):
+        """Five models a-e, 40 periods.  a, b, c, e share their marginal
+        scores, and their copula scores differ by constants, so their pairs
+        decide without calibration; d's scores are noise, so every pair with
+        d is calibrated; the models named in ``identical`` have equal files,
+        so their pair is degenerate."""
+        rng = np.random.default_rng(11)
+        t = np.arange(1, 41)
+        marg, cop = rng.standard_normal((2, 40))
+        directory = tmp_path / "lockstep"
+        directory.mkdir()
+        for k, name in enumerate("abcde"):
+            if name == "d":
+                scores = rng.standard_normal((40, 2))
+            else:
+                shift = 0.1 * ("abcde".index(identical[0]) if name in identical else k)
+                scores = np.column_stack([marg, cop + shift])
+            rows = zip(t, scores[:, 0], scores[:, 1])
+            (directory / f"{name}.csv").write_text(
+                cli._csv_text(cli.SINGLE_MODEL_HEADER, rows), encoding="utf-8"
+            )
+        return directory
+
+    def test_one_lockstep_calibration_for_all_pairs(self, monkeypatch, capsys):
+        """The pairs of every first model are calibrated together: a run over
+        seven models makes fewer kernel calls than ten, and the first one
+        takes all 21 pairs."""
+        calls = []
+        kernel = inference.bvn_rect_prob
+
+        def counting(*args):
+            calls.append(np.size(args[0]))
+            return kernel(*args)
+
+        monkeypatch.setattr(inference, "bvn_rect_prob", counting)
+        argv = ["compare", "--matrix", str(FIXTURES / "synthetic_model_scores")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert 1 <= len(calls) < 10 and calls[0] == 7 * 6 // 2
+
+    @pytest.mark.parametrize(
+        "identical, message",
+        [
+            # (a, d), row 2 of a's pairs, fails its calibration before the
+            # degenerate (b, e), row 6 in b's pairs
+            ("be", "a vs d: second-step solver did not reach 1e-12 in probability within 1 "
+                   "iterations"),
+            # the degenerate (a, b), row 0, comes before every calibration
+            ("ab", "a vs b: both score-difference components are degenerate; the forecasts "
+                   "carry no ranking information"),
+        ],
+        ids=["calibration-first", "degenerate-first"],
+    )
+    def test_first_failing_pair_across_first_models(
+        self, identical, message, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(inference, "_SOLVER_MAX_ITER", 1)
+        directory = self._lockstep_dir(tmp_path, identical)
+        assert main(["compare", "--matrix", str(directory)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_needs_two_files(self, tmp_path, capsys):
         d = tmp_path / "one"
         d.mkdir()
@@ -917,6 +979,9 @@ class TestRefusedBeforeWork:
         # just below the smallest level
         "alpha-below-floor": ([*SIM_II, "--alpha", "1.9999999999999997e-09", "--out", "x"], DRAWS,
                               {}, 1, ALPHA + "1.9999999999999997e-09"),
+        # compare used to read its input first, and to report a bad cell there instead
+        "scores-alpha-below-floor": ([*SCORES, "--alpha", "1e-12"], READ, {}, 1, ALPHA + "1e-12"),
+        "matrix-alpha-below-floor": ([*MATRIX, "--alpha", "1e-12"], READ, {}, 1, ALPHA + "1e-12"),
         "lags-over-length": ([*SIM_II, "--hac-lags", "400", "--hac-weights", "bartlett", "--out",
                               "x"], DRAWS, {}, 1, "series length 300 must exceed lag cutoff 400"),
         "simulate-zero-lags": ([*SIM_II, "--hac-lags", "4", "--out", "x"], DRAWS, {}, 1, ZERO_LAGS),

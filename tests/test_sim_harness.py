@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from copulascore import sim_harness
+from copulascore import inference, sim_harness
 from copulascore.copulas import GaussianEquiCorr, _equicorr_logdensity
 from copulascore.dist_math import EquiCorr
 from copulascore.inference import HacConfig, Hypothesis, ScoreDiffSeries, two_step_test
@@ -865,6 +865,69 @@ class TestChunkedRuns:
         assert calls == [(a, min(reps_per_chunk, 10 - a)) for a in firsts]
         # the rows reject somewhere, so the comparison is not of all zeros
         assert any(row.joint_pct > 0.0 for row in whole)
+
+    def test_one_lockstep_calibration_per_chunk(self, monkeypatch):
+        """A run of three chunks calibrates each chunk's replications under
+        both hypotheses in one lockstep call, and gives the one-chunk table.
+        A run is not calibrated in one call, whose memory would grow with
+        the replication count."""
+        args = (self.SPEC, SETTINGS["ii"], 10, 0.05, 6)
+        whole = run_experiment(*args)
+        calls = self._chunk_reps(monkeypatch, 4)
+        rows = []
+        calibrate = inference._calibrate
+
+        def recorded(alpha, s_mm, s_mc, s_cc, sides):
+            rows.append(sides.size)
+            return calibrate(alpha, s_mm, s_mc, s_cc, sides)
+
+        monkeypatch.setattr(inference, "_calibrate", recorded)
+        assert run_experiment(*args) == whole
+        assert calls == [(0, 4), (4, 4), (8, 2)]
+        assert rows == [8, 8, 4]
+
+    @pytest.mark.parametrize("kinds", [("solver", "degenerate"), ("degenerate", "solver")])
+    def test_first_bad_replication_across_chunks(self, monkeypatch, kinds):
+        """Replications 1 (first chunk) and 4 (second chunk) are bad, one by
+        a degenerate series and one by a solver that gives up: the run raises
+        the error of replication 1 and draws no chunk after the first."""
+        monkeypatch.setattr(inference, "_SOLVER_MAX_ITER", 1)
+        calls = self._chunk_reps(monkeypatch, 3)
+        recorded = sim_harness._experiment_diffs
+        n = self.SPEC.n
+        series = {
+            "solver": tuple(np.random.default_rng(4).standard_normal((2, n))),
+            "degenerate": (np.zeros(n), np.zeros(n)),
+        }
+        errors = {
+            "solver": inference.CalibrationError,
+            "degenerate": inference.DegenerateSeriesError,
+        }
+        bad = dict(zip((1, 4), kinds))
+
+        def crafted(spec, setting, reps, seed, variance_mode, first):
+            recorded(spec, setting, reps, seed, variance_mode, first)
+            # good rows: identical marginals and a constant copula advantage,
+            # which decide without calibration
+            d_m, d_c = np.zeros((reps, n)), np.full((reps, n), 0.1)
+            for r in range(reps):
+                if first + r in bad:
+                    d_m[r], d_c[r] = series[bad[first + r]]
+            return d_m, d_c
+
+        monkeypatch.setattr(sim_harness, "_experiment_diffs", crafted)
+        with pytest.raises(errors[kinds[0]]) as expected:
+            two_step_test(ScoreDiffSeries(*series[kinds[0]]), HacConfig(), 0.05, Hypothesis.EQUAL)
+        with pytest.raises(errors[kinds[0]]) as caught:
+            run_experiment(self.SPEC, SETTINGS["ii"], 9, 0.05, 1)
+        assert str(caught.value) == str(expected.value)
+        assert calls == [(0, 3)]
+        # alone, replication 4 raises its own error from the second chunk
+        del bad[1]
+        calls.clear()
+        with pytest.raises(errors[kinds[1]]):
+            run_experiment(self.SPEC, SETTINGS["ii"], 9, 0.05, 1)
+        assert calls == [(0, 3), (3, 3)]
 
     def test_peak_does_not_grow_with_reps(self, monkeypatch):
         """Each chunk's draws are freed before the next is drawn: eight
