@@ -221,8 +221,6 @@ def bvn_rect_prob(rho, a1, b1, a2, b2):
     k, pk = lim[[3, 3, 2, 2]], p[[3, 3, 2, 2]]
     with np.errstate(all="ignore"):
         c = _bvn_cdf(h, k, ph, pk, arr[[4, 4, 4, 4]])
-    prob = np.minimum(np.maximum(c[0] - c[1] - c[2] + c[3], 0.0), 1.0)
-    if not np.logical_and.reduce(nonempty, axis=None):
-        # an empty interval has probability 0 exactly, not a rounding residue
-        prob *= nonempty
+    # an empty interval has probability 0 exactly, not a rounding residue
+    prob = np.minimum(np.maximum(c[0] - c[1] - c[2] + c[3], 0.0), 1.0) * nonempty
     return float(prob) if prob.ndim == 0 else prob

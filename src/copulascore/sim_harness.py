@@ -7,11 +7,11 @@ replications: it draws every stream's burn-in innovations, runs and frees
 them, then draws every stream's window (:func:`_draw_noise`), or under
 ``one-step`` drops each stream's burn-in normals from its window's draw and
 reduces the window as it is drawn to two sums per step.  Each stream then
-gives both forecasters' disturbances as raw uniform words, which only the
-setting scales, a superblock of time steps at a time, in the order of one
-whole-window draw: burn-in, window, forecaster 1's (dm, dc), forecaster
-2's.  Replication streams are split from the master seed by spawn key, so
-results are bit-identical regardless of batching or execution order.
+gives both forecasters' disturbances as raw uniform words, a superblock at
+a time, in the order of one whole-window draw: burn-in, window, forecaster
+1's (dm, dc), forecaster 2's; if n exceeds a superblock, a jump follows each
+piece, on to the next or back to the next superblock.  Spawn keys split the
+streams from the master seed: no bit depends on batching or on order.
 
 One variance recursion, :func:`_variance_steps`, runs time-major over a
 stacked state of shape (rows, dim, reps): row 0 is the true variance, and
@@ -274,8 +274,8 @@ def _experiment_diffs(
     replications' streams give their windows (:func:`_paths`), then raw
     ``Generator.random`` words a superblock of ``_SUPERBLOCK_STEPS`` steps
     at a time: from offset s, words s, s + n, s + 2n and s + 3n on are
-    forecaster 1's dm and dc and forecaster 2's, and a step back of 3n
-    follows if more do.  One pass maps them to low + width * u (see
+    forecaster 1's dm and dc and forecaster 2's; if n exceeds a superblock,
+    a jump follows each piece.  One pass maps them to low + width * u (see
     :class:`ContaminationSpec`), ``Generator.uniform``'s draws bit for bit
     with its width (1 + delta) - (1 - delta).  In blocks of ``_BLOCK_STEPS``
     steps, each forecaster is scored from three sums over the coordinates of
@@ -307,11 +307,9 @@ def _experiment_diffs(
         steps = min(_SUPERBLOCK_STEPS, n - s)
         for r, rng in enumerate(rngs):
             for k, piece in enumerate(words[:, :steps, r]):
-                if k and steps < n:  # on to word s + k n, as in one whole-window draw
-                    rng.bit_generator.advance(n - steps)
                 piece[:] = rng.random(steps)
-            if s + steps < n:
-                rng.bit_generator.advance(-3 * n)
+                if steps < n:  # on to word s + (k + 1) n, after the fourth piece back to s + steps
+                    rng.bit_generator.advance(n - steps if k < 3 else -3 * n)
         drawn = draws[:, :, :steps]  # u -> low + width * u, width as Generator.uniform has it
         np.add(np.multiply(drawn, width, out=drawn), low, out=drawn)
         drawn[:, 1] *= spec.rho  # both forecasters' correlations

@@ -5,6 +5,7 @@ import functools
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,14 @@ class TestParseScores:
         p = tmp_path / "s.csv"
         p.write_text("t,s_marg_1,s_cop1,s_marg_2,s_cop_2\n1,0,0,0,0\n2,0,0,0,0\n")
         with pytest.raises(ScoresFileError, match="s_cop1"):
+            parse_scores(p)
+
+    @pytest.mark.parametrize("extra", [",note", ","])
+    def test_header_extra_trailing_column_counted(self, tmp_path, extra):
+        p = tmp_path / "s.csv"
+        p.write_text(f"t,s_marg_1,s_cop_1,s_marg_2,s_cop_2{extra}\n1,0,0,0,0\n2,0,0,0,0\n")
+        message = f"^{re.escape(str(p))}: header has 6 columns, expected 5$"
+        with pytest.raises(ScoresFileError, match=message):
             parse_scores(p)
 
     def test_nan_cell_rejected_with_row(self, tmp_path):

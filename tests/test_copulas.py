@@ -2,6 +2,7 @@
 sampling, and the Gaussian equicorrelation copula density."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -71,6 +72,12 @@ class TestCdfExamples:
     def test_nan_coordinate_rejected(self, copula):
         with pytest.raises(ValueError, match="unit cube"):
             copula.cdf((math.nan, 0.5))
+
+    @pytest.mark.parametrize("u", [(0.5,), (0.5, 0.5, 0.5), [[0.5, 0.5]]])
+    def test_wrong_shape_named(self, u):
+        message = rf"^u must have shape \(2,\), got {re.escape(str(np.shape(u)))}$"
+        with pytest.raises(ValueError, match=message):
+            Independence(2).cdf(u)
 
 
 class TestMixtureCdf:
@@ -220,6 +227,12 @@ class TestGaussianLogDensity:
             gaussian_copula_logdensity(ec, (0.5, 1.0))
         with pytest.raises(ValueError):
             gaussian_copula_logdensity(ec, (0.5, math.nan))
+
+    @pytest.mark.parametrize("u", [(0.5, 0.5), (0.5, 0.5, 0.5, 0.5), [[0.5, 0.5, 0.5]]])
+    def test_wrong_shape_named(self, u):
+        message = rf"^u must have shape \(3,\), got {re.escape(str(np.shape(u)))}$"
+        with pytest.raises(ValueError, match=message):
+            gaussian_copula_logdensity(EquiCorr(3, 0.2), u)
 
     def test_integrates_to_one(self):
         # Monte Carlo: the density averaged over uniform points is 1.

@@ -226,6 +226,28 @@ class TestBvnRectProb:
             for j, r in enumerate(rho.tolist()):
                 assert got[i, j] == bvn_rect_prob(r, -1.0, b1, -math.inf, 0.3)
 
+    def test_batch_mixing_empty_rectangles(self):
+        # empty in the first, the second or both coordinates, at finite and
+        # infinite limits, beside nonempty rows on both sides of |rho| 0.925;
+        # unmasked, the corner sum of the fourth row is 1.4e-17, not 0
+        rows = [
+            (0.3, -1.0, 1.0, -0.5, 2.0),
+            (0.3, 0.4, 0.4, -0.5, 2.0),
+            (-0.95, -math.inf, 0.2, -0.5, 2.0),
+            (-0.95, -1.0, 1.0, 1.3, 1.3),
+            (0.999, -math.inf, -math.inf, -math.inf, math.inf),
+            (0.999, -0.7, 1.1, -math.inf, math.inf),
+            (0.0, math.inf, math.inf, 0.0, 0.0),
+            (0.6, 0.0, math.inf, 0.0, 0.0),
+        ]
+        rho, a1, b1, a2, b2 = map(np.array, zip(*rows))
+        got = bvn_rect_prob(rho, a1, b1, a2, b2)
+        for i, (r, lo1, hi1, lo2, hi2) in enumerate(rows):
+            if lo1 < hi1 and lo2 < hi2:
+                assert got[i] == bvn_rect_prob(r, lo1, hi1, lo2, hi2) > 0.0
+            else:
+                assert got[i] == 0.0
+
 
 NEAR_SINGULAR = 1.0 - 1e-8
 RHO_GRID = [

@@ -130,6 +130,17 @@ class TestScoreDiffs:
         with pytest.raises(ValueError):
             ScoreDiffSeries(np.array([1.0, math.nan]), np.array([0.0, 0.0]))
 
+    @pytest.mark.parametrize(
+        "d_m, d_c",
+        [(np.zeros((2, 3)), np.zeros((2, 3))), (np.zeros(3), np.zeros((1, 3))),
+         (np.zeros(3), np.zeros(4)), (0.0, np.zeros(3))],
+        ids=["both-2d", "one-2d", "unequal", "scalar"],
+    )
+    def test_series_shape_named(self, d_m, d_c):
+        message = "^d_m and d_c must be one-dimensional and equally long$"
+        with pytest.raises(ValueError, match=message):
+            ScoreDiffSeries(d_m, d_c)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("component", ["d_m", "d_c"])
     def test_non_finite_difference_in_either_series(self, component, bad):
@@ -205,6 +216,12 @@ class TestHacCov:
         d = ScoreDiffSeries(np.arange(6.0), np.arange(6.0) ** 2)
         cfg = HacConfig(lags=np.int64(2), weights="bartlett")
         assert hac_cov(d, cfg) == hac_cov(d, HacConfig(lags=2, weights="bartlett"))
+
+    @pytest.mark.parametrize("weights", ["x", "Bartlett", None])
+    def test_unknown_weights_named(self, weights):
+        message = "^weights must be one of 'zero', 'bartlett', 'truncated'$"
+        with pytest.raises(ValueError, match=message):
+            HacConfig(weights=weights)
 
     @given(lags=st.integers(1, 10**6))
     def test_lags_under_zero_weights_rejected(self, lags):
@@ -519,6 +536,11 @@ class TestTwoStepTest:
         assert abs(m_count / reps - 0.025) <= 0.012
         assert abs(c_count / reps - 0.025) <= 0.012
 
+    def test_batch_of_single_periods_rejected(self):
+        d = np.zeros((3, 1))
+        with pytest.raises(ValueError, match="^need at least 2 periods$"):
+            inference._two_step_batch(d, d + 1.0, HacConfig(), 0.05, [Hypothesis.EQUAL])
+
     def test_attribution_consistency(self):
         rng = np.random.default_rng(77)
         for _ in range(100):
@@ -684,6 +706,22 @@ class TestIndefiniteLongRunCov:
         assert hac_cov(d, TRUNCATED_15).s_mm < -0.05
         with pytest.raises(LongRunCovError, match=r"lags=15, weights='truncated'"):
             two_step_test(d, TRUNCATED_15, 0.05, Hypothesis.EQUAL)
+
+    def test_negative_copula_variance_raises(self):
+        # d_c alternates +-1, so its lag-1 autocovariance is about -1 and
+        # the truncated estimate 1 + 2 * (-39/40) of its variance is
+        # negative, while white-noise d_m keeps a positive one
+        d = ScoreDiffSeries(np.random.default_rng(7).standard_normal(40), np.tile([1.0, -1.0], 20))
+        cfg = HacConfig(1, "truncated")
+        omega = hac_cov(d, cfg)
+        assert omega.s_mm > 0.0 and omega.s_cc < -0.9
+        message = (
+            rf"^long-run covariance is not positive semi-definite \(variance "
+            rf"{re.escape(repr(float(omega.s_cc)))}\) with lags=1, weights='truncated'; "
+        )
+        for hypothesis in Hypothesis:
+            with pytest.raises(LongRunCovError, match=message):
+                two_step_test(d, cfg, 0.05, hypothesis)
 
     def test_correlation_beyond_one_raises(self):
         d = _normal_pair(3)

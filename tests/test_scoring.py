@@ -5,6 +5,7 @@ scores to the two-step test."""
 
 import gc
 import math
+import re
 import sys
 
 import numpy as np
@@ -46,6 +47,18 @@ class TestMarginalScore:
     def test_non_finite_sigma_named(self, sigma):
         with pytest.raises(ValueError, match="sigma must be finite"):
             MarginalForecast(sigma)
+
+    @pytest.mark.parametrize("sigma", [[], np.empty((0, 2)), np.ones((2, 2))])
+    def test_sigma_must_be_nonempty_vector(self, sigma):
+        with pytest.raises(ValueError, match="^sigma must be a nonempty vector$"):
+            MarginalForecast(sigma)
+
+    @pytest.mark.parametrize("y", [[0.0], [0.0, 0.0, 0.0], [[0.0, 0.0]], 0.0])
+    def test_observation_shape_named(self, y):
+        f = MarginalForecast(np.ones(2))
+        message = rf"^y must have shape \(2,\), got {re.escape(str(np.shape(y)))}$"
+        with pytest.raises(ValueError, match=message):
+            bivariate_score(Independence(2), f, y)
 
     def test_nonfinite_observation(self):
         f = MarginalForecast(np.ones(2))

@@ -272,10 +272,11 @@ class TestContamination:
         be drawn from a stream a superblock at a time: every
         ``Generator.random`` word takes one 64-bit word, whatever the
         normals before it took, so the four pieces of a superblock at
-        offset s, at words s, s + k, s + 2k and s + 3k, followed by a step
-        back of 3k if more superblocks follow, are the matching slices of
-        one joint draw of 4k uniforms, scaled as ``Generator.uniform``
-        scales them, and the stream ends where that draw ends."""
+        offset s, at words s, s + k, s + 2k and s + 3k, each followed, if k
+        exceeds a superblock, by a jump on to the next piece or after the
+        fourth back to word s + steps, are the matching slices of one joint
+        draw of 4k uniforms, scaled as ``Generator.uniform`` scales them,
+        and the stream ends where that draw ends, or 3k words before."""
         low = 1.0 - width
         for r in range(5):
             rng, ref = _rep_rng(11, r), _rep_rng(11, r)
@@ -286,12 +287,12 @@ class TestContamination:
             for s in range(0, k, 3):  # superblocks of 3 steps, the last one shorter
                 steps = min(3, k - s)
                 for piece in range(4):
-                    if piece and steps < k:
-                        rng.bit_generator.advance(k - steps)
                     words[piece, s : s + steps] = rng.random(steps)
-                if s + steps < k:
-                    rng.bit_generator.advance(-3 * k)
+                    if steps < k:
+                        rng.bit_generator.advance(k - steps if piece < 3 else -3 * k)
             np.testing.assert_array_equal(low + ((1.0 + width) - low) * words, joint)
+            if k > 3:  # the last superblock's jump back
+                rng.bit_generator.advance(3 * k)
             np.testing.assert_array_equal(rng.random(3), ref.random(3))
 
     def test_half_width_interval_stays_valid(self):
